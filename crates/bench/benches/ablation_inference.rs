@@ -2,13 +2,11 @@
 //!
 //! Compares constraint generation + fixpoint solving against constraint
 //! generation alone, quantifying how much of Flux's runtime is spent in the
-//! inference phase that replaces hand-written loop invariants.  Also
-//! compares the incremental query engine (sessions + validity cache, the
-//! default) against one-shot solving.
+//! inference phase that replaces hand-written loop invariants.
 
 use flux_bench::harness::{black_box, Criterion};
 use flux_check::checker::Generator;
-use flux_fixpoint::{FixConfig, FixpointSolver};
+use flux_fixpoint::FixpointSolver;
 use flux_ir::ResolvedProgram;
 use flux_logic::SortCtx;
 
@@ -33,19 +31,6 @@ fn bench_inference(c: &mut Criterion) {
                 for f in &fn_names {
                     let gen = Generator::new(&resolved).gen_function(f).unwrap();
                     let mut solver = FixpointSolver::with_defaults();
-                    black_box(solver.solve(&gen.constraint, &gen.kvars, &SortCtx::new()));
-                }
-            })
-        });
-        group.bench_function(format!("{name}/gen-plus-inference-one-shot"), |bencher| {
-            let config = FixConfig {
-                incremental: false,
-                ..FixConfig::default()
-            };
-            bencher.iter(|| {
-                for f in &fn_names {
-                    let gen = Generator::new(&resolved).gen_function(f).unwrap();
-                    let mut solver = FixpointSolver::new(config.clone());
                     black_box(solver.solve(&gen.constraint, &gen.kvars, &SortCtx::new()));
                 }
             })

@@ -207,11 +207,10 @@ fn bench_smt(c: &mut Criterion) {
     // Long-session simplex: 479 registered rows, and check rounds that each
     // touch only four of them.  Setup (registration and the base asserts)
     // happens outside the timed region — what is measured is the steady
-    // state of an aged session, where the historical row-scan path pays
-    // O(rows) per bound slide regardless of how many rows mention the
-    // variable while the occurrence-list path touches only the rows
-    // containing the slid variable and stays flat as the session grows.
-    let long_session_setup = |cfg: LiaConfig| {
+    // state of an aged session, where the occurrence lists touch only the
+    // rows containing the slid variable, so the cost should stay flat as
+    // the session grows.
+    let long_session_setup = || {
         let n = 160usize;
         let name = |i: usize| Name::intern(&format!("lsx{i}"));
         let mut family = Vec::new();
@@ -238,7 +237,7 @@ fn bench_smt(c: &mut Criterion) {
                 LinConstraint::le_zero(lhs)
             })
             .collect();
-        let mut simplex = IncrementalSimplex::new(cfg);
+        let mut simplex = IncrementalSimplex::new(LiaConfig::default());
         let slots: Vec<_> = family.iter().map(|c| simplex.register(c)).collect();
         let extra_slots: Vec<_> = extras.iter().map(|c| simplex.register(c)).collect();
         for (tag, slot) in slots.iter().enumerate() {
@@ -262,19 +261,7 @@ fn bench_smt(c: &mut Criterion) {
         }
     };
     group.bench_function("lia-long-session-occ-lists", |b| {
-        let cfg = LiaConfig {
-            row_scan: false,
-            ..LiaConfig::default()
-        };
-        let (mut simplex, extra_slots, base) = long_session_setup(cfg);
-        b.iter(|| long_session_rounds(&mut simplex, &extra_slots, base))
-    });
-    group.bench_function("lia-long-session-row-scan", |b| {
-        let cfg = LiaConfig {
-            row_scan: true,
-            ..LiaConfig::default()
-        };
-        let (mut simplex, extra_slots, base) = long_session_setup(cfg);
+        let (mut simplex, extra_slots, base) = long_session_setup();
         b.iter(|| long_session_rounds(&mut simplex, &extra_slots, base))
     });
 

@@ -29,7 +29,9 @@
 //! replay within one solve, a cross-function replay (same solver, earlier
 //! solve), or a cross-benchmark replay (different solver entirely).
 
-use flux_logic::{env_parse, lock_recover, ExprId, Name, Sort, SortCtx};
+use flux_logic::{
+    env_parse, lock_counted, lock_recover, tally_evictions, ExprId, Name, Sort, SortCtx,
+};
 use flux_smt::Validity;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
@@ -224,6 +226,7 @@ impl ValidityCache {
             let key = self.order.remove(&oldest).expect("stamp was just observed");
             if self.map.remove(&key).is_some() {
                 self.evictions += 1;
+                tally_evictions(1);
             }
         }
     }
@@ -303,14 +306,7 @@ impl ShardedValidityCache {
     /// the cache memoizes deterministic verdicts, so no torn state is
     /// observable through its API.
     fn acquire<'a>(&self, mutex: &'a Mutex<ValidityCache>) -> MutexGuard<'a, ValidityCache> {
-        match mutex.try_lock() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.contentions.fetch_add(1, Ordering::Relaxed);
-                lock_recover(mutex)
-            }
-            Err(std::sync::TryLockError::Poisoned(_)) => lock_recover(mutex),
-        }
+        lock_counted(mutex, &self.contentions)
     }
 
     /// Returns the cached entry for `key`, refreshing its recency within
@@ -423,8 +419,9 @@ pub fn set_global_cache_capacity(cap: Option<usize>) {
 }
 
 /// Times any caller found a process-global validity-cache shard lock held
-/// by another thread, over the process lifetime.  Solvers difference this
-/// around a solve to report per-solve contention.
+/// by another thread, over the process lifetime.  Monotone; callers read
+/// deltas (solves attribute their own share through
+/// [`flux_logic::thread_tally`]).
 pub fn validity_shard_contentions() -> u64 {
     global_cache().contentions()
 }

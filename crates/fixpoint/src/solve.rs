@@ -35,9 +35,7 @@ use crate::constraint::{Clause, Constraint, Guard, Head, Tag};
 use crate::kvar::{KVarApp, KVarStore, KVid};
 use crate::partition::{partition, Partition};
 use crate::qualifier::{default_qualifiers, Qualifier};
-use flux_logic::{
-    hcons_memo_evictions, lock_recover, AlphaRenamer, Expr, ExprId, Name, Sort, SortCtx,
-};
+use flux_logic::{lock_recover, AlphaRenamer, Expr, ExprId, Name, Sort, SortCtx, ThreadTally};
 use flux_smt::{Model, Session, SmtConfig, SmtStats, Solver, Validity};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -72,35 +70,23 @@ pub fn default_threads() -> usize {
     }
 }
 
-/// Snapshot of the process-global shard-lock contention counters (validity
-/// shards, CNF shards, hcons interner); solves difference it to attribute
-/// contention to a solve, mirroring `observed_evictions`.
-fn observed_contentions() -> u64 {
-    crate::cache::validity_shard_contentions()
-        + flux_smt::cnf_shard_contentions()
-        + flux_logic::hcons_contentions()
+/// Credits the calling thread's shared-cache events since `start` (lock
+/// contentions and evictions, see [`flux_logic::ThreadTally`]) to `stats`.
+fn credit_tally(stats: &mut FixStats, start: ThreadTally) {
+    let tally = flux_logic::thread_tally().since(start);
+    stats.evictions += tally.evictions as usize;
+    stats.shard_contention += tally.contentions as usize;
 }
 
 /// Configuration of the fixpoint solver.
 #[derive(Clone, Debug)]
 pub struct FixConfig {
-    /// Configuration forwarded to the SMT solver.
+    /// Configuration forwarded to the SMT solver.  Its
+    /// [`flux_smt::ResourceBudget::weaken_iterations`] is the only bound on
+    /// weakening iterations.
     pub smt: SmtConfig,
-    /// Safety bound on weakening iterations.
-    pub max_iterations: usize,
     /// The qualifier templates used to seed candidate solutions.
     pub qualifiers: Vec<Qualifier>,
-    /// Use the incremental query engine: one solver session per clause per
-    /// iteration plus the cross-iteration validity cache.  Disable to get
-    /// the historical one-query-one-pipeline behaviour (kept for A/B
-    /// testing and the ablation benches; verdicts are identical).
-    pub incremental: bool,
-    /// Weaken candidates by evaluating them under the solver's
-    /// counter-models (Houdini-style) before falling back to one SMT query
-    /// per candidate.  Disable for A/B testing; the resulting fixpoint — and
-    /// hence every verdict and inferred invariant — is identical either
-    /// way, only the number of SMT queries differs.
-    pub model_pruning: bool,
     /// Share verdicts through the process-global validity cache, so
     /// identical obligations are proved once per *process* rather than once
     /// per program (`xbench_hits` counts the cross-benchmark replays).
@@ -115,35 +101,15 @@ pub struct FixConfig {
     /// environment variable, else the machine's parallelism).  Verdicts and
     /// solutions are thread-count-invariant.
     pub threads: usize,
-    /// When a clause's depended-on κ weakens, *retract* the stale
-    /// hypothesis conjuncts from the clause's live session (via
-    /// [`Session::update_hypotheses`]) instead of discarding the session:
-    /// the persistent CDCL core, its learned clauses and the simplex basis
-    /// survive the weakening step.  Disable (or set `FLUX_LEGACY`) to get
-    /// the historical discard-and-rebuild behaviour; verdicts and solutions
-    /// are identical either way.
-    pub retract_conjuncts: bool,
-    /// Evaluate counter-models directly over the hash-consed expression DAG
-    /// (memoized per query) instead of materializing tree forms of the
-    /// candidates and hypotheses per clause version.  Disable (or set
-    /// `FLUX_LEGACY`) for the historical tree evaluator; the two evaluators
-    /// agree decision-for-decision, so the fixpoint is identical.
-    pub dag_eval: bool,
 }
 
 impl Default for FixConfig {
     fn default() -> Self {
-        let legacy = flux_smt::legacy_toggles();
         FixConfig {
             smt: SmtConfig::default(),
-            max_iterations: 100,
             qualifiers: default_qualifiers(),
-            incremental: true,
-            model_pruning: true,
             global_cache: true,
             threads: default_threads(),
-            retract_conjuncts: !legacy,
-            dag_eval: !legacy,
         }
     }
 }
@@ -201,16 +167,17 @@ pub struct FixStats {
     /// the program — see [`FixResult::Unknown`].  Always zero under the
     /// default unlimited budgets on the corpus.
     pub unknown_drops: usize,
-    /// Cache entries evicted during this solve across the bounded global
-    /// caches (hash-cons memos, CNF cache, validity cache), attributed by
-    /// differencing the monotone global counters around the solve.  Zero
-    /// unless a capacity cap (`FLUX_CACHE_CAP`) is set.
+    /// Cache entries evicted by this solve's own threads (the calling
+    /// thread and the workers it spawned) across the bounded caches
+    /// (hash-cons memos, CNF cache, validity caches).  Counted per thread
+    /// where each eviction happens, so solves running concurrently never
+    /// count each other's evictions.  Zero unless a capacity cap
+    /// (`FLUX_CACHE_CAP`) is set.
     pub evictions: usize,
-    /// Times a thread found a process-global cache-shard lock (validity
-    /// shards, CNF shards, hcons interner) held by another thread during
-    /// this solve, attributed by differencing the monotone global counters
-    /// around the solve.  A convoying diagnostic: zero in sequential runs,
-    /// and under sharding it should stay near zero even at 8 threads.
+    /// Times one of this solve's threads found a process-global cache lock
+    /// (validity shards, CNF shards, hcons interner) held by another
+    /// thread, counted per thread like `evictions`.  A convoying
+    /// diagnostic: zero when nothing else runs concurrently.
     pub shard_contention: usize,
 }
 
@@ -245,9 +212,8 @@ impl FixStats {
 /// its formal arguments.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Solution {
-    assignment: BTreeMap<KVid, Vec<Expr>>,
-    /// Hash-consed ids of the conjuncts in `assignment`, kept in lockstep
-    /// so the weakening loop never re-interns a candidate tree.
+    /// The hash-consed conjuncts of each κ, so the weakening loop never
+    /// re-interns a candidate tree.
     ids: BTreeMap<KVid, Vec<ExprId>>,
 }
 
@@ -280,7 +246,7 @@ impl Solution {
 
     /// Number of conjuncts assigned to `kvid`.
     pub fn num_conjuncts(&self, kvid: KVid) -> usize {
-        self.assignment.get(&kvid).map_or(0, Vec::len)
+        self.ids.get(&kvid).map_or(0, Vec::len)
     }
 
     /// The hash-consed candidate conjuncts of `kvid`.
@@ -288,21 +254,12 @@ impl Solution {
         self.ids.get(&kvid).map(Vec::as_slice)
     }
 
-    fn set(&mut self, kvid: KVid, conjuncts: Vec<Expr>) {
-        self.ids
-            .insert(kvid, conjuncts.iter().map(ExprId::intern).collect());
-        self.assignment.insert(kvid, conjuncts);
-    }
-
-    /// Drops the candidates whose `mask` entry is `false`, in both forms.
+    /// Drops the candidates whose `mask` entry is `false`.
     fn retain_mask(&mut self, kvid: KVid, mask: &[bool]) {
-        let conjuncts = self
-            .assignment
+        let ids = self
+            .ids
             .get_mut(&kvid)
             .expect("retain of an unassigned kvar");
-        let mut keep = mask.iter();
-        conjuncts.retain(|_| *keep.next().expect("mask is as long as the candidates"));
-        let ids = self.ids.get_mut(&kvid).expect("ids kept in lockstep");
         let mut keep = mask.iter();
         ids.retain(|_| *keep.next().expect("mask is as long as the candidates"));
     }
@@ -314,9 +271,6 @@ impl Solution {
     fn extract(&mut self, kvids: &BTreeSet<KVid>) -> Solution {
         let mut out = Solution::default();
         for &kvid in kvids {
-            if let Some(conjuncts) = self.assignment.remove(&kvid) {
-                out.assignment.insert(kvid, conjuncts);
-            }
             if let Some(ids) = self.ids.remove(&kvid) {
                 out.ids.insert(kvid, ids);
             }
@@ -327,7 +281,6 @@ impl Solution {
     /// Reabsorbs a worker's slice; the keys are disjoint from `self`'s by
     /// the partitioning invariant.
     fn merge(&mut self, other: Solution) {
-        self.assignment.extend(other.assignment);
         self.ids.extend(other.ids);
     }
 }
@@ -411,36 +364,18 @@ struct ClauseState {
     /// cross_fn)` of the lookup that proved convergence).
     converged_hit: Option<(bool, bool)>,
     /// Hash-consed ids of the head candidates instantiated at the
-    /// application's arguments; every cache key, conjunction and session
-    /// query is id-based (no tree walks).
+    /// application's arguments; every cache key, conjunction, session query
+    /// and counter-model evaluation is id-based (no tree walks).
     inst_ids: Vec<ExprId>,
-    /// Tree form of `inst_ids`, materialized lazily — only counter-model
-    /// evaluation needs it.
-    insts: Option<Vec<Expr>>,
     /// The clause's hypotheses under the current assignment, hash-consed.
     hyp_ids: Vec<ExprId>,
-    /// Tree form of `hyp_ids`, materialized lazily — only counter-model
-    /// evaluation and the legacy (non-incremental) pipeline need it.
-    hypotheses: Option<Vec<Expr>>,
     /// Base context extended with the clause binders.
     clause_ctx: SortCtx,
-    /// Interned cache-key parts (`None` with the incremental engine off).
-    keys: Option<ClauseKeys>,
+    /// Interned cache-key parts.
+    keys: ClauseKeys,
     /// The live solver session, opened lazily on the first cache miss and
     /// kept across iterations.
     session: Option<Session>,
-}
-
-impl ClauseState {
-    /// Materializes the tree forms needed for counter-model evaluation.
-    fn materialize_trees(&mut self) {
-        if self.insts.is_none() {
-            self.insts = Some(self.inst_ids.iter().map(|id| id.expr()).collect());
-        }
-        if self.hypotheses.is_none() {
-            self.hypotheses = Some(self.hyp_ids.iter().map(|id| id.expr()).collect());
-        }
-    }
 }
 
 /// Per-clause weakening state lives on worker threads (and carries the live
@@ -584,26 +519,19 @@ impl Goals<'_> {
             Goals::Conjunction(_, whole) => *whole,
         }
     }
-
-    /// The goal as a tree, for the non-incremental (legacy A/B) pipeline.
-    fn tree(&self) -> Expr {
-        match self {
-            Goals::Single(id) => id.expr(),
-            Goals::Conjunction(ids, _) => Expr::and_all(ids.iter().map(|id| id.expr())),
-        }
-    }
 }
 
 /// The per-worker clause-solving engine: everything one weakening (or
 /// concrete-check) worker needs, owned privately so partitions solve
-/// without sharing mutable state — statistics and the one-shot fallback
-/// solver included.  The only state workers share are the caches, which are
-/// mutex-guarded: the process-global hash-cons / CNF / verdict tables, and
-/// the owning solver's hermetic cache when the global one is disabled.
+/// without sharing mutable state — statistics included.  The only state
+/// workers share are the caches, which are mutex-guarded: the
+/// process-global hash-cons / CNF / verdict tables, and the owning solver's
+/// hermetic cache when the global one is disabled.
 struct Engine<'a> {
     config: &'a FixConfig,
     stats: FixStats,
-    smt: Solver,
+    /// Statistics of the engine's finished clause sessions.
+    smt: SmtStats,
     /// The owning solver's hermetic cache (used when `global_cache` is
     /// off); shared by every worker of that solver.
     local_cache: &'a Mutex<ValidityCache>,
@@ -635,7 +563,7 @@ impl<'a> Engine<'a> {
         Engine {
             config: &solver.config,
             stats: FixStats::default(),
-            smt: Solver::new(solver.config.smt),
+            smt: SmtStats::default(),
             local_cache: &solver.local_cache,
             solver_id: solver.solver_id,
             epoch: solver.epoch,
@@ -697,7 +625,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Runs the weakening loop over the clauses in `subset` (indices into
-    /// `clauses`, ascending) until a fixpoint or the iteration bound.
+    /// `clauses`, ascending) until a fixpoint, or until the deadline or the
+    /// iteration budget cuts it short (recorded in `unknowns`).
     /// Clauses outside `subset` are never touched, and `solution` must
     /// contain every κ the subset's clauses mention — in sequential mode
     /// that is the whole assignment, in parallel mode the component's
@@ -726,24 +655,29 @@ impl<'a> Engine<'a> {
         // ever materializes state for its own component's clauses.
         let mut states: Vec<Option<ClauseState>> = (0..subset.len()).map(|_| None).collect();
         let mut memos: Vec<Option<ClauseMemo>> = (0..subset.len()).map(|_| None).collect();
-        // An iteration-budget cut (unlike exhausting the historical
-        // `max_iterations` safety bound, which keeps its silent-proceed
-        // behaviour) leaves the assignment too strong to trust a `Safe`
-        // verdict, so it is recorded as a degradation.  Deadline checks run
-        // once per iteration — each iteration amortizes the clock read over
-        // a full pass of clause visits.
+        // The loop needs no safety bound: every iteration that changes
+        // anything drops at least one candidate from a finite set.  A cut
+        // by the iteration budget or the deadline leaves the assignment too
+        // strong to trust a `Safe` verdict, so it is recorded as a
+        // degradation.  Deadline checks run once per iteration — each
+        // iteration amortizes the clock read over a full pass of clause
+        // visits.
         let budget = self.config.smt.budget;
-        let iteration_cap = budget
-            .weaken_iterations
-            .map(|cap| (cap as usize).min(self.config.max_iterations));
-        let max_iterations = iteration_cap.unwrap_or(self.config.max_iterations);
-        let mut converged = false;
-        let mut deadline_hit = false;
-        for _ in 0..max_iterations {
-            if budget.deadline_exceeded() {
-                deadline_hit = true;
+        let mut iterations = 0u64;
+        loop {
+            if budget
+                .weaken_iterations
+                .is_some_and(|cap| iterations >= cap)
+            {
+                self.unknowns
+                    .push(UnknownReason::Budget("weaken-iterations"));
                 break;
             }
+            if budget.deadline_exceeded() {
+                self.unknowns.push(UnknownReason::Deadline);
+                break;
+            }
+            iterations += 1;
             self.stats.iterations += 1;
             let mut changed = false;
             for (si, &ci) in subset.iter().enumerate() {
@@ -763,9 +697,7 @@ impl<'a> Engine<'a> {
                 if stale_head || stale_guards {
                     let memo =
                         memos[si].get_or_insert_with(|| ClauseMemo::new(clause.guards.len()));
-                    // Candidates are instantiated over the shared DAG; tree
-                    // forms are materialized lazily, only when a
-                    // counter-model needs evaluating.
+                    // Candidates are instantiated over the shared DAG.
                     let inst_ids: Vec<ExprId> = match solution.candidate_ids(app.kvid) {
                         Some(ids) if !ids.is_empty() => self.instantiate_at(app, kvars, ids),
                         _ => continue,
@@ -778,7 +710,6 @@ impl<'a> Engine<'a> {
                             // simplex basis — are still exactly right.
                             state.head_version = head_version;
                             state.inst_ids = inst_ids;
-                            state.insts = None;
                             state.converged_hit = None;
                         }
                         (slot, _) => {
@@ -813,23 +744,19 @@ impl<'a> Engine<'a> {
                                 .ctx
                                 .get_or_insert_with(|| clause_ctx(clause, ctx))
                                 .clone();
-                            let keys = self.keys_for(&clause_ctx, &hyp_ids, &mut memo.canon);
+                            let keys =
+                                ClauseKeys::new(self.fns, &clause_ctx, &hyp_ids, &mut memo.canon);
                             // A weakened κ-guard changes the hypotheses by a
                             // conjunct diff: retract the stale conjuncts from
                             // the live session and keep its CDCL core,
                             // learned clauses and simplex basis, instead of
-                            // rebuilding from scratch.
-                            let mut session = None;
-                            if let Some(old) = slot.take() {
-                                match old.session {
-                                    Some(mut live) if self.config.retract_conjuncts => {
-                                        if live.update_hypotheses(&hyp_ids) {
-                                            session = Some(live);
-                                        } else {
-                                            self.close(Some(live));
-                                        }
-                                    }
-                                    other => self.close(other),
+                            // rebuilding from scratch.  An update that leaves
+                            // the incremental fragment closes the session; the
+                            // next miss opens a fresh one.
+                            let mut session = slot.take().and_then(|old| old.session);
+                            if let Some(live) = &mut session {
+                                if !live.update_hypotheses(&hyp_ids) {
+                                    self.close(session.take());
                                 }
                             }
                             *slot = Some(ClauseState {
@@ -837,9 +764,7 @@ impl<'a> Engine<'a> {
                                 guard_versions,
                                 converged_hit: None,
                                 inst_ids,
-                                insts: None,
                                 hyp_ids,
-                                hypotheses: None,
                                 clause_ctx,
                                 keys,
                                 session,
@@ -867,33 +792,31 @@ impl<'a> Engine<'a> {
                 // cached as valid — the common case when the clause
                 // re-enters after surviving a previous iteration — the whole
                 // query is answered from the cache outright.
-                if let Some(keys) = &state.keys {
-                    let cached: Vec<Option<CacheEntry>> = state
-                        .inst_ids
+                let cached: Vec<Option<CacheEntry>> = state
+                    .inst_ids
+                    .iter()
+                    .map(|g| self.cache_peek(&state.keys.for_goal_id(*g)))
+                    .collect();
+                if cached
+                    .iter()
+                    .all(|c| matches!(c, Some(e) if e.verdict == Validity::Valid))
+                {
+                    self.stats.smt_queries += 1;
+                    self.stats.cache_hits += 1;
+                    let xbench = cached
                         .iter()
-                        .map(|g| self.cache_peek(&keys.for_goal_id(*g)))
-                        .collect();
-                    if cached
-                        .iter()
-                        .all(|c| matches!(c, Some(e) if e.verdict == Validity::Valid))
-                    {
-                        self.stats.smt_queries += 1;
-                        self.stats.cache_hits += 1;
-                        let xbench = cached
+                        .all(|c| matches!(c, Some(e) if e.owner != self.solver_id));
+                    let cross_fn = !xbench
+                        && cached
                             .iter()
-                            .all(|c| matches!(c, Some(e) if e.owner != self.solver_id));
-                        let cross_fn = !xbench
-                            && cached
-                                .iter()
-                                .all(|c| matches!(c, Some(e) if e.epoch < self.epoch));
-                        if xbench {
-                            self.stats.xbench_hits += 1;
-                        } else if cross_fn {
-                            self.stats.cross_fn_hits += 1;
-                        }
-                        state.converged_hit = Some((xbench, cross_fn));
-                        continue;
+                            .all(|c| matches!(c, Some(e) if e.epoch < self.epoch));
+                    if xbench {
+                        self.stats.xbench_hits += 1;
+                    } else if cross_fn {
+                        self.stats.cross_fn_hits += 1;
                     }
+                    state.converged_hit = Some((xbench, cross_fn));
+                    continue;
                 }
                 let mut alive = vec![true; state.inst_ids.len()];
                 // Houdini-style weakening: check the conjunction of the
@@ -928,23 +851,20 @@ impl<'a> Engine<'a> {
                             // `hyps ⟹ ci`, so seed the per-candidate entries
                             // the next iteration (or the fast path above)
                             // will ask for.
-                            if let Some(keys) = &state.keys {
-                                for (goal, _) in state
-                                    .inst_ids
-                                    .iter()
-                                    .zip(&alive)
-                                    .filter(|(_, alive)| **alive)
-                                {
-                                    self.cache_store(keys.for_goal_id(*goal), Validity::Valid);
-                                }
+                            for (goal, _) in state
+                                .inst_ids
+                                .iter()
+                                .zip(&alive)
+                                .filter(|(_, alive)| **alive)
+                            {
+                                self.cache_store(state.keys.for_goal_id(*goal), Validity::Valid);
                             }
                             break;
                         }
                         Validity::Invalid(Some(model))
-                            if self.config.model_pruning
-                                && self.model_satisfies_hyps(state, &model) =>
+                            if model.satisfies_all_ids(&state.hyp_ids) =>
                         {
-                            if self.prune_candidates(&model, state, &mut alive) {
+                            if self.prune_by_model(&model, &state.inst_ids, &mut alive) {
                                 continue;
                             }
                             self.weaken_per_candidate(state, &mut alive);
@@ -963,15 +883,8 @@ impl<'a> Engine<'a> {
                 }
             }
             if !changed {
-                converged = true;
                 break;
             }
-        }
-        if deadline_hit {
-            self.unknowns.push(UnknownReason::Deadline);
-        } else if !converged && iteration_cap.is_some_and(|cap| cap < self.config.max_iterations) {
-            self.unknowns
-                .push(UnknownReason::Budget("weaken-iterations"));
         }
         // Fold the surviving sessions' statistics back into the engine
         // totals.
@@ -997,8 +910,7 @@ impl<'a> Engine<'a> {
         };
         let hyp_ids = self.hypotheses_of(clause, solution, kvars);
         let clause_ctx = clause_ctx(clause, ctx);
-        let mut canon = HashMap::new();
-        let keys = self.keys_for(&clause_ctx, &hyp_ids, &mut canon);
+        let keys = ClauseKeys::new(self.fns, &clause_ctx, &hyp_ids, &mut HashMap::new());
         let mut session = None;
         let goal_id = ExprId::intern(goal);
         let verdict = self.check(
@@ -1034,17 +946,6 @@ impl<'a> Engine<'a> {
             .collect()
     }
 
-    fn keys_for(
-        &self,
-        clause_ctx: &SortCtx,
-        hyp_ids: &[ExprId],
-        canon: &mut HashMap<ExprId, ExprId>,
-    ) -> Option<ClauseKeys> {
-        self.config
-            .incremental
-            .then(|| ClauseKeys::new(self.fns, clause_ctx, hyp_ids, canon))
-    }
-
     /// Looks `key` up in whichever cache this solver uses (no stats).
     fn cache_peek(&self, key: &QueryKey) -> Option<CacheEntry> {
         if self.config.global_cache {
@@ -1073,25 +974,16 @@ impl<'a> Engine<'a> {
     }
 
     /// Discharges one validity query through the engine: consult the cache,
-    /// then the clause's session (opened lazily on the first miss).  With
-    /// `incremental` off (`keys` is `None`), queries go straight to the
-    /// one-shot solver, reproducing the historical behaviour.
+    /// then the clause's session (opened lazily on the first miss).
     fn check(
         &mut self,
         session: &mut Option<Session>,
         clause_ctx: &SortCtx,
-        keys: &Option<ClauseKeys>,
+        keys: &ClauseKeys,
         hyp_ids: &[ExprId],
         goals: &Goals<'_>,
     ) -> Validity {
         self.stats.smt_queries += 1;
-        let Some(keys) = keys else {
-            // The legacy (non-incremental) pipeline works on trees.
-            let hypotheses: Vec<Expr> = hyp_ids.iter().map(|id| id.expr()).collect();
-            return self
-                .smt
-                .check_valid_imp(clause_ctx, &hypotheses, &goals.tree());
-        };
         let key = keys.for_goal_id(goals.key_id());
         if let Some(entry) = self.cache_peek(&key) {
             self.stats.cache_hits += 1;
@@ -1116,58 +1008,13 @@ impl<'a> Engine<'a> {
         verdict
     }
 
-    /// True when `model` decidably satisfies the clause's hypotheses —
-    /// evaluated directly over the shared DAG, or (legacy mode) over tree
-    /// forms materialized per clause version.  Only a model that does can
-    /// be trusted to prune candidates.
-    fn model_satisfies_hyps(&self, state: &mut ClauseState, model: &Model) -> bool {
-        if self.config.dag_eval {
-            model.satisfies_all_ids(&state.hyp_ids)
-        } else {
-            state.materialize_trees();
-            model.satisfies_all(state.hypotheses.as_ref().unwrap())
-        }
-    }
-
-    /// Drops every surviving candidate of `state` falsified by `model`,
-    /// choosing the DAG or tree evaluator per [`FixConfig::dag_eval`].
-    /// Returns whether anything was dropped.
-    fn prune_candidates(
-        &mut self,
-        model: &Model,
-        state: &mut ClauseState,
-        alive: &mut [bool],
-    ) -> bool {
-        if self.config.dag_eval {
-            self.prune_by_model_ids(model, &state.inst_ids, alive)
-        } else {
-            state.materialize_trees();
-            let insts = state.insts.as_ref().unwrap();
-            self.prune_by_model(model, insts, alive)
-        }
-    }
-
     /// Drops every surviving candidate that decidably evaluates to `false`
-    /// under `model`.  The caller has already confirmed that the model
+    /// under `model`, evaluated on the shared DAG with per-call
+    /// memoization.  The caller has already confirmed that the model
     /// satisfies the clause's hypotheses, so each drop is exactly the
     /// verdict a per-candidate SMT query would have produced — minus the
     /// query.  Returns whether anything was dropped.
-    fn prune_by_model(&mut self, model: &Model, insts: &[Expr], alive: &mut [bool]) -> bool {
-        let mut pruned = false;
-        for (inst, alive) in insts.iter().zip(alive.iter_mut()) {
-            if *alive && model.eval_bool(inst) == Some(false) {
-                *alive = false;
-                pruned = true;
-                self.stats.model_prunes += 1;
-            }
-        }
-        pruned
-    }
-
-    /// [`Engine::prune_by_model`] over hash-consed candidates: evaluation
-    /// runs on the shared DAG with per-call memoization, so no candidate
-    /// tree is ever materialized.
-    fn prune_by_model_ids(&mut self, model: &Model, insts: &[ExprId], alive: &mut [bool]) -> bool {
+    fn prune_by_model(&mut self, model: &Model, insts: &[ExprId], alive: &mut [bool]) -> bool {
         let mut pruned = false;
         for (&inst, alive) in insts.iter().zip(alive.iter_mut()) {
             if *alive && model.eval_bool_id(inst) == Some(false) {
@@ -1206,17 +1053,9 @@ impl<'a> Engine<'a> {
                 self.stats.unknown_drops += 1;
             }
             alive[i] = false;
-            if self.config.model_pruning {
-                if let Validity::Invalid(Some(model)) = &verdict {
-                    if self.model_satisfies_hyps(state, model) {
-                        if self.config.dag_eval {
-                            let ids = &state.inst_ids[i + 1..];
-                            self.prune_by_model_ids(model, ids, &mut alive[i + 1..]);
-                        } else {
-                            let insts = state.insts.as_ref().unwrap();
-                            self.prune_by_model(model, &insts[i + 1..], &mut alive[i + 1..]);
-                        }
-                    }
+            if let Validity::Invalid(Some(model)) = &verdict {
+                if model.satisfies_all_ids(&state.hyp_ids) {
+                    self.prune_by_model(model, &state.inst_ids[i + 1..], &mut alive[i + 1..]);
                 }
             }
         }
@@ -1247,7 +1086,8 @@ pub struct FixpointSolver {
     /// across slots may vary between runs; the sum always equals
     /// `stats.smt_queries`.
     pub worker_queries: Vec<usize>,
-    smt: Solver,
+    /// Cumulative statistics of every clause session since creation.
+    smt: SmtStats,
     /// The hermetic per-solver cache, used when `config.global_cache` is
     /// off; otherwise verdicts live in [`global_cache`].  Mutex-guarded so
     /// the weakening workers of one solve can share it.
@@ -1265,12 +1105,11 @@ pub struct FixpointSolver {
 impl FixpointSolver {
     /// Creates a solver with the given configuration.
     pub fn new(config: FixConfig) -> FixpointSolver {
-        let smt = Solver::new(config.smt);
         FixpointSolver {
             config,
             stats: FixStats::default(),
             worker_queries: Vec::new(),
-            smt,
+            smt: SmtStats::default(),
             local_cache: Mutex::new(ValidityCache::new()),
             solver_id: next_owner(),
             epoch: 0,
@@ -1309,8 +1148,9 @@ impl FixpointSolver {
         // at construction (their own `stamp` calls are then no-ops).
         self.config.smt.budget.deadline = None;
         self.config.smt.budget.stamp();
-        let evictions_before = self.observed_evictions();
-        let contentions_before = observed_contentions();
+        // This thread's share of the solve's shared-cache events; parallel
+        // workers credit their own shares to the statistics they return.
+        let tally = flux_logic::thread_tally();
         let threads = self.config.threads.max(1);
         let parts = partition(&clauses, kvars);
         self.stats = FixStats {
@@ -1329,14 +1169,17 @@ impl FixpointSolver {
         // hash-consed id so duplicates can't double the SMT work.
         let mut solution = Solution::default();
         for decl in kvars.iter() {
-            let mut candidates = Vec::new();
-            for qualifier in &self.config.qualifiers {
-                candidates.extend(qualifier.instantiate(decl));
-            }
-            let mut seen: HashSet<ExprId> = HashSet::with_capacity(candidates.len());
-            candidates.retain(|c| seen.insert(ExprId::intern(c)));
+            let mut seen: HashSet<ExprId> = HashSet::new();
+            let candidates: Vec<ExprId> = self
+                .config
+                .qualifiers
+                .iter()
+                .flat_map(|qualifier| qualifier.instantiate(decl))
+                .map(|c| ExprId::intern(&c))
+                .filter(|&id| seen.insert(id))
+                .collect();
             self.stats.initial_candidates += candidates.len();
-            solution.set(decl.id, candidates);
+            solution.ids.insert(decl.id, candidates);
         }
 
         // Audit lint: reject ill-sorted or ill-scoped constraint systems
@@ -1355,8 +1198,7 @@ impl FixpointSolver {
         } else {
             self.solve_parallel(&clauses, &parts, threads, kvars, ctx, &mut solution)
         };
-        self.stats.evictions = (self.observed_evictions() - evictions_before) as usize;
-        self.stats.shard_contention = (observed_contentions() - contentions_before) as usize;
+        credit_tally(&mut self.stats, tally);
 
         // Assemble the blamed tags in clause order, deduplicated — the same
         // order the historical sequential pass produced.  Concrete heads the
@@ -1406,15 +1248,6 @@ impl FixpointSolver {
         FixResult::Safe(solution)
     }
 
-    /// Snapshot of the process-global (and this solver's hermetic) cache
-    /// eviction counters; solves difference it to attribute evictions.
-    fn observed_evictions(&self) -> u64 {
-        hcons_memo_evictions()
-            + flux_smt::cnf_cache_evictions()
-            + global_cache().evictions()
-            + lock_recover(&self.local_cache).evictions()
-    }
-
     /// Independent re-validation of a converged solution (audit tier
     /// `full`): substitutes the final assignment into every flattened clause
     /// and rechecks each implication with a *fresh* one-shot [`Solver`] —
@@ -1435,23 +1268,12 @@ impl FixpointSolver {
             ..self.config.smt
         });
         for (ci, clause) in clauses.iter().enumerate() {
-            let mut scope = ctx.clone();
-            for (name, sort) in &clause.binders {
-                scope.push(*name, *sort);
-            }
-            let hyps: Vec<Expr> = clause
-                .guards
-                .iter()
-                .map(|g| match g {
-                    Guard::Pred(p) => p.clone(),
-                    Guard::KVar(app) => solution.apply(app, kvars),
-                })
-                .collect();
-            let (goal, blame) = match &clause.head {
-                Head::Pred(p, tag) => (p.clone(), format!("tag {tag}")),
-                Head::KVar(app) => (solution.apply(app, kvars), app.kvid.to_string()),
-            };
-            if let Validity::Invalid(_) = smt.check_valid_imp(&scope, &hyps, &goal) {
+            if let Validity::Invalid(_) = check_substituted(&mut smt, clause, kvars, ctx, solution)
+            {
+                let blame = match &clause.head {
+                    Head::Pred(_, tag) => format!("tag {tag}"),
+                    Head::KVar(app) => app.kvid.to_string(),
+                };
                 panic!(
                     "FLUX_AUDIT: converged solution fails independent re-validation \
                      of clause #{ci} ({blame}): the one-shot solver refutes an \
@@ -1477,7 +1299,7 @@ impl FixpointSolver {
         let mut engine = Engine::new(self);
         engine.weaken(clauses, &all, kvars, ctx, solution);
         let checks = engine.check_concrete(clauses, &parts.concrete, kvars, ctx, solution);
-        let (stats, smt_stats, unknowns) = (engine.stats, engine.smt.stats, engine.unknowns);
+        let (stats, smt_stats, unknowns) = (engine.stats, engine.smt, engine.unknowns);
         self.stats.absorb(&stats);
         self.smt.absorb(smt_stats);
         self.worker_queries.push(stats.smt_queries);
@@ -1531,6 +1353,7 @@ impl FixpointSolver {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
                         scope.spawn(|| {
+                            let tally = flux_logic::thread_tally();
                             let mut engine = Engine::new(self);
                             let mut unknowns = Vec::new();
                             loop {
@@ -1569,7 +1392,8 @@ impl FixpointSolver {
                                 }
                                 unknowns.append(&mut engine.unknowns);
                             }
-                            (engine.stats, engine.smt.stats, unknowns)
+                            credit_tally(&mut engine.stats, tally);
+                            (engine.stats, engine.smt, unknowns)
                         })
                     })
                     .collect();
@@ -1615,6 +1439,7 @@ impl FixpointSolver {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
                         scope.spawn(|| {
+                            let tally = flux_logic::thread_tally();
                             let mut engine = Engine::new(self);
                             let mut local = Vec::new();
                             loop {
@@ -1637,7 +1462,8 @@ impl FixpointSolver {
                                 }
                             }
                             lock_recover(&results).extend(local);
-                            (engine.stats, engine.smt.stats, engine.unknowns)
+                            credit_tally(&mut engine.stats, tally);
+                            (engine.stats, engine.smt, engine.unknowns)
                         })
                     })
                     .collect();
@@ -1675,15 +1501,14 @@ impl FixpointSolver {
         (checks, reasons)
     }
 
-    /// Cumulative statistics of the underlying SMT engine (all sessions and
-    /// one-shot queries) since creation; exposed for benchmarking and for
-    /// the end-to-end reporting in `flux-check`.
-    pub fn smt_stats(&self) -> flux_smt::SmtStats {
-        self.smt.stats
+    /// Cumulative statistics of the underlying SMT engine (every clause
+    /// session) since creation; exposed for benchmarking and for the
+    /// end-to-end reporting in `flux-check`.
+    pub fn smt_stats(&self) -> SmtStats {
+        self.smt
     }
 }
 
-/// Renders a caught panic payload for [`UnknownReason::WorkerPanic`].
 /// Stringifies a `catch_unwind` payload for [`UnknownReason::WorkerPanic`].
 /// Shared with `flux-check`'s function-level fan-out (hence public, but
 /// plumbing rather than API).
@@ -1696,6 +1521,31 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// Checks `clause` with `solution` substituted for its κ applications, as
+/// one plain implication handed to `smt` — nothing shared with the
+/// weakening loop's sessions or caches.
+fn check_substituted(
+    smt: &mut Solver,
+    clause: &Clause,
+    kvars: &KVarStore,
+    ctx: &SortCtx,
+    solution: &Solution,
+) -> Validity {
+    let hyps: Vec<Expr> = clause
+        .guards
+        .iter()
+        .map(|g| match g {
+            Guard::Pred(p) => p.clone(),
+            Guard::KVar(app) => solution.apply(app, kvars),
+        })
+        .collect();
+    let goal = match &clause.head {
+        Head::Pred(p, _) => p.clone(),
+        Head::KVar(app) => solution.apply(app, kvars),
+    };
+    smt.check_valid_imp(&clause_ctx(clause, ctx), &hyps, &goal)
 }
 
 fn clause_ctx(clause: &Clause, ctx: &SortCtx) -> SortCtx {
@@ -1906,88 +1756,125 @@ mod tests {
         );
     }
 
-    /// The incremental engine (sessions + validity cache) and one-shot
-    /// solving must produce identical results, and the incremental run must
-    /// actually exercise the cache and sessions.
-    #[test]
-    fn incremental_engine_matches_one_shot_and_hits_cache() {
-        let (c, kvars) = loop_counter_system();
-
-        // Model pruning is disabled on both sides: counter-models (and
-        // hence which per-candidate queries are skipped) may differ between
-        // the session and one-shot pipelines, and this test pins the
-        // *query-for-query* equivalence of the two engines.  The global
-        // cache is disabled because the test asserts miss/session counts,
-        // which other tests solving the same system would perturb.
-        let mut incremental = FixpointSolver::new(FixConfig {
-            model_pruning: false,
-            global_cache: false,
-            ..FixConfig::default()
-        });
-        let inc_result = incremental.solve(&c, &kvars, &SortCtx::new());
-
-        let mut one_shot = FixpointSolver::new(FixConfig {
-            incremental: false,
-            model_pruning: false,
-            global_cache: false,
-            ..FixConfig::default()
-        });
-        let os_result = one_shot.solve(&c, &kvars, &SortCtx::new());
-
-        assert_eq!(inc_result, os_result);
-        assert_eq!(incremental.stats.smt_queries, one_shot.stats.smt_queries);
-        assert!(
-            incremental.stats.cache_hits > 0,
-            "iterative weakening repeats queries; expected cache hits, stats: {:?}",
-            incremental.stats
-        );
-        assert!(incremental.stats.sessions > 0);
-        assert_eq!(
-            incremental.stats.cache_hits + incremental.stats.cache_misses,
-            incremental.stats.smt_queries
-        );
-        // Sessions only open on cache misses, at most one per clause visit.
-        assert!(incremental.stats.sessions <= incremental.stats.cache_misses);
-        assert_eq!(one_shot.stats.cache_hits, 0);
-        assert_eq!(one_shot.stats.sessions, 0);
+    /// True when every κ-head clause of `clauses` is valid under `solution`,
+    /// checked clause by clause with a fresh one-shot [`Solver`] — no
+    /// session, no cache, nothing shared with the weakening loop.
+    fn kvar_heads_hold(clauses: &[Clause], kvars: &KVarStore, solution: &Solution) -> bool {
+        let mut smt = Solver::with_defaults();
+        clauses
+            .iter()
+            .filter(|clause| !clause.is_concrete())
+            .all(|clause| {
+                check_substituted(&mut smt, clause, kvars, &SortCtx::new(), solution).is_valid()
+            })
     }
 
-    /// Counter-model-guided weakening must reach exactly the same fixpoint
-    /// as the per-candidate loop — same solution, same safety verdict —
-    /// while actually pruning candidates and issuing fewer SMT queries.
+    /// The converged solution, checked against independent oracles rather
+    /// than against another engine: it is inductive (every κ-head clause is
+    /// valid under a fresh one-shot solver) and maximal (re-adding any
+    /// dropped candidate breaks some κ-head clause — Houdini's
+    /// greatest-fixpoint property).  The run must also prune by
+    /// counter-model and account for every query.
     #[test]
-    fn model_pruning_preserves_the_fixpoint_with_fewer_queries() {
+    fn converged_solution_is_inductive_and_maximal() {
         let (c, kvars) = loop_counter_system();
+        // Hermetic cache: the statistics below must not depend on what
+        // other tests have already proved.
+        let mut solver = FixpointSolver::new(hermetic(1));
+        let FixResult::Safe(solution) = solver.solve(&c, &kvars, &SortCtx::new()) else {
+            panic!("the loop-counter system is safe");
+        };
+        let clauses = c.flatten();
+        assert!(kvar_heads_hold(&clauses, &kvars, &solution));
 
-        // Hermetic caches: the test counts prunes and queries, which a
-        // warm global cache (from other tests on the same system) would
-        // silently answer instead.
-        let mut pruning = FixpointSolver::new(FixConfig {
-            global_cache: false,
-            ..FixConfig::default()
-        });
-        let pruned_result = pruning.solve(&c, &kvars, &SortCtx::new());
+        let mut dropped = 0;
+        for decl in kvars.iter() {
+            let kept: HashSet<ExprId> = solution
+                .candidate_ids(decl.id)
+                .unwrap()
+                .iter()
+                .copied()
+                .collect();
+            let mut seen = HashSet::new();
+            for candidate in solver
+                .config
+                .qualifiers
+                .iter()
+                .flat_map(|q| q.instantiate(decl))
+            {
+                let id = ExprId::intern(&candidate);
+                if kept.contains(&id) || !seen.insert(id) {
+                    continue;
+                }
+                dropped += 1;
+                let mut stronger = solution.clone();
+                stronger.ids.get_mut(&decl.id).unwrap().push(id);
+                assert!(
+                    !kvar_heads_hold(&clauses, &kvars, &stronger),
+                    "dropped candidate {candidate} of {} keeps the solution inductive",
+                    decl.id
+                );
+            }
+        }
+        assert!(dropped > 0, "weakening dropped nothing");
 
-        let mut exhaustive = FixpointSolver::new(FixConfig {
-            model_pruning: false,
-            global_cache: false,
-            ..FixConfig::default()
-        });
-        let exhaustive_result = exhaustive.solve(&c, &kvars, &SortCtx::new());
-
-        assert_eq!(pruned_result, exhaustive_result);
+        let stats = solver.stats;
         assert!(
-            pruning.stats.model_prunes > 0,
+            stats.model_prunes > 0,
             "weakening this system must prune at least one candidate by \
-             counter-model evaluation, stats: {:?}",
-            pruning.stats
+             counter-model evaluation, stats: {stats:?}"
         );
-        assert!(
-            pruning.stats.smt_queries < exhaustive.stats.smt_queries,
-            "pruning must save SMT queries: {} vs {}",
-            pruning.stats.smt_queries,
-            exhaustive.stats.smt_queries
-        );
+        assert_eq!(stats.cache_hits + stats.cache_misses, stats.smt_queries);
+        // Sessions only open on cache misses, at most one per clause visit.
+        assert!(stats.sessions > 0);
+        assert!(stats.sessions <= stats.cache_misses);
+    }
+
+    /// A 120-link κ-chain whose link clauses flatten in reverse chain
+    /// order, so each weakening iteration can weaken only the next link:
+    ///
+    /// ```text
+    /// ∀x. κ119(x) ⟹ κ120(x) ∧ … ∧ κ1(x) ⟹ κ2(x) ∧ κ1(x) ∧ (κ120(x) ⟹ x ≥ 0)
+    /// ```
+    ///
+    /// `x` is unconstrained, so κ1 loses `x ≥ 0` and every later link
+    /// follows, one per iteration: the converged κ120 cannot prove the
+    /// obligation.  A weakening loop stopped after a fixed number of
+    /// iterations would leave κ120 too strong and report the system safe.
+    #[test]
+    fn long_kvar_chain_weakens_to_its_end() {
+        const LINKS: usize = 120;
+        let mut kvars = KVarStore::new();
+        let ks: Vec<KVid> = (0..LINKS).map(|_| kvars.fresh(vec![Sort::Int])).collect();
+        let x = Name::intern("chain_x");
+        let app = |k: KVid| KVarApp::new(k, vec![Expr::Var(x)]);
+        let mut clauses: Vec<Constraint> = (1..LINKS)
+            .rev()
+            .map(|i| Constraint::implies(Guard::KVar(app(ks[i - 1])), Constraint::kvar(app(ks[i]))))
+            .collect();
+        clauses.push(Constraint::kvar(app(ks[0])));
+        clauses.push(Constraint::implies(
+            Guard::KVar(app(ks[LINKS - 1])),
+            Constraint::pred(Expr::ge(Expr::Var(x), Expr::int(0)), 5),
+        ));
+        let c = Constraint::forall(x, Sort::Int, Expr::tt(), Constraint::conj(clauses));
+        for threads in [1, 2] {
+            let mut solver = FixpointSolver::new(hermetic(threads));
+            match solver.solve(&c, &kvars, &SortCtx::new()) {
+                FixResult::Unsafe { failed, .. } => assert_eq!(failed, vec![5]),
+                FixResult::Safe(_) => {
+                    panic!("threads={threads}: a too-strong κ{LINKS} verified an unsafe system")
+                }
+                FixResult::Unknown { reasons, .. } => {
+                    panic!("threads={threads}: degraded under unlimited budgets: {reasons:?}")
+                }
+            }
+            assert!(
+                solver.stats.iterations > LINKS,
+                "threads={threads}: {} iterations cannot weaken {LINKS} links one by one",
+                solver.stats.iterations
+            );
+        }
     }
 
     /// Cached verdicts must equal recomputed verdicts: solving the same
@@ -2251,10 +2138,13 @@ mod tests {
         let par_result = parallel.solve(&c, &kvars, &SortCtx::new());
         assert_eq!(seq_result, par_result);
         let (mut seq, mut par) = (sequential.stats, parallel.stats);
-        // The thread cap is configuration, not work; equalise it before
-        // comparing the work counters.
+        // The thread cap is configuration and lock contention depends on
+        // whatever else runs concurrently, not on the work; equalise both
+        // before comparing the work counters.
         seq.threads = 0;
         par.threads = 0;
+        seq.shard_contention = 0;
+        par.shard_contention = 0;
         assert_eq!(seq, par);
     }
 }

@@ -89,8 +89,8 @@ pub struct QueryStats {
     pub blocked_visits: usize,
     /// Learned-clause-database reductions performed by the SAT cores.
     pub db_reductions: usize,
-    /// Simplex column traversals driven by the occurrence lists (or row
-    /// scans in legacy mode).
+    /// Simplex rows visited through the column occurrence lists and the
+    /// suspect set.
     pub col_scans: usize,
     /// Hypothesis conjuncts retracted from live sessions instead of
     /// rebuilding the session when a depended-on κ weakened (Flux
@@ -114,10 +114,11 @@ pub struct QueryStats {
     /// (the `fn_parallel` column: where the wall-clock went under the
     /// function-level fan-out; Flux mode only, empty for the baseline).
     pub fn_times_ms: Vec<usize>,
-    /// Times a thread found a process-global cache-shard lock (validity
-    /// shards, CNF shards, hcons interner) held by another thread during
-    /// the run — the mutex-convoying diagnostic for the sharded caches.
-    /// Zero in sequential runs.
+    /// Times one of the run's solve threads found a process-global cache
+    /// lock (validity shards, CNF shards, hcons interner) held by another
+    /// thread — the mutex-convoying diagnostic for the shared caches,
+    /// counted per thread (see [`flux_fixpoint::FixStats`]).  Zero when
+    /// nothing runs concurrently.
     pub shard_contention: usize,
     /// Independent κ-dependency components across all fixpoint solves (the
     /// available weakening parallelism; Flux mode only).

@@ -62,8 +62,9 @@ impl fmt::Display for AuditTier {
 }
 
 /// The audit tier selected by the `FLUX_AUDIT` environment variable, read
-/// once per process (same discipline as `FLUX_LEGACY` / `FLUX_THREADS`):
-/// unset, empty, `0` or `off` mean [`AuditTier::Off`]; `lint` means
+/// once per process (like `FLUX_DEADLINE_MS`; unlike `FLUX_THREADS`, which
+/// is re-read by every default config): unset, empty, `0` or `off` mean
+/// [`AuditTier::Off`]; `lint` means
 /// [`AuditTier::Lint`]; any other value (canonically `full` or `1`) means
 /// [`AuditTier::Full`] — an unrecognized setting buys more checking, never
 /// silently less.  Configs default from this; tests override the config

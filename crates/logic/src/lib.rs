@@ -58,7 +58,7 @@ pub use intern::Name;
 pub use simplify::simplify;
 pub use sort::{Sort, SortCtx, SortError};
 pub use subst::{AlphaRenamer, Subst};
-pub use util::{env_parse, lock_recover};
+pub use util::{env_parse, lock_counted, lock_recover, tally_evictions, thread_tally, ThreadTally};
 
 /// A convenience alias: predicates are just boolean-sorted expressions.
 pub type Pred = Expr;

@@ -1,14 +1,85 @@
 //! Small process-wide utilities shared across the workspace: poison-tolerant
-//! mutex locking and warn-and-default environment-variable parsing.
+//! mutex locking, per-thread tallies of shared-cache events, and
+//! warn-and-default environment-variable parsing.
 //!
-//! Both exist because the workspace keeps *process-global* state (the
+//! They exist because the workspace keeps *process-global* state (the
 //! hash-cons table here, the CNF/atom caches in `flux-smt`, the verdict
 //! cache in `flux-fixpoint`) behind mutexes, and reads tuning knobs from the
 //! environment in several crates.  Historically each site hand-rolled its
 //! own recovery/parsing; this module is the single copy.
 
+use std::cell::Cell;
 use std::str::FromStr;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, TryLockError};
+
+/// Shared-cache events caused by one thread: contended acquisitions of a
+/// process-global cache lock (hcons table, CNF shards, validity shards) and
+/// entries evicted from a bounded cache.  Every event is also counted in
+/// its cache's process-global counter; the per-thread copy lets a solve
+/// attribute to itself exactly the events of the threads it ran on, which
+/// differencing the global counters cannot do while other solves overlap.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ThreadTally {
+    /// Lock acquisitions that found the lock held by another thread.
+    pub contentions: u64,
+    /// Cache entries evicted.
+    pub evictions: u64,
+}
+
+impl ThreadTally {
+    /// Field-wise difference `self - earlier` of two snapshots taken on the
+    /// same thread.
+    pub fn since(self, earlier: ThreadTally) -> ThreadTally {
+        ThreadTally {
+            contentions: self.contentions - earlier.contentions,
+            evictions: self.evictions - earlier.evictions,
+        }
+    }
+}
+
+thread_local! {
+    static TALLY: Cell<ThreadTally> = const {
+        Cell::new(ThreadTally {
+            contentions: 0,
+            evictions: 0,
+        })
+    };
+}
+
+fn bump_tally(update: impl FnOnce(&mut ThreadTally)) {
+    TALLY.with(|cell| {
+        let mut tally = cell.get();
+        update(&mut tally);
+        cell.set(tally);
+    });
+}
+
+/// The calling thread's cumulative [`ThreadTally`].  Monotone; callers
+/// attribute events to a span of work by differencing two snapshots.
+pub fn thread_tally() -> ThreadTally {
+    TALLY.with(Cell::get)
+}
+
+/// Counts `n` cache evictions against the calling thread.
+pub fn tally_evictions(n: u64) {
+    bump_tally(|t| t.evictions += n);
+}
+
+/// Locks `mutex` like [`lock_recover`]; when another thread holds it, the
+/// acquisition is counted in `contentions` (the lock's process-global
+/// counter) and in the calling thread's [`ThreadTally`] before blocking.
+pub fn lock_counted<'a, T>(mutex: &'a Mutex<T>, contentions: &AtomicU64) -> MutexGuard<'a, T> {
+    match mutex.try_lock() {
+        Ok(guard) => guard,
+        Err(TryLockError::WouldBlock) => {
+            contentions.fetch_add(1, Ordering::Relaxed);
+            bump_tally(|t| t.contentions += 1);
+            lock_recover(mutex)
+        }
+        Err(TryLockError::Poisoned(_)) => lock_recover(mutex),
+    }
+}
 
 /// Locks `mutex`, recovering from poisoning instead of propagating it.
 ///

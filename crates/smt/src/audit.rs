@@ -208,7 +208,6 @@ pub fn certify_infeasible_core(core: &[LinConstraint]) -> Result<Certificate, St
     let replay = LiaConfig {
         max_branch_nodes: 10_000,
         max_pivots: 200_000,
-        row_scan: false,
         budget: crate::ResourceBudget::UNLIMITED,
     };
     match check_lia(core, &replay) {

@@ -64,22 +64,6 @@ pub use session::{
 pub use simplex::LiaConfig;
 pub use solver::{MaxTheoryRounds, Model, SatOutcome, SmtConfig, SmtStats, Solver, Validity};
 
-/// True when the `FLUX_LEGACY` environment variable selects the historical
-/// engine paths: scan-based SAT propagation, no blocking literals, no
-/// learned-clause-DB reduction, full-row simplex scans, and (in the layers
-/// above) tree-based counter-model evaluation and session rebuild instead
-/// of conjunct retraction.  Every default-configured solver consults this
-/// once (the variable is read a single time per process), so CI can run the
-/// whole suite with the legacy toggles flipped in one environment line.
-/// Any non-empty value other than `0` enables legacy mode.
-pub fn legacy_toggles() -> bool {
-    static LEGACY: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *LEGACY.get_or_init(|| match std::env::var("FLUX_LEGACY") {
-        Ok(v) => !v.is_empty() && v != "0",
-        Err(_) => false,
-    })
-}
-
 #[cfg(test)]
 mod randtests {
     //! Randomised differential tests against the brute-force evaluator.

@@ -8,10 +8,8 @@
 //! that just became false are visited, with lazy watch repair (a false
 //! watch migrates to any other non-false literal of the clause).  The
 //! watcher lists survive across [`SatSolver::solve_under_assumptions`]
-//! calls and are rebuilt wholesale by [`SatSolver::compact`].  The
-//! historical occurrence-scan propagator is kept behind
-//! [`SatConfig::scan_propagation`] so equivalence tests can pin the two
-//! implementations against each other query for query.
+//! calls and are rebuilt wholesale by [`SatSolver::compact`].  The unit
+//! tests check verdicts against brute-force enumeration.
 //!
 //! The solver is *incremental*: variables can be added after construction
 //! ([`SatSolver::new_var`]), and [`SatSolver::solve_under_assumptions`]
@@ -101,15 +99,6 @@ pub enum SatResult {
 pub struct SatConfig {
     /// Maximum number of conflicts before giving up.
     pub max_conflicts: usize,
-    /// Propagate by scanning the full clause database instead of the
-    /// two-watched-literal scheme.  Kept for A/B equivalence testing; the
-    /// verdicts are identical, only the work per propagation differs.
-    pub scan_propagation: bool,
-    /// Periodically drop low-activity learned clauses (MiniSat-style DB
-    /// reduction).  Dropping a learned clause is always sound — it is a
-    /// resolvent the search can re-derive — so verdicts are unaffected;
-    /// the toggle exists for A/B equivalence testing.
-    pub db_reduction: bool,
     /// Resource limits: per-search decision/conflict caps and the (amortized)
     /// wall-clock deadline.  Populated from the owning
     /// [`SmtConfig`](crate::SmtConfig) at solver construction; tripping a
@@ -119,11 +108,8 @@ pub struct SatConfig {
 
 impl Default for SatConfig {
     fn default() -> Self {
-        let legacy = crate::legacy_toggles();
         SatConfig {
             max_conflicts: 200_000,
-            scan_propagation: legacy,
-            db_reduction: !legacy,
             budget: crate::ResourceBudget::UNLIMITED,
         }
     }
@@ -393,9 +379,6 @@ impl SatSolver {
 
     /// Unit propagation.  Returns the index of a conflicting clause, if any.
     fn propagate(&mut self) -> Option<usize> {
-        if self.config.scan_propagation {
-            return self.propagate_scan();
-        }
         while self.propagated < self.trail.len() {
             let lit = self.trail[self.propagated];
             self.propagated += 1;
@@ -455,40 +438,6 @@ impl SatSolver {
             }
         }
         None
-    }
-
-    /// The historical propagator: scans every clause on every pass.  Kept
-    /// for A/B equivalence testing against the watched scheme.
-    fn propagate_scan(&mut self) -> Option<usize> {
-        loop {
-            let mut changed = false;
-            'clauses: for ci in 0..self.clauses.len() {
-                let mut unassigned: Option<SatLit> = None;
-                let mut num_unassigned = 0;
-                for &lit in &self.clauses[ci] {
-                    match self.value(lit) {
-                        Some(true) => continue 'clauses, // clause satisfied
-                        Some(false) => {}
-                        None => {
-                            num_unassigned += 1;
-                            unassigned = Some(lit);
-                        }
-                    }
-                }
-                match (num_unassigned, unassigned) {
-                    (0, _) => return Some(ci), // conflict
-                    (1, Some(lit)) => {
-                        self.enqueue(lit, Some(ci));
-                        changed = true;
-                    }
-                    _ => {}
-                }
-            }
-            self.propagated = self.trail.len();
-            if !changed {
-                return None;
-            }
-        }
     }
 
     fn bump(&mut self, var: usize) {
@@ -853,7 +802,7 @@ impl SatSolver {
         if self.trivially_unsat {
             return SatResult::Unsat;
         }
-        if self.config.db_reduction && self.num_learned >= self.learn_limit {
+        if self.num_learned >= self.learn_limit {
             self.reduce_db();
             if self.trivially_unsat {
                 return SatResult::Unsat;
@@ -1255,7 +1204,8 @@ mod tests {
 
     /// A pigeonhole instance hard enough to overflow the learned-clause
     /// limit: the reduction heuristic must actually fire, and dropping
-    /// low-activity learned clauses must not change the verdict.
+    /// low-activity learned clauses must not change the verdict (PHP(9,8)
+    /// is unsatisfiable by construction).
     #[test]
     fn db_reduction_fires_and_preserves_the_verdict() {
         let pigeons = 9;
@@ -1272,29 +1222,17 @@ mod tests {
                 }
             }
         }
-        let mut reductions = 0;
-        for db_reduction in [true, false] {
-            let config = SatConfig {
-                db_reduction,
-                ..SatConfig::default()
-            };
-            let mut solver = SatSolver::new(pigeons * holes, config);
-            for c in &clauses {
-                solver.add_clause(c.clone());
-            }
-            // Reduction runs on the level-0 trail *between* searches: the
-            // first solve piles up learned clauses, the second opens by
-            // reducing them and must re-derive the same verdict.
-            assert_eq!(solver.solve(), SatResult::Unsat);
-            assert_eq!(solver.solve(), SatResult::Unsat);
-            if db_reduction {
-                reductions = solver.db_reductions();
-            } else {
-                assert_eq!(solver.db_reductions(), 0);
-            }
+        let mut solver = SatSolver::new(pigeons * holes, SatConfig::default());
+        for c in &clauses {
+            solver.add_clause(c.clone());
         }
+        // Reduction runs on the level-0 trail *between* searches: the first
+        // solve piles up learned clauses, the second opens by reducing them
+        // and must re-derive the same verdict.
+        assert_eq!(solver.solve(), SatResult::Unsat);
+        assert_eq!(solver.solve(), SatResult::Unsat);
         assert!(
-            reductions > 0,
+            solver.db_reductions() > 0,
             "the instance must learn enough clauses to trigger a reduction"
         );
     }
@@ -1439,39 +1377,33 @@ mod tests {
     /// The audit invariant sweep must pass at every between-search point of
     /// an incremental workout: after `Sat` (mid-trail model), after `Unsat`,
     /// after clause additions (pending), after compaction and after DB
-    /// reduction — across both propagator implementations.
+    /// reduction.
     #[test]
     fn invariants_hold_across_incremental_searches() {
-        for scan in [false, true] {
-            let config = SatConfig {
-                scan_propagation: scan,
-                ..SatConfig::default()
-            };
-            let mut solver = SatSolver::new(0, config);
-            solver.check_invariants().unwrap();
-            let vars: Vec<usize> = (0..8).map(|_| solver.new_var()).collect();
-            let mut rng = Rng::new(0xA0D17);
-            for round in 0..40 {
-                let num_lits = rng.int_in(1, 4) as usize;
-                let clause: Vec<SatLit> = (0..num_lits)
-                    .map(|_| lit(vars[rng.below(8) as usize], rng.flip()))
-                    .collect();
-                solver.add_clause(clause);
-                solver.check_invariants().unwrap(); // pending clauses unwatched
-                let assumption = lit(vars[rng.below(8) as usize], rng.flip());
-                let result = solver.solve_under_assumptions(&[assumption]);
-                solver
-                    .check_invariants()
-                    .unwrap_or_else(|e| panic!("scan={scan} round {round} after {result:?}: {e}"));
-                if round % 7 == 0 {
-                    solver.compact();
-                    solver.check_invariants().unwrap();
-                }
-                if solver.solve() == SatResult::Unsat {
-                    break;
-                }
+        let mut solver = SatSolver::new(0, SatConfig::default());
+        solver.check_invariants().unwrap();
+        let vars: Vec<usize> = (0..8).map(|_| solver.new_var()).collect();
+        let mut rng = Rng::new(0xA0D17);
+        for round in 0..40 {
+            let num_lits = rng.int_in(1, 4) as usize;
+            let clause: Vec<SatLit> = (0..num_lits)
+                .map(|_| lit(vars[rng.below(8) as usize], rng.flip()))
+                .collect();
+            solver.add_clause(clause);
+            solver.check_invariants().unwrap(); // pending clauses unwatched
+            let assumption = lit(vars[rng.below(8) as usize], rng.flip());
+            let result = solver.solve_under_assumptions(&[assumption]);
+            solver
+                .check_invariants()
+                .unwrap_or_else(|e| panic!("round {round} after {result:?}: {e}"));
+            if round % 7 == 0 {
+                solver.compact();
                 solver.check_invariants().unwrap();
             }
+            if solver.solve() == SatResult::Unsat {
+                break;
+            }
+            solver.check_invariants().unwrap();
         }
     }
 
@@ -1511,57 +1443,51 @@ mod tests {
         }
     }
 
-    /// The watched and scan propagators must agree verdict-for-verdict on
-    /// random incremental workloads: interleaved clause additions,
-    /// assumption solves and compactions over one long-lived solver each.
+    /// One long-lived solver per case under random incremental workloads —
+    /// interleaved clause additions, assumption solves and compactions —
+    /// must match brute-force enumeration over the 6 variables of every
+    /// clause added so far plus the assumptions (as unit clauses), and
+    /// every reported model must satisfy both.
     #[test]
-    fn watched_and_scan_propagation_agree_incrementally() {
+    fn incremental_searches_agree_with_brute_force() {
         let mut rng = Rng::new(0x3A7C_4EED);
         for case in 0..48 {
-            let mut watched = SatSolver::new(6, SatConfig::default());
-            let mut scan = SatSolver::new(
-                6,
-                SatConfig {
-                    scan_propagation: true,
-                    ..SatConfig::default()
-                },
-            );
-            for step in 0..12 {
+            let mut solver = SatSolver::new(6, SatConfig::default());
+            let mut added: Vec<Vec<SatLit>> = Vec::new();
+            let check = |solver: &mut SatSolver, added: &[Vec<SatLit>], assumptions: &[SatLit]| {
+                let mut query = added.to_vec();
+                query.extend(assumptions.iter().map(|&a| vec![a]));
+                let expected = brute_force_sat(6, &query);
+                match solver.solve_under_assumptions(assumptions) {
+                    SatResult::Sat(m) => {
+                        assert!(assignment_satisfies(&query, &m), "case {case}: bad model");
+                        assert!(expected, "case {case}: sat but brute force finds no model");
+                    }
+                    SatResult::Unsat => assert!(!expected, "case {case}: unsat but a model exists"),
+                    SatResult::Unknown => {}
+                }
+            };
+            for _ in 0..12 {
                 match rng.below(5) {
                     0..=2 => {
                         let num_lits = rng.int_in(1, 3) as usize;
                         let clause: Vec<SatLit> = (0..num_lits)
                             .map(|_| lit(rng.below(6) as usize, rng.flip()))
                             .collect();
-                        watched.add_clause(clause.clone());
-                        scan.add_clause(clause);
+                        solver.add_clause(clause.clone());
+                        added.push(clause);
                     }
                     3 => {
                         let num_assumptions = rng.below(3) as usize;
                         let assumptions: Vec<SatLit> = (0..num_assumptions)
                             .map(|_| lit(rng.below(6) as usize, rng.flip()))
                             .collect();
-                        let w = watched.solve_under_assumptions(&assumptions);
-                        let s = scan.solve_under_assumptions(&assumptions);
-                        assert_eq!(
-                            matches!(w, SatResult::Sat(_)),
-                            matches!(s, SatResult::Sat(_)),
-                            "case {case} step {step}: watched {w:?} vs scan {s:?}"
-                        );
+                        check(&mut solver, &added, &assumptions);
                     }
-                    _ => {
-                        watched.compact();
-                        scan.compact();
-                    }
+                    _ => solver.compact(),
                 }
             }
-            let w = watched.solve();
-            let s = scan.solve();
-            assert_eq!(
-                matches!(w, SatResult::Sat(_)),
-                matches!(s, SatResult::Sat(_)),
-                "case {case} final: watched {w:?} vs scan {s:?}"
-            );
+            check(&mut solver, &added, &[]);
         }
     }
 }

@@ -190,15 +190,7 @@ fn cnf_shards() -> &'static Vec<Mutex<CnfCache>> {
 /// process: the cache only memoizes pure data behind `Arc`s, so no torn
 /// state is observable through its API.
 fn cnf_shard(shard: usize) -> MutexGuard<'static, CnfCache> {
-    let mutex = &cnf_shards()[shard % CNF_SHARDS];
-    let mut cache = match mutex.try_lock() {
-        Ok(guard) => guard,
-        Err(std::sync::TryLockError::WouldBlock) => {
-            CNF_CONTENTIONS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            flux_logic::lock_recover(mutex)
-        }
-        Err(std::sync::TryLockError::Poisoned(_)) => flux_logic::lock_recover(mutex),
-    };
+    let mut cache = flux_logic::lock_counted(&cnf_shards()[shard % CNF_SHARDS], &CNF_CONTENTIONS);
     if crate::testing::inject_fault("cnf-cache") == Some(crate::testing::Fault::Delay) {
         // Hold the lock a beat: exercises every caller's tolerance of
         // contention on the global cache (there is nothing to time out — the
@@ -234,9 +226,13 @@ pub fn set_cnf_cache_capacity(cap: Option<usize>) {
 }
 
 /// Total entries evicted from the process-global CNF cache so far, summed
-/// over all shards.
+/// over all shards.  A pure read: it neither reclaims nor counts toward
+/// the shard-contention figures.
 pub fn cnf_cache_evictions() -> u64 {
-    (0..CNF_SHARDS).map(|s| cnf_shard(s).evictions).sum()
+    cnf_shards()
+        .iter()
+        .map(|shard| flux_logic::lock_recover(shard).evictions)
+        .sum()
 }
 
 /// Current total entry count of the CNF cache's evictable memo maps,
@@ -246,8 +242,8 @@ pub fn cnf_cache_len() -> usize {
 }
 
 /// Times any session found a CNF-shard lock held by another thread, over
-/// the process lifetime.  Solvers difference this around a solve to report
-/// per-solve contention.
+/// the process lifetime.  Monotone; callers read deltas (solves attribute
+/// their own share through [`flux_logic::thread_tally`]).
 pub fn cnf_shard_contentions() -> u64 {
     CNF_CONTENTIONS.load(std::sync::atomic::Ordering::Relaxed)
 }
@@ -280,6 +276,7 @@ impl CnfCache {
             return;
         }
         self.evictions += total as u64;
+        flux_logic::tally_evictions(total as u64);
         self.free_vars.clear();
         self.preproc.clear();
         self.cnf.clear();
@@ -1315,13 +1312,13 @@ mod tests {
         for goal in goals {
             let mut one_shot = Solver::with_defaults();
             let reference = one_shot.check_valid_imp(ctx, hyps, goal);
-            let incremental = session.check(goal);
-            match (&incremental, &reference) {
+            let verdict = session.check(goal);
+            match (&verdict, &reference) {
                 (Validity::Valid, Validity::Valid)
                 | (Validity::Invalid(_), Validity::Invalid(_))
                 | (Validity::Unknown, Validity::Unknown) => {}
                 _ => panic!(
-                    "session disagreed with one-shot on {goal}: {incremental:?} vs {reference:?}"
+                    "session disagreed with one-shot on {goal}: {verdict:?} vs {reference:?}"
                 ),
             }
         }

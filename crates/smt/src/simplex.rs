@@ -50,11 +50,6 @@ pub struct LiaConfig {
     pub max_branch_nodes: usize,
     /// Maximum number of pivots per simplex run.
     pub max_pivots: usize,
-    /// Use the historical full-row scans for bound slides, pivot value
-    /// updates and violated-row selection instead of the column occurrence
-    /// lists and the suspect set.  Kept for A/B equivalence testing; the
-    /// occurrence-list path is the default.
-    pub row_scan: bool,
     /// Resource limits: the pivot/branch-node caps here *tighten* the
     /// `max_pivots`/`max_branch_nodes` bounds above, and the deadline is
     /// checked amortized inside the pivot loop and per branch node.
@@ -68,7 +63,6 @@ impl Default for LiaConfig {
         LiaConfig {
             max_branch_nodes: 200,
             max_pivots: 10_000,
-            row_scan: crate::legacy_toggles(),
             budget: crate::ResourceBudget::UNLIMITED,
         }
     }
@@ -579,23 +573,12 @@ impl IncrementalSimplex {
     fn update_nonbasic(&mut self, var: VarId, target: Rational) {
         let delta = target - self.value[var];
         self.value[var] = target;
-        if self.config.row_scan {
-            let basics: Vec<VarId> = self.rows.keys().copied().collect();
-            self.col_scans += basics.len() as u64;
-            for b in basics {
-                if let Some(&coeff) = self.rows[&b].get(&var) {
-                    self.value[b] += coeff * delta;
-                    self.suspect.insert(b);
-                }
-            }
-        } else {
-            let holders: Vec<VarId> = self.occs[var].iter().copied().collect();
-            self.col_scans += holders.len() as u64;
-            for b in holders {
-                let coeff = self.rows[&b][&var];
-                self.value[b] += coeff * delta;
-                self.suspect.insert(b);
-            }
+        let holders: Vec<VarId> = self.occs[var].iter().copied().collect();
+        self.col_scans += holders.len() as u64;
+        for b in holders {
+            let coeff = self.rows[&b][&var];
+            self.value[b] += coeff * delta;
+            self.suspect.insert(b);
         }
     }
 
@@ -628,21 +611,11 @@ impl IncrementalSimplex {
         above || below
     }
 
-    /// Bland's minimum violated basic variable.  The default path drains
-    /// the suspect set in ascending order (sound because every violated
-    /// basic is a suspect — see the `suspect` field invariant — so the
-    /// first violated suspect is the overall minimum); the legacy path
-    /// scans every row.
+    /// Bland's minimum violated basic variable: drains the suspect set in
+    /// ascending order (sound because every violated basic is a suspect —
+    /// see the `suspect` field invariant — so the first violated suspect is
+    /// the overall minimum).
     fn next_violated(&mut self) -> Option<VarId> {
-        if self.config.row_scan {
-            self.col_scans += self.rows.len() as u64;
-            return self
-                .rows
-                .keys()
-                .copied()
-                .filter(|&b| self.is_violated(b))
-                .min();
-        }
         while let Some(b) = self.suspect.pop_first() {
             self.col_scans += 1;
             if self.rows.contains_key(&b) && self.is_violated(b) {
@@ -757,24 +730,13 @@ impl IncrementalSimplex {
         self.value[basic] = target;
         self.value[nonbasic] += theta;
         self.suspect.insert(nonbasic);
-        // The rows to update: everything mentioning `nonbasic` (occurrence
-        // list), or — legacy path — every row, with the membership test
-        // repeated per row.
-        let holders: Vec<VarId> = if self.config.row_scan {
-            let all: Vec<VarId> = self.rows.keys().copied().collect();
-            self.col_scans += all.len() as u64;
-            all
-        } else {
-            let h: Vec<VarId> = self.occs[nonbasic].iter().copied().collect();
-            self.col_scans += h.len() as u64;
-            h
-        };
+        // The rows to update: everything mentioning `nonbasic`.
+        let holders: Vec<VarId> = self.occs[nonbasic].iter().copied().collect();
+        self.col_scans += holders.len() as u64;
         // Update values of the other basic variables.
         for &b in &holders {
-            if let Some(&coeff) = self.rows[&b].get(&nonbasic) {
-                self.value[b] += coeff * theta;
-                self.suspect.insert(b);
-            }
+            self.value[b] += self.rows[&b][&nonbasic] * theta;
+            self.suspect.insert(b);
         }
         // Express `nonbasic` in terms of `basic` and the rest of the row:
         //   basic = Σ a_j x_j  ⟹  nonbasic = (basic - Σ_{j≠nonbasic} a_j x_j) / a

@@ -104,8 +104,8 @@ pub struct SmtStats {
     pub blocked_visits: usize,
     /// Learned-clause-database reductions performed by the SAT cores.
     pub db_reductions: usize,
-    /// Simplex column traversals driven by the occurrence lists (or row
-    /// scans in legacy mode) while hunting for violated basic variables.
+    /// Simplex rows visited through the column occurrence lists and the
+    /// suspect set (bound slides, pivot updates, violated-row selection).
     pub col_scans: usize,
     /// Hypothesis conjuncts retracted from a live session (by rebuilding
     /// the SAT clause database from the surviving conjuncts' cached CNFs,
@@ -195,16 +195,6 @@ impl Model {
         self.eval(expr).and_then(Value::as_bool)
     }
 
-    /// True iff every predicate in `preds` decidably evaluates to `true`
-    /// under this model.  The fixpoint solver uses this to confirm that a
-    /// counter-model genuinely satisfies a clause's hypotheses before
-    /// trusting it to prune candidates: the check makes pruning sound even
-    /// when the solver produced the model through an abstraction (opaque
-    /// non-linear atoms) that the evaluator interprets exactly.
-    pub fn satisfies_all(&self, preds: &[Expr]) -> bool {
-        preds.iter().all(|p| self.eval_bool(p) == Some(true))
-    }
-
     /// [`Model::eval`] over a hash-consed expression: evaluates directly on
     /// the shared DAG with per-call memoization, so callers that track
     /// [`ExprId`]s (the fixpoint weakening loop) never materialize trees
@@ -218,7 +208,12 @@ impl Model {
         self.eval_id(expr).and_then(Value::as_bool)
     }
 
-    /// [`Model::satisfies_all`] over hash-consed predicates.
+    /// True iff every predicate in `preds` decidably evaluates to `true`
+    /// under this model.  The fixpoint solver uses this to confirm that a
+    /// counter-model genuinely satisfies a clause's hypotheses before
+    /// trusting it to prune candidates: the check makes pruning sound even
+    /// when the solver produced the model through an abstraction (opaque
+    /// non-linear atoms) that the evaluator interprets exactly.
     pub fn satisfies_all_ids(&self, preds: &[ExprId]) -> bool {
         preds.iter().all(|&p| self.eval_bool_id(p) == Some(true))
     }

@@ -1,77 +1,63 @@
-//! Acceptance tests for the incremental query engine: session-based solving
-//! plus the validity cache must produce identical Safe/Unsafe verdicts to
-//! one-shot solving across the entire benchmark corpus, and the Table 1
-//! workload must actually exercise the cache.
+//! Acceptance tests for the incremental query engine: the weakening loop
+//! answers its queries through persistent sessions and the validity cache,
+//! so its converged solutions are re-checked clause by clause with a fresh
+//! one-shot solver across the entire benchmark corpus, and the Table 1
+//! workload must actually exercise the engine's machinery.
 
-use flux::{verify_source, FixConfig, Mode, VerifyConfig};
+use flux::{verify_source, Mode, VerifyConfig};
+use flux_logic::AuditTier;
 
-/// Counter-model pruning is disabled on both sides of this test: the
-/// session and one-shot pipelines may produce different counter-models (and
-/// hence skip different per-candidate queries), and this test pins the
-/// *query-for-query* equivalence of the two engines.  Verdict equivalence
-/// with pruning enabled is covered by `model_pruning_equivalence.rs`.  The
-/// process-global verdict cache is disabled too, so whatever other tests in
-/// this binary have already proved cannot blur the comparison.
-fn no_pruning(incremental: bool) -> VerifyConfig {
-    let mut config = VerifyConfig::default();
-    config.check.fixpoint = FixConfig {
-        incremental,
-        model_pruning: false,
-        global_cache: false,
-        ..FixConfig::default()
-    };
-    config
-}
-
+/// Every benchmark's Flux flavour under the full audit tier: each solve's
+/// converged solution is re-validated clause by clause with a fresh
+/// one-shot solver (no session reuse, no cache), which panics on any
+/// clause the incremental engine accepted but the one-shot solver refutes.
+/// The process-global verdict cache is disabled, so nothing another test
+/// proved can stand in for the engine's own answers.
 #[test]
 fn incremental_and_one_shot_agree_on_the_whole_corpus() {
-    let incremental = no_pruning(true);
-    let one_shot = no_pruning(false);
+    let mut config = VerifyConfig::default();
+    config.check.fixpoint.global_cache = false;
+    config.check.fixpoint.smt.audit = AuditTier::Full;
     for b in flux::benchmarks() {
-        let inc = verify_source(b.flux_src, Mode::Flux, &incremental)
+        let outcome = verify_source(b.flux_src, Mode::Flux, &config)
             .unwrap_or_else(|e| panic!("{}: frontend error {e}", b.name));
-        let os = verify_source(b.flux_src, Mode::Flux, &one_shot)
-            .unwrap_or_else(|e| panic!("{}: frontend error {e}", b.name));
-        assert_eq!(
-            inc.safe, os.safe,
-            "{}: incremental engine and one-shot solving disagree (incremental errors: {:?}, \
-             one-shot errors: {:?})",
-            b.name, inc.errors, os.errors
-        );
-        assert_eq!(
-            inc.errors, os.errors,
-            "{}: verdicts agree but blamed obligations differ",
+        assert!(outcome.safe, "{}: {:?}", b.name, outcome.errors);
+        assert!(
+            outcome.stats.revalidations > 0,
+            "{}: no clause was re-validated",
             b.name
         );
-        // Both engines answer exactly the same questions.
-        assert_eq!(
-            inc.stats.smt_queries, os.stats.smt_queries,
-            "{}: engines asked different numbers of queries",
-            b.name
-        );
-        assert_eq!(
-            inc.stats.cache_hits + inc.stats.cache_misses,
-            inc.stats.smt_queries,
-            "{}: hits + misses must account for every query",
-            b.name
-        );
-        // One-shot mode must not touch the cache or open clause sessions.
-        assert_eq!(os.stats.cache_hits, 0, "{}", b.name);
-        assert_eq!(os.stats.sessions, 0, "{}", b.name);
     }
 }
 
+/// The default engine on the Table 1 workload must exercise every part of
+/// its machinery — the validity cache, clause sessions, counter-model
+/// pruning, persistent-core reuse and conjunct retraction — and account
+/// for every query as a hit or a miss.
 #[test]
 fn table1_workload_reports_cache_hits_and_sessions() {
     let config = VerifyConfig::default();
     let mut total_hits = 0;
     let mut total_sessions = 0;
     let mut total_queries = 0;
+    let mut total_prunes = 0;
+    let mut total_sat_reuse = 0;
+    let mut total_retractions = 0;
     for b in flux::benchmarks() {
         let outcome = verify_source(b.flux_src, Mode::Flux, &config).unwrap();
-        total_hits += outcome.stats.cache_hits;
-        total_sessions += outcome.stats.sessions;
-        total_queries += outcome.stats.smt_queries;
+        let stats = &outcome.stats;
+        assert_eq!(
+            stats.cache_hits + stats.cache_misses,
+            stats.smt_queries,
+            "{}: hits + misses must account for every query",
+            b.name
+        );
+        total_hits += stats.cache_hits;
+        total_sessions += stats.sessions;
+        total_queries += stats.smt_queries;
+        total_prunes += stats.model_prunes;
+        total_sat_reuse += stats.sat_reuse;
+        total_retractions += stats.conjunct_retractions;
     }
     assert!(
         total_queries > 0,
@@ -85,5 +71,17 @@ fn table1_workload_reports_cache_hits_and_sessions() {
     assert!(
         total_sessions > 0,
         "expected the weakening loop to open solver sessions"
+    );
+    assert!(
+        total_prunes > 0,
+        "the corpus must exercise counter-model pruning"
+    );
+    assert!(
+        total_sat_reuse > 0,
+        "the corpus must exercise persistent-core reuse"
+    );
+    assert!(
+        total_retractions > 0,
+        "the corpus must exercise conjunct retraction"
     );
 }

@@ -1,13 +1,13 @@
 //! Acceptance tests for the incremental theory layer: the persistent
 //! simplex under arbitrary assert/push/pop scripts must agree with one-shot
-//! [`check_lia`] on feasibility *and* unsat-core membership, and the
-//! two-watched-literal SAT core must agree with the historical scan-based
-//! propagator across the entire benchmark corpus.  (Query-for-query
-//! equivalence of the two propagators on random incremental CNF workloads
-//! is pinned by `flux_smt::sat`'s unit tests.)
+//! [`check_lia`] on feasibility, with every infeasible core independently
+//! certified; retained sessions must agree with fresh ones across
+//! retract/re-assert scripts.  (The SAT core is checked against brute-force
+//! enumeration by `flux_smt::sat`'s unit tests.)
 
-use flux::{verify_source, FixConfig, Mode, VerifyConfig};
+use flux::{verify_source, Mode, VerifyConfig};
 use flux_logic::{Expr, ExprId, Name, Sort, SortCtx};
+use flux_smt::audit::{certify_infeasible_core, Certificate};
 use flux_smt::rational::Rational;
 use flux_smt::simplex::{check_lia, model_satisfies, IncrementalSimplex, LiaResult};
 use flux_smt::testing::Rng;
@@ -39,10 +39,21 @@ fn materialize(family: &[LinConstraint], asserted: &[(usize, bool)]) -> Vec<LinC
         .collect()
 }
 
+/// Certifies an infeasible core independently of the tableau that produced
+/// it: a checked Farkas combination, or for branch-and-bound conflicts an
+/// integer replay.  Agreeing with [`check_lia`] alone proves little —
+/// it runs the same tableau code.
+fn assert_certified(core: &[LinConstraint], context: &str) {
+    match certify_infeasible_core(core) {
+        Ok(Certificate::Farkas(_) | Certificate::IntegerReplay) => {}
+        other => panic!("{context}: core {core:?} is not certified infeasible: {other:?}"),
+    }
+}
+
 /// Random assert/push/pop scripts over one persistent tableau, checked
 /// against fresh one-shot solves of the currently asserted set at every
-/// step.  Infeasible cores are validated semantically: the subset they name
-/// must itself be one-shot infeasible.
+/// step.  Every infeasible core — from a conflicting assert or a check — is
+/// certified: the subset it names must itself be infeasible.
 #[test]
 fn incremental_simplex_scripts_agree_with_one_shot() {
     let cfg = LiaConfig::default();
@@ -51,7 +62,6 @@ fn incremental_simplex_scripts_agree_with_one_shot() {
         let family: Vec<LinConstraint> = (0..10).map(|_| random_constraint(&mut rng)).collect();
         let mut simplex = IncrementalSimplex::new(cfg);
         let slots: Vec<_> = family.iter().map(|c| simplex.register(c)).collect();
-        //
 
         let mut asserted: Vec<(usize, bool)> = Vec::new();
         let mut marks: Vec<usize> = Vec::new();
@@ -73,20 +83,13 @@ fn incremental_simplex_scripts_agree_with_one_shot() {
                                 // its own.
                                 let mut with_failed = asserted.clone();
                                 with_failed.push((i, positive));
-                                let subset: Vec<LinConstraint> = core
-                                    .iter()
-                                    .map(|&t| {
-                                        let (j, positive) = with_failed[t];
-                                        if positive {
-                                            family[j].clone()
-                                        } else {
-                                            family[j].negate_integer()
-                                        }
-                                    })
-                                    .collect();
-                                assert!(
-                                    matches!(check_lia(&subset, &cfg), LiaResult::Infeasible(_)),
-                                    "case {case} step {step}: assert-conflict core is feasible"
+                                let subset = materialize(
+                                    &family,
+                                    &core.iter().map(|&t| with_failed[t]).collect::<Vec<_>>(),
+                                );
+                                assert_certified(
+                                    &subset,
+                                    &format!("case {case} step {step}: assert conflict"),
                                 );
                             }
                         }
@@ -114,103 +117,11 @@ fn incremental_simplex_scripts_agree_with_one_shot() {
                                 &family,
                                 &core.iter().map(|&t| asserted[t]).collect::<Vec<_>>(),
                             );
-                            assert!(
-                                matches!(check_lia(&subset, &cfg), LiaResult::Infeasible(_)),
-                                "case {case} step {step}: core {core:?} is not infeasible"
-                            );
+                            assert_certified(&subset, &format!("case {case} step {step}: check"));
                         }
                         (LiaResult::Unknown, _) | (_, LiaResult::Unknown) => {}
                         (inc, os) => panic!(
                             "case {case} step {step}: incremental says {inc:?}, one-shot {os:?}"
-                        ),
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Lockstep occurrence-list vs row-scan simplex over random
-/// assert/push/pop workloads: both configurations are driven through the
-/// identical script and must agree step for step — on whether each assert
-/// is accepted and on the feasibility verdict of every check.  Models and
-/// cores are free to differ (the two paths may visit violated rows in a
-/// different order), so they are validated semantically rather than
-/// compared.
-#[test]
-fn occurrence_lists_and_row_scans_agree_on_random_scripts() {
-    let occ = LiaConfig {
-        row_scan: false,
-        ..LiaConfig::default()
-    };
-    let scan = LiaConfig {
-        row_scan: true,
-        ..LiaConfig::default()
-    };
-    let mut rng = Rng::new(0x0CC5_CA45);
-    for case in 0..32 {
-        let family: Vec<LinConstraint> = (0..10).map(|_| random_constraint(&mut rng)).collect();
-        let mut s_occ = IncrementalSimplex::new(occ);
-        let mut s_scan = IncrementalSimplex::new(scan);
-        let slots_occ: Vec<_> = family.iter().map(|c| s_occ.register(c)).collect();
-        let slots_scan: Vec<_> = family.iter().map(|c| s_scan.register(c)).collect();
-
-        let mut asserted: Vec<(usize, bool)> = Vec::new();
-        let mut marks: Vec<usize> = Vec::new();
-        for step in 0..16 {
-            match rng.below(4) {
-                0 | 1 => {
-                    s_occ.push();
-                    s_scan.push();
-                    marks.push(asserted.len());
-                    for _ in 0..rng.int_in(1, 3) {
-                        let i = rng.below(10) as usize;
-                        let positive = rng.flip();
-                        let tag = asserted.len();
-                        let r_occ = s_occ.assert_constraint(slots_occ[i], positive, tag);
-                        let r_scan = s_scan.assert_constraint(slots_scan[i], positive, tag);
-                        assert_eq!(
-                            r_occ.is_ok(),
-                            r_scan.is_ok(),
-                            "case {case} step {step}: occ and row-scan disagree on an assert"
-                        );
-                        if r_occ.is_ok() {
-                            asserted.push((i, positive));
-                        }
-                    }
-                }
-                2 if !marks.is_empty() => {
-                    s_occ.pop();
-                    s_scan.pop();
-                    asserted.truncate(marks.pop().expect("mark exists"));
-                }
-                _ => {
-                    let inputs = materialize(&family, &asserted);
-                    let a = s_occ.check_integer();
-                    let b = s_scan.check_integer();
-                    match (&a, &b) {
-                        (LiaResult::Feasible(ma), LiaResult::Feasible(mb)) => {
-                            assert!(
-                                model_satisfies(&inputs, ma) && model_satisfies(&inputs, mb),
-                                "case {case} step {step}: a reported model does not satisfy"
-                            );
-                        }
-                        (LiaResult::Infeasible(ca), LiaResult::Infeasible(cb)) => {
-                            for core in [ca, cb] {
-                                let subset = materialize(
-                                    &family,
-                                    &core.iter().map(|&t| asserted[t]).collect::<Vec<_>>(),
-                                );
-                                let cfg = LiaConfig::default();
-                                assert!(
-                                    matches!(check_lia(&subset, &cfg), LiaResult::Infeasible(_)),
-                                    "case {case} step {step}: core {core:?} is not infeasible"
-                                );
-                            }
-                        }
-                        (LiaResult::Unknown, LiaResult::Unknown) => {}
-                        (a, b) => panic!(
-                            "case {case} step {step}: occurrence lists say {a:?}, row scans {b:?}"
                         ),
                     }
                 }
@@ -300,89 +211,6 @@ fn retract_reassert_scripts_match_fresh_sessions() {
                     ),
                 }
             }
-        }
-    }
-}
-
-/// Learned-clause-DB reduction, whole corpus: dropping low-activity learned
-/// clauses only discards re-derivable resolvents, so verdicts and blamed
-/// obligations must be identical with the reduction on and off.  Both
-/// toggles are pinned explicitly so the comparison stays meaningful under
-/// `FLUX_LEGACY` runs, and the global verdict cache is disabled so the
-/// second run cannot replay the first run's verdicts.
-#[test]
-fn db_reduction_keeps_corpus_verdicts() {
-    let mut with = VerifyConfig::default();
-    with.check.fixpoint = FixConfig {
-        global_cache: false,
-        ..FixConfig::default()
-    };
-    with.check.fixpoint.smt.sat.db_reduction = true;
-    with.wp.smt.sat.db_reduction = true;
-    let mut without = VerifyConfig::default();
-    without.check.fixpoint = FixConfig {
-        global_cache: false,
-        ..FixConfig::default()
-    };
-    without.check.fixpoint.smt.sat.db_reduction = false;
-    without.wp.smt.sat.db_reduction = false;
-    for b in flux::benchmarks() {
-        for (mode, src) in [(Mode::Flux, b.flux_src), (Mode::Baseline, b.baseline_src)] {
-            let w = verify_source(src, mode, &with)
-                .unwrap_or_else(|e| panic!("{}: frontend error {e}", b.name));
-            let wo = verify_source(src, mode, &without)
-                .unwrap_or_else(|e| panic!("{}: frontend error {e}", b.name));
-            assert_eq!(
-                w.safe, wo.safe,
-                "{} ({mode:?}): DB reduction changed the verdict \
-                 (with errors: {:?}, without errors: {:?})",
-                b.name, w.errors, wo.errors
-            );
-            assert_eq!(
-                w.errors, wo.errors,
-                "{} ({mode:?}): verdicts agree but blamed obligations differ",
-                b.name
-            );
-        }
-    }
-}
-
-/// Both verifiers, whole corpus: the watched-literal SAT core and the
-/// scan-based propagator must produce identical verdicts and blamed
-/// obligations.  The global verdict cache is disabled on both sides —
-/// otherwise the second run would replay the first run's verdicts and the
-/// comparison would be vacuous.
-#[test]
-fn watched_and_scan_propagation_agree_on_the_corpus() {
-    let mut watched = VerifyConfig::default();
-    watched.check.fixpoint = FixConfig {
-        global_cache: false,
-        ..FixConfig::default()
-    };
-    let mut scan = VerifyConfig::default();
-    scan.check.fixpoint = FixConfig {
-        global_cache: false,
-        ..FixConfig::default()
-    };
-    scan.check.fixpoint.smt.sat.scan_propagation = true;
-    scan.wp.smt.sat.scan_propagation = true;
-    for b in flux::benchmarks() {
-        for (mode, src) in [(Mode::Flux, b.flux_src), (Mode::Baseline, b.baseline_src)] {
-            let w = verify_source(src, mode, &watched)
-                .unwrap_or_else(|e| panic!("{}: frontend error {e}", b.name));
-            let s = verify_source(src, mode, &scan)
-                .unwrap_or_else(|e| panic!("{}: frontend error {e}", b.name));
-            assert_eq!(
-                w.safe, s.safe,
-                "{} ({mode:?}): watched and scan propagation disagree \
-                 (watched errors: {:?}, scan errors: {:?})",
-                b.name, w.errors, s.errors
-            );
-            assert_eq!(
-                w.errors, s.errors,
-                "{} ({mode:?}): verdicts agree but blamed obligations differ",
-                b.name
-            );
         }
     }
 }

@@ -27,16 +27,20 @@
 //! warm state splits into two classes:
 //!
 //! * **Reclaimable** — the fixpoint validity cache (LRU, trimmed to
-//!   `validity_cache_cap` after every request), the CNF memo cache and the
-//!   hash-consing simplify/quantifier/application memos (both capped,
-//!   reclaim-on-acquire).  Dropping any entry only costs recomputation.
-//! * **Exempt** — the hash-consing `nodes`/`index` arena.  `ExprId`s are
-//!   indices into it and live inside cached verdict keys; freeing or
-//!   compacting the arena would let two different expressions alias one id,
-//!   which is a *soundness* bug, not a performance bug.  The daemon instead
-//!   watches the arena against `hcons_node_watermark` and reports both the
-//!   size and the breach through `status`, so an operator can recycle the
-//!   process on their own schedule.
+//!   `validity_cache_cap` after every request), the CNF memo cache
+//!   (uncapped by default, reclaim-on-acquire under `cnf_cache_cap`) and
+//!   the hash-consing simplify/quantifier/application memos (capped,
+//!   reclaim-on-acquire).  Dropping any entry only costs recomputation;
+//!   `reload` flushes all three.
+//! * **Exempt** — the hash-consing `nodes`/`index` arena and the CNF atom
+//!   table.  `ExprId`s are indices into the arena and live inside cached
+//!   verdict keys; freeing or compacting the arena would let two different
+//!   expressions alias one id, which is a *soundness* bug, not a
+//!   performance bug.  Every CNF memo key is an `ExprId` and every atom is
+//!   determined by one, so the memo and the atom table only grow with the
+//!   arena.  The daemon watches the arena against `hcons_node_watermark`
+//!   and reports the sizes and the breach through `status`, so an operator
+//!   can recycle the process on their own schedule.
 //!
 //! # Live reconfiguration
 //!
@@ -75,9 +79,9 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Worker threads verifying requests (`FLUXD_WORKERS`).  The default
-    /// is 4: per-request solves route through *sharded* global caches
-    /// (validity verdicts, CNF memos), so a pool wider than 2 no longer
-    /// convoys on a single cache mutex.
+    /// is 4: the global caches' locks are held only for memo probes (the
+    /// validity verdicts are also lock-striped), so a pool wider than 2
+    /// does not convoy on them.
     pub workers: usize,
     /// Bounded admission queue depth; a full queue answers `busy`
     /// (`FLUXD_QUEUE_CAP`).
@@ -94,7 +98,10 @@ pub struct ServerConfig {
     /// Post-request LRU trim target for the global validity cache; the hard
     /// in-request cap is twice this (`FLUXD_VALIDITY_CAP`).
     pub validity_cache_cap: usize,
-    /// CNF memo-cache capacity (`FLUXD_CNF_CAP`).
+    /// CNF memo-cache capacity in entries, 0 for none (`FLUXD_CNF_CAP`).
+    /// The default is 0: the memo grows only with the hash-consing arena,
+    /// and a cap flushes it, encodings in use included, whenever one lock
+    /// hold pushes it past the cap.
     pub cnf_cache_cap: usize,
     /// Hash-consing memo-table capacity (`FLUXD_HCONS_MEMO_CAP`).
     pub hcons_memo_cap: usize,
@@ -113,7 +120,7 @@ impl Default for ServerConfig {
             max_deadline_ms: 30_000,
             retry_after_ms: 100,
             validity_cache_cap: 4096,
-            cnf_cache_cap: 1024,
+            cnf_cache_cap: 0,
             hcons_memo_cap: 1 << 16,
             hcons_node_watermark: 4_000_000,
         }
@@ -247,6 +254,7 @@ pub fn run(config: &ServerConfig, mut input: impl BufRead, output: impl Write + 
                         let fresh = ServerConfig::from_env();
                         apply_cache_caps(&fresh);
                         let memos = flux_logic::flush_hcons_memos();
+                        let cnf = flux_smt::flush_cnf_cache();
                         let cache = flux_fixpoint::global_cache();
                         let dropped = cache.len();
                         cache.clear();
@@ -259,6 +267,7 @@ pub fn run(config: &ServerConfig, mut input: impl BufRead, output: impl Write + 
                         let _ = resp_tx.send(format!(
                             "{{\"id\":{id},\"result\":\"reloaded\",\
                              \"hcons_memos_flushed\":{memos},\
+                             \"cnf_entries_flushed\":{cnf},\
                              \"validity_entries_dropped\":{dropped},\
                              \"workers\":{target},\"fn_threads\":{fn_threads}}}"
                         ));
@@ -381,7 +390,7 @@ fn worker_loop(
 /// Applies a configuration's capacity knobs to the process-global caches.
 /// The validity cache's hard cap is 2× the reclaim target: requests may
 /// overshoot while running, the post-request trim brings the cache back to
-/// its generation size.  (Per-shard caps divide these totals.)
+/// its generation size.  (Its per-shard caps divide that total.)
 fn apply_cache_caps(cfg: &ServerConfig) {
     flux_fixpoint::set_global_cache_capacity(Some(cfg.validity_cache_cap * 2));
     flux_smt::set_cnf_cache_capacity(Some(cfg.cnf_cache_cap));
@@ -546,8 +555,8 @@ fn render_outcome(id: u64, verdict: &str, outcome: &VerifyOutcome) -> String {
 }
 
 /// Renders a `status` or `final` statistics frame: lifetime counters plus
-/// the live size of every process-global cache, including the exempt
-/// hash-consing arena and its advisory watermark.
+/// the live size of every process-global cache, including the exempt CNF
+/// atom table, the exempt hash-consing arena and its advisory watermark.
 fn report(id: u64, result: &str, cfg: &ServerConfig, stats: &Stats, started: Instant) -> String {
     let nodes = flux_logic::interned_nodes();
     let (validity_len, validity_evictions) = {
@@ -563,7 +572,7 @@ fn report(id: u64, result: &str, cfg: &ServerConfig, stats: &Stats, started: Ins
          \"validity_cap\":{},\"validity_evictions\":{validity_evictions},\
          \"cnf_len\":{},\"cnf_evictions\":{},\
          \"hcons_memo_evictions\":{},\
-         \"hcons_nodes\":{nodes},\"hcons_node_watermark\":{},\
+         \"cnf_atoms\":{},\"hcons_nodes\":{nodes},\"hcons_node_watermark\":{},\
          \"hcons_watermark_exceeded\":{}}}}}",
         stats.admitted.load(Ordering::Relaxed),
         stats.verified.load(Ordering::Relaxed),
@@ -579,6 +588,7 @@ fn report(id: u64, result: &str, cfg: &ServerConfig, stats: &Stats, started: Ins
         flux_smt::cnf_cache_len(),
         flux_smt::cnf_cache_evictions(),
         flux_logic::hcons_memo_evictions(),
+        flux_smt::cnf_atoms(),
         cfg.hcons_node_watermark,
         nodes > cfg.hcons_node_watermark,
     )

@@ -1233,6 +1233,15 @@ impl FixpointSolver {
                 reasons.push(UnknownReason::Budget("weakened-on-unknown"));
                 return FixResult::Unknown { solution, reasons };
             }
+            // A panicked worker leaves its component's κs unassigned, which
+            // reads as `true`, the weakest assignment of all: these failures
+            // could be artifacts of the panic too.
+            if reasons
+                .iter()
+                .any(|r| matches!(r, UnknownReason::WorkerPanic { .. }))
+            {
+                return FixResult::Unknown { solution, reasons };
+            }
             // Genuine even when weakening was cut short: a non-converged
             // assignment only *strengthens* the hypotheses, so any
             // counterexample found under it also refutes the implication

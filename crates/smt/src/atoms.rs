@@ -5,6 +5,7 @@ use crate::linear::LinConstraint;
 use flux_logic::{Expr, Name};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A theory atom: the positive phase of a literal.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -19,11 +20,49 @@ pub enum Atom {
     /// over-approximates satisfiability (sound for proving validity: the
     /// solver can only fail to prove, never prove wrongly).
     Opaque(Expr),
+    /// A Tseitin definition variable: the `ordinal`-th definition of the
+    /// encoding walk over the formula keyed `formula` (see
+    /// [`crate::cnf::tseitin_literal`]).  The encoding is deterministic, so
+    /// the atom always stands for the same subformula, and re-encoding a
+    /// formula re-interns exactly the atoms it interned the first time.
+    Def {
+        /// Key of the encoded formula (an `ExprId` index in the shared
+        /// table).
+        formula: u32,
+        /// Position of the definition in the encoding walk.
+        ordinal: u32,
+    },
 }
 
 /// Identifier of an interned [`Atom`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AtomId(pub u32);
+
+/// A map keyed by [`AtomId`]: sized by the atoms one solver touches, not by
+/// the largest id of a table that other solvers share.
+pub(crate) type AtomMap<V> = HashMap<AtomId, V, BuildHasherDefault<IdHasher>>;
+
+/// Multiplicative (Fibonacci) hashing of a dense `u32` id: one multiply by
+/// an odd constant keeps distinct ids distinct in the low bits (the bucket
+/// index) and mixes the high bits, which the table's control bytes read.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b.into());
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
 
 /// A literal: an atom with a phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

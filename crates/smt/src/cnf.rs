@@ -11,7 +11,7 @@
 use crate::atoms::{Atom, AtomId, AtomTable, Lit};
 use crate::linear::{LinConstraint, LinExpr};
 use crate::rational::Rational;
-use flux_logic::{BinOp, Constant, Expr, Name, UnOp};
+use flux_logic::{BinOp, Constant, Expr, UnOp};
 
 /// A CNF: a conjunction of clauses, each a disjunction of literals.
 #[derive(Clone, Debug, Default)]
@@ -57,12 +57,18 @@ impl std::fmt::Display for CnfError {
 
 impl std::error::Error for CnfError {}
 
-/// Converts `formula` to CNF, interning atoms into `atoms`.
+/// Definition-atom key of a formula encoded into an atom table of its own,
+/// as the one-shot pipeline does once per query.
+const SOLE_FORMULA: u32 = u32::MAX;
+
+/// Converts `formula` to CNF, interning atoms into `atoms`, which must not
+/// hold definitions of another formula: they are keyed as if `formula`
+/// were the table's only one (see [`tseitin_literal`]).
 ///
 /// The returned CNF is satisfiable iff `formula` is (over the combined
 /// boolean + linear-integer theory).
 pub fn tseitin(formula: &Expr, atoms: &mut AtomTable) -> Result<Cnf, CnfError> {
-    let (root, mut cnf) = tseitin_literal(formula, atoms)?;
+    let (root, mut cnf) = tseitin_literal(formula, SOLE_FORMULA, atoms)?;
     cnf.add(vec![root]);
     Ok(cnf)
 }
@@ -73,29 +79,63 @@ pub fn tseitin(formula: &Expr, atoms: &mut AtomTable) -> Result<Cnf, CnfError> {
 /// independently cached encodings into one query — e.g. asserting the
 /// disjunction `root₁ ∨ … ∨ rootₙ` on top of the unions of their defining
 /// clauses encodes `f₁ ∨ … ∨ fₙ` without re-encoding any `fᵢ`.
-pub fn tseitin_literal(formula: &Expr, atoms: &mut AtomTable) -> Result<(Lit, Cnf), CnfError> {
+///
+/// Definition variables are the atoms `Def { formula: key, ordinal }`,
+/// numbered in walk order, so encoding the same formula under the same key
+/// twice yields the same atoms and the same clauses.  A table shared by
+/// several formulas needs one key per formula: two formulas under one key
+/// would give one atom two different definitions.
+pub fn tseitin_literal(
+    formula: &Expr,
+    key: u32,
+    atoms: &mut AtomTable,
+) -> Result<(Lit, Cnf), CnfError> {
     let mut cnf = Cnf::default();
-    let root = encode(formula, atoms, &mut cnf)?;
+    let mut defs = Defs { key, next: 0 };
+    let root = encode(formula, atoms, &mut defs, &mut cnf)?;
     Ok((root, cnf))
+}
+
+/// The definition variables of one encoding walk.
+struct Defs {
+    key: u32,
+    /// Ordinal of the next definition.
+    next: u32,
+}
+
+impl Defs {
+    fn fresh(&mut self, atoms: &mut AtomTable) -> Lit {
+        let ordinal = self.next;
+        self.next += 1;
+        Lit::pos(atoms.intern(Atom::Def {
+            formula: self.key,
+            ordinal,
+        }))
+    }
 }
 
 /// Encodes `expr` returning a literal equivalent to it (adding definition
 /// clauses to `cnf` as needed).
-fn encode(expr: &Expr, atoms: &mut AtomTable, cnf: &mut Cnf) -> Result<Lit, CnfError> {
+fn encode(
+    expr: &Expr,
+    atoms: &mut AtomTable,
+    defs: &mut Defs,
+    cnf: &mut Cnf,
+) -> Result<Lit, CnfError> {
     match expr {
         Expr::Const(Constant::Bool(b)) => {
-            // Represent constants with a dedicated always-true atom.
-            let id = atoms.intern(Atom::Bool(Name::intern("$true")));
-            cnf.add(vec![Lit::pos(id)]);
-            Ok(if *b { Lit::pos(id) } else { Lit::neg(id) })
+            // A definition asserted true stands for the constant.
+            let d = defs.fresh(atoms);
+            cnf.add(vec![d]);
+            Ok(if *b { d } else { d.negated() })
         }
         Expr::Var(name) => Ok(Lit::pos(atoms.intern(Atom::Bool(*name)))),
-        Expr::UnOp(UnOp::Not, inner) => Ok(encode(inner, atoms, cnf)?.negated()),
+        Expr::UnOp(UnOp::Not, inner) => Ok(encode(inner, atoms, defs, cnf)?.negated()),
         Expr::BinOp(op, lhs, rhs) => match op {
             BinOp::And => {
-                let a = encode(lhs, atoms, cnf)?;
-                let b = encode(rhs, atoms, cnf)?;
-                let d = fresh_def(atoms);
+                let a = encode(lhs, atoms, defs, cnf)?;
+                let b = encode(rhs, atoms, defs, cnf)?;
+                let d = defs.fresh(atoms);
                 // d <-> a & b
                 cnf.add(vec![d.negated(), a]);
                 cnf.add(vec![d.negated(), b]);
@@ -103,27 +143,27 @@ fn encode(expr: &Expr, atoms: &mut AtomTable, cnf: &mut Cnf) -> Result<Lit, CnfE
                 Ok(d)
             }
             BinOp::Or => {
-                let a = encode(lhs, atoms, cnf)?;
-                let b = encode(rhs, atoms, cnf)?;
-                let d = fresh_def(atoms);
+                let a = encode(lhs, atoms, defs, cnf)?;
+                let b = encode(rhs, atoms, defs, cnf)?;
+                let d = defs.fresh(atoms);
                 cnf.add(vec![d.negated(), a, b]);
                 cnf.add(vec![a.negated(), d]);
                 cnf.add(vec![b.negated(), d]);
                 Ok(d)
             }
             BinOp::Imp => {
-                let a = encode(lhs, atoms, cnf)?;
-                let b = encode(rhs, atoms, cnf)?;
-                let d = fresh_def(atoms);
+                let a = encode(lhs, atoms, defs, cnf)?;
+                let b = encode(rhs, atoms, defs, cnf)?;
+                let d = defs.fresh(atoms);
                 cnf.add(vec![d.negated(), a.negated(), b]);
                 cnf.add(vec![a, d]);
                 cnf.add(vec![b.negated(), d]);
                 Ok(d)
             }
             BinOp::Iff => {
-                let a = encode(lhs, atoms, cnf)?;
-                let b = encode(rhs, atoms, cnf)?;
-                let d = fresh_def(atoms);
+                let a = encode(lhs, atoms, defs, cnf)?;
+                let b = encode(rhs, atoms, defs, cnf)?;
+                let d = defs.fresh(atoms);
                 cnf.add(vec![d.negated(), a.negated(), b]);
                 cnf.add(vec![d.negated(), b.negated(), a]);
                 cnf.add(vec![d, a, b]);
@@ -147,10 +187,6 @@ fn encode(expr: &Expr, atoms: &mut AtomTable, cnf: &mut Cnf) -> Result<Lit, CnfE
             "non-boolean expression in boolean position: {expr}"
         ))),
     }
-}
-
-fn fresh_def(atoms: &mut AtomTable) -> Lit {
-    Lit::pos(atoms.intern(Atom::Bool(Name::fresh("$def"))))
 }
 
 /// Encodes a comparison (or opaque predicate) as a theory atom.
@@ -194,6 +230,7 @@ pub fn linearize(expr: &Expr) -> Option<LinExpr> {
 mod tests {
     use super::*;
     use crate::atoms::Atom;
+    use flux_logic::Name;
 
     fn v(s: &str) -> Expr {
         Expr::var(Name::intern(s))
@@ -255,6 +292,30 @@ mod tests {
         let i = Name::intern("i");
         let e = Expr::Forall(vec![(i, flux_logic::Sort::Int)], Box::new(Expr::tt()));
         assert!(tseitin(&e, &mut atoms).is_err());
+    }
+
+    #[test]
+    fn reencoding_a_formula_reinterns_its_atoms_and_clauses() {
+        let mut atoms = AtomTable::new();
+        let e = Expr::imp(
+            Expr::and(v("p"), Expr::or(v("q"), Expr::le(v("i"), v("n")))),
+            Expr::not(Expr::and(v("q"), v("p"))),
+        );
+        let (root, first) = tseitin_literal(&e, 3, &mut atoms).unwrap();
+        let interned = atoms.len();
+        let (again, second) = tseitin_literal(&e, 3, &mut atoms).unwrap();
+        assert_eq!(root, again);
+        assert_eq!(first.clauses, second.clauses);
+        assert_eq!(atoms.len(), interned, "re-encoding interned new atoms");
+        // Another key names another formula's definitions; the theory and
+        // boolean atoms are shared.
+        tseitin_literal(&e, 4, &mut atoms).unwrap();
+        let defs = atoms
+            .iter()
+            .filter(|(_, a)| matches!(a, Atom::Def { .. }))
+            .count();
+        assert_eq!(defs, 8);
+        assert_eq!(atoms.len(), interned + 4);
     }
 
     #[test]

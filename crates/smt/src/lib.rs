@@ -58,8 +58,8 @@ pub use budget::ResourceBudget;
 pub use quant::QuantConfig;
 pub use sat::SatConfig;
 pub use session::{
-    cnf_cache_evictions, cnf_cache_len, cnf_shard_contentions, set_cnf_cache_capacity, Session,
-    CNF_SHARDS,
+    cnf_atoms, cnf_cache_evictions, cnf_cache_len, cnf_shard_contentions, flush_cnf_cache,
+    set_cnf_cache_capacity, Session,
 };
 pub use simplex::LiaConfig;
 pub use solver::{MaxTheoryRounds, Model, SatOutcome, SmtConfig, SmtStats, Solver, Validity};

@@ -15,10 +15,10 @@
 //!   guard predicates — that recur in clause after clause, iteration after
 //!   iteration.  [`Session::assume`] therefore preprocesses and
 //!   CNF-converts each *conjunct* separately through the global
-//!   [`CnfCache`]: one shared atom table plus memo tables keyed on
-//!   hash-consed [`ExprId`]s, so a conjunct (or a repeated goal) is
-//!   simplified, normalised and Tseitin-encoded once per process and every
-//!   later session gets its clauses back as an `Arc` clone.
+//!   [`CnfCache`]: one atom table plus memo tables keyed on hash-consed
+//!   [`ExprId`]s, so a conjunct (or a repeated goal) is simplified,
+//!   normalised and Tseitin-encoded once per process and every later
+//!   session gets its clauses back as an `Arc` clone.
 //! * **Across goals** (per-session): [`Session::check`] pushes the
 //!   (negated) goal's clauses into the session's **persistent CDCL core**
 //!   behind a fresh activation literal and solves under the assumption that
@@ -39,7 +39,7 @@
 //! to the one-shot pipeline per goal, so a session always returns the same
 //! verdicts as one-shot solving.
 
-use crate::atoms::{Atom, AtomId, AtomTable, Lit};
+use crate::atoms::{Atom, AtomId, AtomMap, AtomTable, Lit};
 use crate::audit;
 use crate::cnf::tseitin_literal;
 use crate::preprocess::{eliminate_div_mod, eliminate_ite, normalize_comparisons};
@@ -48,6 +48,7 @@ use crate::simplex::{IncrementalSimplex, LiaResult, Prepared, SlotId};
 use crate::solver::{check_sat_impl, Model, SatOutcome, SmtConfig, SmtStats, Validity};
 use flux_logic::{simplify, Expr, ExprId, Name, Sort, SortCtx};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// How goals of this session are discharged.
@@ -74,17 +75,6 @@ enum PreOut {
     Formula(ExprId),
 }
 
-/// The process-global CNF engine: an atom table shared by every session on
-/// the same shard (see [`CNF_SHARDS`]), plus memo tables that make
-/// re-encoding a repeated conjunct O(1).
-///
-/// Sharing the atom table across a shard's sessions is what makes the
-/// per-conjunct CNF cache possible at all: cached clauses mention
-/// [`AtomId`]s, so those ids must mean the same thing in every session
-/// that reads them — which is guaranteed by sessions pinning a single
-/// shard for their lifetime.  (Atoms are pure syntax — a linear constraint
-/// or a boolean name — so interning them per shard is sound, exactly like
-/// the hash-consing of expressions in `flux-logic`.)
 /// Preprocessing memo key: the conjunct plus the sorts of its free
 /// variables.  The sorts are part of the key because comparison
 /// normalisation consults them; the same name can be bound at different
@@ -116,6 +106,18 @@ enum HypOut {
     Conjuncts(Arc<Vec<ConjunctCnf>>),
 }
 
+/// The process-global CNF engine: one atom table shared by every session,
+/// plus memo tables that make re-encoding a repeated conjunct O(1).
+///
+/// Sharing the atom table is what makes the per-conjunct CNF cache
+/// possible at all: cached clauses mention [`AtomId`]s, so those ids must
+/// mean the same thing in every session that reads them.  Atoms are pure
+/// syntax — a linear constraint, a boolean name, or a Tseitin definition
+/// named by its formula's [`ExprId`] and its position in the encoding walk
+/// — so one table for the process is sound, exactly like the hash-consing
+/// of expressions in `flux-logic`.  It is also bounded by the hash-consing
+/// arena: every memo key is an `ExprId`, and every atom is determined by
+/// one, so re-encoding an evicted formula re-interns exactly its old atoms.
 #[derive(Default)]
 struct CnfCache {
     /// Cap on the total entry count of the evictable memo maps (0 =
@@ -144,53 +146,33 @@ struct CnfCache {
     /// Distinct theory atoms mentioned by a conjunct's CNF, sorted: lets
     /// the theory-atom snapshot skip re-scanning every literal of every
     /// hypothesis clause on each session's first check.
-    cnf_atoms: HashMap<ExprId, Arc<Vec<AtomId>>>,
+    conjunct_atoms: HashMap<ExprId, Arc<Vec<AtomId>>>,
 }
 
-/// Number of lock-striped shards of the process-global CNF cache.
-///
-/// Each shard is a *complete*, independent [`CnfCache`] — its own atom
-/// table plus memo maps.  A [`Session`] pins one shard at creation
-/// (deterministically, by hashing its hypothesis ids) and performs every
-/// cache operation against that shard only, so the [`AtomId`]s baked into
-/// its core's clauses always resolve against the table that issued them.
-/// Cross-session sharing survives for sessions that land on the same shard
-/// — which, because the shard is chosen by hypothesis context, is exactly
-/// the sessions re-asking the same clause's questions.  Four shards keep
-/// the common caps dividing evenly (64, 512, 1024) while bounding the
-/// per-shard working-set duplication: a conjunct used by contexts on k
-/// shards is encoded k times, and k ≤ 4 caps that at 4×.
-pub const CNF_SHARDS: usize = 4;
+/// Times a thread found the CNF cache lock held by another thread
+/// (monotone; callers read deltas).
+static CNF_CONTENTIONS: AtomicU64 = AtomicU64::new(0);
 
-/// Times a thread found a CNF-shard lock held by another thread (monotone;
-/// callers read deltas).
-static CNF_CONTENTIONS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-fn cnf_shards() -> &'static Vec<Mutex<CnfCache>> {
-    static SHARDS: OnceLock<Vec<Mutex<CnfCache>>> = OnceLock::new();
-    SHARDS.get_or_init(|| {
-        // Seed each shard with its slice of the env cap; an explicit
-        // `set_cnf_cache_capacity` call still wins later.
-        let cap = flux_logic::env_parse("FLUX_CACHE_CAP", 0usize);
-        let per_shard = cap.div_ceil(CNF_SHARDS);
-        (0..CNF_SHARDS)
-            .map(|_| {
-                Mutex::new(CnfCache {
-                    cap: per_shard,
-                    ..CnfCache::default()
-                })
-            })
-            .collect()
+/// The process-global CNF cache, capped by `FLUX_CACHE_CAP` from first use
+/// (an explicit [`set_cnf_cache_capacity`] call still wins later).
+fn cnf_memo() -> &'static Mutex<CnfCache> {
+    static CACHE: OnceLock<Mutex<CnfCache>> = OnceLock::new();
+    CACHE.get_or_init(|| {
+        Mutex::new(CnfCache {
+            cap: flux_logic::env_parse("FLUX_CACHE_CAP", 0usize),
+            ..CnfCache::default()
+        })
     })
 }
 
-/// Locks CNF shard `shard` (modulo the shard count).  `lock_recover`
-/// recovers from poisoning rather than cascading one panic (e.g. a failed
-/// assertion in an unrelated test thread) into every later session in the
-/// process: the cache only memoizes pure data behind `Arc`s, so no torn
-/// state is observable through its API.
-fn cnf_shard(shard: usize) -> MutexGuard<'static, CnfCache> {
-    let mut cache = flux_logic::lock_counted(&cnf_shards()[shard % CNF_SHARDS], &CNF_CONTENTIONS);
+/// Locks the CNF cache for an operation, reclaiming it first when it has
+/// outgrown its cap.  `lock_counted` recovers from poisoning rather than
+/// cascading one panic (e.g. a failed assertion in an unrelated test
+/// thread) into every later session in the process: the cache only
+/// memoizes pure data behind `Arc`s, so no torn state is observable
+/// through its API.
+fn cnf_cache() -> MutexGuard<'static, CnfCache> {
+    let mut cache = flux_logic::lock_counted(cnf_memo(), &CNF_CONTENTIONS);
     if crate::testing::inject_fault("cnf-cache") == Some(crate::testing::Fault::Delay) {
         // Hold the lock a beat: exercises every caller's tolerance of
         // contention on the global cache (there is nothing to time out — the
@@ -202,50 +184,48 @@ fn cnf_shard(shard: usize) -> MutexGuard<'static, CnfCache> {
     cache
 }
 
-/// Picks the CNF shard for a session over `hyp_ids`: a deterministic
-/// function of the hypothesis context, so re-opened sessions over the same
-/// context always land on the shard that already holds their encodings.
-fn pick_cnf_shard(hyp_ids: &[ExprId]) -> usize {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    hyp_ids.hash(&mut hasher);
-    (hasher.finish() as usize) % CNF_SHARDS
-}
-
-/// Caps the process-global CNF cache's memo maps (`None` = unlimited).
-/// Defaults to `FLUX_CACHE_CAP` (unset or 0 = unlimited).  The cap is
-/// divided across [`CNF_SHARDS`] shards (rounded up), so the effective
-/// global cap is the sum of per-shard caps.  The shared atom tables are
-/// exempt: cached and in-core clauses reference their ids for the life of
-/// the process.
+/// Caps the process-global CNF cache's memo maps (`None` = unlimited),
+/// reclaiming at once if they are over the new cap.  Defaults to
+/// `FLUX_CACHE_CAP` (unset or 0 = unlimited).  The atom table is exempt:
+/// cached and in-core clauses reference its ids for the life of the
+/// process, and it only grows with the hash-consing arena.
 pub fn set_cnf_cache_capacity(cap: Option<usize>) {
-    let per_shard = cap.map_or(0, |c| c.div_ceil(CNF_SHARDS));
-    for shard in 0..CNF_SHARDS {
-        cnf_shard(shard).cap = per_shard;
-    }
+    let mut cache = flux_logic::lock_recover(cnf_memo());
+    cache.cap = cap.unwrap_or(0);
+    cache.reclaim();
 }
 
-/// Total entries evicted from the process-global CNF cache so far, summed
-/// over all shards.  A pure read: it neither reclaims nor counts toward
-/// the shard-contention figures.
+/// Flushes the CNF cache's memo maps now, regardless of any cap — the
+/// region-reclaim hook a long-running service calls between requests.  The
+/// atom table stays (see [`set_cnf_cache_capacity`]).  Returns the number
+/// of entries flushed, which also count as evictions.
+pub fn flush_cnf_cache() -> usize {
+    flux_logic::lock_recover(cnf_memo()).flush()
+}
+
+/// Total entries evicted from the process-global CNF cache so far.  A pure
+/// read: it neither reclaims nor counts toward the lock-contention figure.
 pub fn cnf_cache_evictions() -> u64 {
-    cnf_shards()
-        .iter()
-        .map(|shard| flux_logic::lock_recover(shard).evictions)
-        .sum()
+    flux_logic::lock_recover(cnf_memo()).evictions
 }
 
-/// Current total entry count of the CNF cache's evictable memo maps,
-/// summed over all shards (diagnostics and capacity tests).
+/// Current entry count of the CNF cache's evictable memo maps (diagnostics
+/// and capacity tests).  A pure read, like [`cnf_cache_evictions`].
 pub fn cnf_cache_len() -> usize {
-    (0..CNF_SHARDS).map(|s| cnf_shard(s).memo_len()).sum()
+    flux_logic::lock_recover(cnf_memo()).memo_len()
 }
 
-/// Times any session found a CNF-shard lock held by another thread, over
+/// Number of atoms in the CNF cache's atom table, which reclaim never
+/// shrinks.  A pure read, like [`cnf_cache_evictions`].
+pub fn cnf_atoms() -> usize {
+    flux_logic::lock_recover(cnf_memo()).atoms.len()
+}
+
+/// Times any session found the CNF cache lock held by another thread, over
 /// the process lifetime.  Monotone; callers read deltas (solves attribute
 /// their own share through [`flux_logic::thread_tally`]).
 pub fn cnf_shard_contentions() -> u64 {
-    CNF_CONTENTIONS.load(std::sync::atomic::Ordering::Relaxed)
+    CNF_CONTENTIONS.load(Ordering::Relaxed)
 }
 
 impl CnfCache {
@@ -257,24 +237,25 @@ impl CnfCache {
             + self.cnf_lit.len()
             + self.prepared.len()
             + self.hyp_out.len()
-            + self.cnf_atoms.len()
+            + self.conjunct_atoms.len()
     }
 
-    /// Flushes every memo map once their total entry count exceeds the cap
-    /// — region reclaim: the maps memoize independent pure functions, so
-    /// dropping them together needs no cross-map bookkeeping, and later
-    /// probes simply recompute and re-cache.  Atoms are never evicted
-    /// (sessions hold clauses that name them); re-encoding an evicted
-    /// formula re-interns the same theory atoms and allocates fresh Tseitin
-    /// definition atoms, which is equisatisfiable.
+    /// Flushes every memo map once their total entry count exceeds the cap.
     fn reclaim(&mut self) {
-        if self.cap == 0 {
-            return;
+        if self.cap != 0 && self.memo_len() > self.cap {
+            self.flush();
         }
+    }
+
+    /// Flushes every memo map — region reclaim: the maps memoize
+    /// independent pure functions, so dropping them together needs no
+    /// cross-map bookkeeping, and later probes simply recompute and
+    /// re-cache.  Atoms are never evicted (sessions hold clauses that name
+    /// them), and none are needed: re-encoding an evicted formula re-interns
+    /// the atoms it interned before, definitions included, and yields the
+    /// same clauses.  Returns the number of entries flushed.
+    fn flush(&mut self) -> usize {
         let total = self.memo_len();
-        if total <= self.cap {
-            return;
-        }
         self.evictions += total as u64;
         flux_logic::tally_evictions(total as u64);
         self.free_vars.clear();
@@ -283,7 +264,8 @@ impl CnfCache {
         self.cnf_lit.clear();
         self.prepared.clear();
         self.hyp_out.clear();
-        self.cnf_atoms.clear();
+        self.conjunct_atoms.clear();
+        total
     }
 
     fn free_vars_of(&mut self, id: ExprId) -> Arc<[Name]> {
@@ -314,12 +296,14 @@ impl CnfCache {
 
     /// The defining Tseitin CNF and root literal of the preprocessed
     /// formula `id` (root *not* asserted), encoding it into the shared atom
-    /// table on the first request.
+    /// table on the first request.  Its definition atoms are keyed by `id`,
+    /// which always denotes the same formula.
     fn cnf_lit_of(&mut self, id: ExprId) -> Result<LitCnf, ()> {
         if let Some((root, defs)) = self.cnf_lit.get(&id) {
             return Ok((*root, defs.clone()));
         }
-        let (root, cnf) = tseitin_literal(&id.expr(), &mut self.atoms).map_err(|_| ())?;
+        let (root, cnf) =
+            tseitin_literal(&id.expr(), id.index(), &mut self.atoms).map_err(|_| ())?;
         let defs = Arc::new(cnf.clauses);
         self.cnf_lit.insert(id, (root, defs.clone()));
         Ok((root, defs))
@@ -405,14 +389,14 @@ impl CnfCache {
     /// The distinct theory atoms of the conjunct `pid`'s CNF, sorted;
     /// memoized forever (the CNF of a preprocessed formula never changes).
     fn atoms_of(&mut self, pid: ExprId, cnf: &[Vec<Lit>]) -> Arc<Vec<AtomId>> {
-        if let Some(atoms) = self.cnf_atoms.get(&pid) {
+        if let Some(atoms) = self.conjunct_atoms.get(&pid) {
             return atoms.clone();
         }
         let mut atoms: Vec<AtomId> = cnf.iter().flatten().map(|lit| lit.atom).collect();
         atoms.sort_unstable();
         atoms.dedup();
         let atoms = Arc::new(atoms);
-        self.cnf_atoms.insert(pid, atoms.clone());
+        self.conjunct_atoms.insert(pid, atoms.clone());
         atoms
     }
 }
@@ -425,31 +409,26 @@ impl CnfCache {
 /// activation variables that correspond to no theory atom, and the global
 /// atom table contains atoms from other sessions that this one never
 /// mentions.  `atom_vars` maps an atom to its SAT variable lazily, so the
-/// SAT search only ever branches on atoms this session actually uses.
+/// SAT search only ever branches on atoms this session actually uses; it
+/// and `atom_slots` are maps, so their size follows the session's atoms
+/// rather than the largest id the process-wide table has issued.
 struct Core {
-    /// The CNF shard this core's owning session is pinned to: every
-    /// [`AtomId`] in the clause database was issued by (and must be
-    /// resolved against) this shard's atom table.
-    shard: usize,
     sat: SatSolver,
-    /// SAT variable of each atom, indexed by [`AtomId`]; `UNMAPPED` for
-    /// atoms this session has not touched.
-    atom_vars: Vec<usize>,
+    /// SAT variable of each atom this session has touched.
+    atom_vars: AtomMap<usize>,
     /// The session's persistent theory state: linear atoms register their
     /// constraint rows here once, and each DPLL(T) round merely asserts
     /// bounds inside a push/pop scope.  The tableau basis survives across
     /// rounds *and* goals, so theory checks after the first start from an
     /// almost-feasible state.
     theory: IncrementalSimplex,
-    /// Simplex slot of each linear atom, indexed by [`AtomId`].
-    atom_slots: Vec<Option<SlotId>>,
+    /// Simplex slot of each linear atom registered so far.
+    atom_slots: AtomMap<SlotId>,
     /// Snapshot of the hypothesis clauses' theory atoms, taken once on the
     /// first check; goals only resolve their own (typically few) atoms.
     /// Cleared whenever the hypothesis conjunct set changes.
     hyp_atoms: Option<TheoryAtoms>,
 }
-
-const UNMAPPED: usize = usize::MAX;
 
 /// Relevant theory atoms of a clause set, resolved once against the global
 /// atom table: SAT variables, simplex slots (rows registered on first
@@ -473,11 +452,10 @@ struct TheoryAtoms {
 }
 
 impl Core {
-    fn new(config: &SmtConfig, shard: usize) -> Core {
+    fn new(config: &SmtConfig) -> Core {
         // The authoritative budget lives on the `SmtConfig`; the sub-solvers
         // receive their copy here, exactly as the one-shot pipeline does.
         Core {
-            shard,
             sat: SatSolver::new(
                 0,
                 crate::sat::SatConfig {
@@ -485,12 +463,12 @@ impl Core {
                     ..config.sat
                 },
             ),
-            atom_vars: Vec::new(),
+            atom_vars: AtomMap::default(),
             theory: IncrementalSimplex::new(crate::simplex::LiaConfig {
                 budget: config.budget,
                 ..config.lia
             }),
-            atom_slots: Vec::new(),
+            atom_slots: AtomMap::default(),
             hyp_atoms: None,
         }
     }
@@ -515,7 +493,7 @@ impl Core {
     fn snapshot_hyp(&mut self, hyp_cnf: &[(ExprId, Arc<Vec<Vec<Lit>>>)]) -> TheoryAtoms {
         let mut relevant: Vec<AtomId> = Vec::new();
         {
-            let mut cache = cnf_shard(self.shard);
+            let mut cache = cnf_cache();
             for (pid, cnf) in hyp_cnf {
                 relevant.extend(cache.atoms_of(*pid, cnf).iter().copied());
             }
@@ -528,7 +506,7 @@ impl Core {
     /// Shared tail of the snapshot paths: the per-atom resolution work over
     /// a sorted, deduplicated candidate list.
     fn snapshot_atoms(&mut self, relevant: &[AtomId], skip: Option<&TheoryAtoms>) -> TheoryAtoms {
-        let mut cache = cnf_shard(self.shard);
+        let mut cache = cnf_cache();
         let mut out = TheoryAtoms::default();
         for &id in relevant {
             if matches!(skip, Some(s) if s.atoms.contains(&id)) {
@@ -544,9 +522,10 @@ impl Core {
                 out.vars.extend(prepared.vars());
                 out.lin.push((id, var, prepared));
             } else if let Atom::Bool(name) = cache.atoms.get(id) {
-                if !name.as_str().starts_with('$') {
-                    out.bools.push((var, *name));
-                }
+                // Every boolean atom of the incremental fragment is a
+                // program variable: Tseitin definitions are `Atom::Def`,
+                // and the fresh names preprocessing introduces are integers.
+                out.bools.push((var, *name));
             }
         }
         out
@@ -555,39 +534,23 @@ impl Core {
     /// The simplex slot of the linear atom `atom`, registering its
     /// constraint row on first use.
     fn slot_of(&mut self, atom: AtomId, prepared: &Prepared) -> SlotId {
-        let idx = atom.0 as usize;
-        if self.atom_slots.len() <= idx {
-            self.atom_slots.resize(idx + 1, None);
-        }
-        match self.atom_slots[idx] {
-            Some(slot) => slot,
-            None => {
-                let slot = self.theory.register_prepared(prepared);
-                self.atom_slots[idx] = Some(slot);
-                slot
-            }
-        }
+        let theory = &mut self.theory;
+        *self
+            .atom_slots
+            .entry(atom)
+            .or_insert_with(|| theory.register_prepared(prepared))
     }
 
     /// The SAT variable representing `atom`, allocating one if needed.
     fn var_of(&mut self, atom: AtomId) -> usize {
-        let idx = atom.0 as usize;
-        if self.atom_vars.len() <= idx {
-            self.atom_vars.resize(idx + 1, UNMAPPED);
-        }
-        if self.atom_vars[idx] == UNMAPPED {
-            self.atom_vars[idx] = self.sat.new_var();
-        }
-        self.atom_vars[idx]
+        let sat = &mut self.sat;
+        *self.atom_vars.entry(atom).or_insert_with(|| sat.new_var())
     }
 
     /// The SAT variable of `atom`, if this session ever added a clause
     /// mentioning it.
     fn lookup_var(&self, atom: AtomId) -> Option<usize> {
-        match self.atom_vars.get(atom.0 as usize) {
-            Some(&v) if v != UNMAPPED => Some(v),
-            _ => None,
-        }
+        self.atom_vars.get(&atom).copied()
     }
 
     /// Adds a theory-atom clause, optionally guarded by `¬guard ∨ …` so it
@@ -612,10 +575,6 @@ pub struct Session {
     ctx: SortCtx,
     stats: SmtStats,
     mode: Mode,
-    /// The CNF shard this session is pinned to for its whole lifetime (see
-    /// [`CNF_SHARDS`]): chosen deterministically from the hypothesis ids,
-    /// so re-opened sessions over the same context share encodings.
-    shard: usize,
     /// Hash-consed hypotheses, as given.
     hyp_ids: Vec<ExprId>,
     /// Tree form of the hypotheses, materialized lazily — only the one-shot
@@ -664,7 +623,6 @@ impl Session {
         // fixpoint solver) already stamped a solve-wide deadline.
         let mut config = config;
         config.budget.stamp();
-        let shard = pick_cnf_shard(&hyp_ids);
         let mut session = Session {
             config,
             ctx: ctx.clone(),
@@ -673,7 +631,6 @@ impl Session {
                 ..SmtStats::default()
             },
             mode: Mode::Incremental,
-            shard,
             hyp_ids,
             hyp_trees,
             hyp_cnf: Vec::new(),
@@ -681,7 +638,7 @@ impl Session {
             core: None,
         };
         let mut seen: HashSet<ExprId> = HashSet::new();
-        let mut cache = cnf_shard(shard);
+        let mut cache = cnf_cache();
         for hyp in session.hyp_ids.clone() {
             // One memoized probe per hypothesis: splitting, simplification,
             // preprocessing and CNF conversion of its conjuncts all ran at
@@ -745,9 +702,7 @@ impl Session {
         let mut seen: HashSet<ExprId> = HashSet::new();
         let mut new_cnf: Vec<ConjunctCnf> = Vec::new();
         {
-            // The session keeps its original shard: the core's clauses name
-            // that shard's atoms, so the new conjuncts must encode there too.
-            let mut cache = cnf_shard(self.shard);
+            let mut cache = cnf_cache();
             for hyp in new_hyps {
                 match cache.hyp_out_of(*hyp, &self.ctx) {
                     HypOut::OneShot | HypOut::Contradictory => return false,
@@ -896,7 +851,7 @@ impl Session {
                 let mut unconstrained = false;
                 let mut encoding_failed = false;
                 {
-                    let mut cache = cnf_shard(self.shard);
+                    let mut cache = cnf_cache();
                     for &g in goals {
                         let nid = g.negated().simplified();
                         if nid == ff {
@@ -959,7 +914,7 @@ impl Session {
             // hypotheses alone, i.e. no extra clauses.
             None
         } else {
-            let mut cache = cnf_shard(self.shard);
+            let mut cache = cnf_cache();
             match cache.preprocess(nid, &self.ctx) {
                 PreOut::False => return Validity::Valid,
                 PreOut::True => None,
@@ -1003,7 +958,7 @@ impl Session {
         match &mut self.core {
             Some(_) => self.stats.sat_reuse += 1,
             none => {
-                let mut core = Core::new(&self.config, self.shard);
+                let mut core = Core::new(&self.config);
                 // Hypothesis clauses are asserted outright — no activation
                 // literals.  Their units become permanent level-0 facts, so
                 // the first goal retirement's compaction dissolves most of
@@ -1124,7 +1079,7 @@ impl Session {
                                 .chain(goal_clauses.iter())
                                 .chain(self.lemmas.iter());
                             let asserted: Vec<_> = {
-                                let cache = cnf_shard(core.shard);
+                                let cache = cnf_cache();
                                 audit::asserted_constraints(&involved, &cache.atoms)
                                     .into_iter()
                                     .map(|c| (c, true))
@@ -1155,7 +1110,7 @@ impl Session {
                                 conflict.iter().map(|&i| involved[i]).collect()
                             };
                             let constraints = {
-                                let cache = cnf_shard(core.shard);
+                                let cache = cnf_cache();
                                 audit::asserted_constraints(&tagged, &cache.atoms)
                             };
                             if let Err(e) = audit::certify_infeasible_core(&constraints) {
@@ -1239,6 +1194,15 @@ impl Session {
     pub fn lemma_count(&self) -> usize {
         self.lemmas.len()
     }
+
+    /// The clauses asserting the hypotheses: each preprocessed conjunct's
+    /// cached CNF, in conjunct order (empty outside the incremental mode).
+    pub fn hypothesis_clauses(&self) -> Vec<Vec<Lit>> {
+        self.hyp_cnf
+            .iter()
+            .flat_map(|(_, cnf)| cnf.iter().cloned())
+            .collect()
+    }
 }
 
 /// Sessions (and the counter-models and verdicts they produce) travel to
@@ -1246,10 +1210,10 @@ impl Session {
 /// so they must stay [`Send`]: per-session state is exclusively owned —
 /// the CDCL core, the simplex tableau and the statistics live in the
 /// session itself — and everything shared across sessions (the atom
-/// tables, the CNF memos, the prepared-constraint caches) is reached only
-/// through the process-global shard mutexes in [`cnf_shard`], never
-/// through `Rc`/`RefCell` aliasing.  A session carries only its shard
-/// *index*, so moving it across threads moves no cache state at all.
+/// table, the CNF memos, the prepared-constraint cache) is reached only
+/// through the process-global mutex in [`cnf_cache`], never through
+/// `Rc`/`RefCell` aliasing, so moving a session across threads moves no
+/// cache state at all.
 /// These assertions turn any future hidden-sharing regression into a
 /// compile error instead of a data race.
 const _: () = {

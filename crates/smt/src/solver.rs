@@ -542,6 +542,8 @@ pub(crate) fn build_model(
         ints: int_model,
         bools: BTreeMap::new(),
     };
+    // Tseitin definitions are `Atom::Def`, not named variables; the `$`
+    // test drops the fresh names preprocessing introduces.
     for (id, atom) in atoms.iter() {
         if let Atom::Bool(name) = atom {
             if !name.as_str().starts_with('$') {

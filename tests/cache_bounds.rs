@@ -117,9 +117,12 @@ fn bounded_caches_hold_cap_evict_and_stay_correct() {
             "the memo high-watermark never moved"
         );
 
-        // Steady-state size holds the cap.  The CNF cache reclaims on every
-        // acquisition, so reading its length reports a post-reclaim figure;
-        // the verdict cache evicts on insert and may never exceed its cap.
+        // Steady-state size holds the cap.  Reading the CNF cache's length
+        // never reclaims it, so the figure may exceed the cap by what the
+        // last lock hold added; the next acquisition reclaims, and
+        // re-applying the cap is one.  The verdict cache evicts on insert
+        // and may never exceed its cap.
+        set_cnf_cache_capacity(Some(CNF_CAP));
         assert!(
             cnf_cache_len() <= CNF_CAP,
             "CNF cache len {} exceeds its cap {CNF_CAP}",

@@ -224,7 +224,7 @@ fn cnf_cache_sessions_agree_under_contention() {
         // And once more on the warmed cache from this thread.
         check_family(0);
         let contended = flux_smt::cnf_shard_contentions() - contentions_before;
-        println!("CNF shard contentions during storm: {contended}");
+        println!("CNF cache contentions during storm: {contended}");
     });
 }
 

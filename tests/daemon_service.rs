@@ -112,6 +112,10 @@ fn serves_verify_status_reload_shutdown_with_warm_second_pass() {
         assert_eq!(result_of(&responses[&2]), "status");
         let caches = responses[&2].get("caches").expect("status reports caches");
         assert!(caches.get("hcons_nodes").and_then(Value::as_u64).is_some());
+        assert!(
+            caches.get("cnf_atoms").and_then(Value::as_u64).unwrap_or(0) > 0,
+            "status reports the CNF atom table the first verify filled"
+        );
         assert_eq!(
             caches
                 .get("hcons_watermark_exceeded")
@@ -160,6 +164,14 @@ fn serves_verify_status_reload_shutdown_with_warm_second_pass() {
                 .expect("reload reports what it dropped")
                 > 0,
             "the warm verdict cache from the first session should be flushed"
+        );
+        assert!(
+            responses[&1]
+                .get("cnf_entries_flushed")
+                .and_then(Value::as_u64)
+                .expect("reload reports the CNF entries it flushed")
+                > 0,
+            "the first session's CNF encodings should be flushed too"
         );
         assert_eq!(result_of(&responses[&2]), "final");
     });

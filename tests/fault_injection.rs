@@ -46,6 +46,34 @@ fn system(salt: &str, safe: bool) -> (Constraint, KVarStore) {
     (c, kvars)
 }
 
+/// A κ established only under a binder hypothesis (`x ≥ 5`) and needed by
+/// a concrete head in another binder's scope, which holds only under the
+/// κ's inferred assignment.
+fn escaping_system(salt: &str) -> (Constraint, KVarStore) {
+    let mut kvars = KVarStore::new();
+    let k = kvars.fresh(vec![Sort::Int]);
+    let x = Name::intern(&format!("fe_{salt}_x"));
+    let y = Name::intern(&format!("fe_{salt}_y"));
+    let c = Constraint::conj(vec![
+        Constraint::forall(
+            x,
+            Sort::Int,
+            Expr::ge(Expr::var(x), Expr::int(5)),
+            Constraint::kvar(KVarApp::new(k, vec![Expr::var(x)])),
+        ),
+        Constraint::forall(
+            y,
+            Sort::Int,
+            Expr::tt(),
+            Constraint::implies(
+                Guard::KVar(KVarApp::new(k, vec![Expr::var(y)])),
+                Constraint::pred(Expr::gt(Expr::var(y), Expr::int(0)), 0),
+            ),
+        ),
+    ]);
+    (c, kvars)
+}
+
 fn solve(c: &Constraint, kvars: &KVarStore) -> flux_fixpoint::FixResult {
     let mut solver = FixpointSolver::new(FixConfig {
         threads: 2,
@@ -129,5 +157,25 @@ fn faulted_solves_never_panic_hang_or_falsely_verify() {
                 "system {i} diverged after the fault storm"
             );
         }
+
+        // A panicked weakening worker leaves its κs unassigned, which reads
+        // as `true`, so the concrete head that needs them fails.  That
+        // failure is the panic's, not the program's: `Unknown`, never
+        // `Unsafe`.
+        let (c, kvars) = escaping_system("ref");
+        let reference = solve(&c, &kvars);
+        assert!(reference.is_safe(), "fault-free: {reference:?}");
+        install_fault_plan(FaultPlan {
+            seed: 1,
+            panic_permille: 1000,
+            ..FaultPlan::default()
+        });
+        let (c, kvars) = escaping_system("panicked");
+        let result = solve(&c, &kvars);
+        clear_fault_plan();
+        assert!(
+            matches!(result, flux_fixpoint::FixResult::Unknown { .. }),
+            "a worker panic was blamed on the program: {result:?}"
+        );
     });
 }

@@ -317,7 +317,7 @@ fn report_engine_stats() {
         let _ = session.check(&g);
     }
     let session_stats: SmtStats = *session.stats();
-    solver.absorb(session_stats);
+    solver.stats.absorb(session_stats);
     let s = solver.stats;
     println!(
         "engine stats: {} queries, {} sessions opened, {} sat rounds, {} theory checks",

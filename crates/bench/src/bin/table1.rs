@@ -10,9 +10,14 @@
 //! `flux_suite::expect_verifies`, so CI can gate on the full matrix.
 //!
 //! With `--json [PATH]` the run is additionally written as machine-readable
-//! JSON (default path `BENCH_table1.json`): per-benchmark wall-clock plus
-//! the full query-engine statistics of both verifiers, so per-PR regressions
-//! in queries issued (or prunes/reuse lost) are visible by diffing one file.
+//! JSON (default path `BENCH_table1.json`): per benchmark and verifier the
+//! run-level fields (`safe`, `time_s`, `functions`, `threads`,
+//! `fn_threads`, `unknowns`, `fn_times_ms`, `worker_queries`), then every
+//! `FixStats` counter under its field name (`smt_queries`, `cache_hits`,
+//! `sessions`, ...), then an `smt` object with every `SmtStats` counter
+//! (`pivots`, `propagations`, ...), so per-PR regressions in queries issued
+//! (or prunes/reuse lost) are visible by diffing one file.  The committed
+//! snapshot is a `--threads 1` run, whose counters are deterministic.
 //! Before overwriting, the fresh run is *gated* against the committed
 //! snapshot — totals **and** each benchmark individually, so a 3× `kmp`
 //! regression can no longer hide behind a `heapsort` win.  The tolerances
@@ -26,7 +31,8 @@
 //! default for each is the `FLUX_THREADS` environment variable, else the
 //! machine's available parallelism); the run's effective parallelism is
 //! recorded per benchmark in the JSON (`threads`, `fn_threads`,
-//! `partitions`, `worker_queries`, `fn_times_ms`, `shard_contention`).
+//! `partitions`, `worker_queries`, `fn_times_ms`, and the per-lock
+//! `hcons_contentions`, `cnf_contentions` and `validity_contentions`).
 //!
 //! `--audit [TIER]` runs both verifiers under the audit layer (`lint`, or
 //! `full` when the operand is omitted): every obligation is sort- and
@@ -125,7 +131,7 @@ fn snapshot_benchmarks(value: &Value) -> Result<Vec<(String, GateFigures)>, Stri
 fn fresh_figures(row: &flux::TableRow) -> GateFigures {
     GateFigures {
         time_s: row.flux.time.as_secs_f64() + row.baseline.time.as_secs_f64(),
-        smt_queries: (row.flux.stats.smt_queries + row.baseline.stats.smt_queries) as f64,
+        smt_queries: (row.flux.stats.fix.smt_queries + row.baseline.stats.fix.smt_queries) as f64,
     }
 }
 
@@ -345,6 +351,15 @@ fn outcome_from_response(mode: flux::Mode, response: &Value) -> flux::VerifyOutc
     } else {
         stat("unknowns")
     };
+    let mut stats = flux::QueryStats {
+        unknowns,
+        ..Default::default()
+    };
+    // The wire carries fixpoint counters under their `FixStats` names.
+    for (name, slot) in stats.fix.counters_mut() {
+        *slot = stat(name);
+    }
+    stats.smt.budget_exhausted = stat("budget_exhausted");
     flux::VerifyOutcome {
         mode,
         safe: result == "verified",
@@ -359,17 +374,7 @@ fn outcome_from_response(mode: flux::Mode, response: &Value) -> flux::VerifyOutc
         loc: field("loc"),
         spec_lines: field("spec_lines"),
         annot_lines: field("annot_lines"),
-        stats: flux::QueryStats {
-            smt_queries: stat("smt_queries"),
-            cache_hits: stat("cache_hits"),
-            xbench_hits: stat("xbench_hits"),
-            cache_misses: stat("cache_misses"),
-            sessions: stat("sessions"),
-            unknowns,
-            evictions: stat("evictions"),
-            budget_exhausted: stat("budget_exhausted"),
-            ..Default::default()
-        },
+        stats,
     }
 }
 

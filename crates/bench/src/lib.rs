@@ -295,32 +295,89 @@ pub mod json {
     mod tests {
         use super::*;
 
+        /// The gate reads what `flux::render_table1_json` writes: a
+        /// synthetic row in which every counter of both layers holds a
+        /// distinct value, so a counter written under another's name (or
+        /// dropped) cannot read back correctly.
         #[test]
         fn parses_the_bench_snapshot_shape() {
-            let input = r#"{
-                "benchmarks": [
-                    { "name": "bsearch", "flux": { "safe": true, "time_s": 0.01, "smt_queries": 45 },
-                      "baseline": { "safe": true, "time_s": 0.001, "smt_queries": 8 } }
-                ],
-                "totals": { "flux_time_s": 0.01, "baseline_time_s": 0.001 }
-            }"#;
-            let value = parse(input).expect("snapshot shape parses");
-            let totals = value.get("totals").expect("totals present");
-            assert_eq!(totals.get("flux_time_s").unwrap().as_f64(), Some(0.01));
+            let mut stats = flux::QueryStats::default();
+            let slots = stats.fix.counters_mut().chain(stats.smt.counters_mut());
+            for (n, (_, slot)) in (1..).zip(slots) {
+                *slot = n;
+            }
+            let outcome = |mode, time_ms, stats| flux::VerifyOutcome {
+                mode,
+                safe: true,
+                errors: Vec::new(),
+                time: std::time::Duration::from_millis(time_ms),
+                functions: 2,
+                loc: 0,
+                spec_lines: 0,
+                annot_lines: 0,
+                stats,
+            };
+            let row = flux::TableRow {
+                name: "synthetic".to_owned(),
+                is_library: false,
+                flux: outcome(flux::Mode::Flux, 1500, stats.clone()),
+                baseline: outcome(flux::Mode::Baseline, 250, flux::QueryStats::default()),
+            };
+            let gate = flux::GateTolerances {
+                time_factor: 1.5,
+                query_factor: 1.1,
+                min_time_s: 0.01,
+                min_queries: 7.0,
+            };
+            let value =
+                parse(&flux::render_table1_json(&[row], &gate)).expect("writer output parses");
             let benchmarks = value.get("benchmarks").unwrap().as_array().unwrap();
             assert_eq!(
-                benchmarks[0]
-                    .get("flux")
-                    .unwrap()
-                    .get("smt_queries")
-                    .unwrap()
-                    .as_f64(),
-                Some(45.0)
-            );
-            assert_eq!(
                 benchmarks[0].get("name").unwrap(),
-                &Value::String("bsearch".to_owned())
+                &Value::String("synthetic".to_owned())
             );
+            let flux_side = benchmarks[0].get("flux").unwrap();
+            for (name, n) in stats.fix.counters() {
+                assert_eq!(
+                    flux_side.get(name).and_then(Value::as_u64),
+                    Some(n as u64),
+                    "fixpoint counter `{name}`"
+                );
+            }
+            let smt = flux_side.get("smt").expect("SMT counters are nested");
+            for (name, n) in stats.smt.counters() {
+                assert_eq!(
+                    smt.get(name).and_then(Value::as_u64),
+                    Some(n as u64),
+                    "SMT counter `{name}`"
+                );
+            }
+            // Where the gate's `row_figures` reads each side of a row.
+            for (side, time_s, queries) in
+                [("flux", 1.5, stats.fix.smt_queries), ("baseline", 0.25, 0)]
+            {
+                let outcome = benchmarks[0].get(side).unwrap();
+                assert_eq!(outcome.get("time_s").unwrap().as_f64(), Some(time_s));
+                assert_eq!(
+                    outcome.get("smt_queries").unwrap().as_u64(),
+                    Some(queries as u64)
+                );
+            }
+            let totals = value.get("totals").expect("totals present");
+            assert_eq!(totals.get("flux_time_s").unwrap().as_f64(), Some(1.5));
+            let tolerances = value.get("gate").expect("gate present");
+            for (key, expected) in [
+                ("time_factor", gate.time_factor),
+                ("query_factor", gate.query_factor),
+                ("min_time_s", gate.min_time_s),
+                ("min_queries", gate.min_queries),
+            ] {
+                assert_eq!(
+                    tolerances.get(key).unwrap().as_f64(),
+                    Some(expected),
+                    "{key}"
+                );
+            }
         }
 
         #[test]

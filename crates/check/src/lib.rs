@@ -154,7 +154,7 @@ impl Report {
     pub fn total_fixpoint_stats(&self) -> flux_fixpoint::FixStats {
         let mut total = flux_fixpoint::FixStats::default();
         for f in &self.functions {
-            total.absorb(&f.fixpoint_stats);
+            total.absorb(f.fixpoint_stats);
         }
         total
     }

@@ -543,14 +543,14 @@ fn render_outcome(id: u64, verdict: &str, outcome: &VerifyOutcome) -> String {
         outcome.loc,
         outcome.spec_lines,
         outcome.annot_lines,
-        s.smt_queries,
-        s.cache_hits,
-        s.xbench_hits,
-        s.cache_misses,
-        s.sessions,
+        s.fix.smt_queries,
+        s.fix.cache_hits,
+        s.fix.xbench_hits,
+        s.fix.cache_misses,
+        s.fix.sessions,
         s.unknowns,
-        s.evictions,
-        s.budget_exhausted,
+        s.fix.evictions,
+        s.smt.budget_exhausted,
     )
 }
 

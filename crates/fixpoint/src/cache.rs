@@ -306,7 +306,7 @@ impl ShardedValidityCache {
     /// the cache memoizes deterministic verdicts, so no torn state is
     /// observable through its API.
     fn acquire<'a>(&self, mutex: &'a Mutex<ValidityCache>) -> MutexGuard<'a, ValidityCache> {
-        lock_counted(mutex, &self.contentions)
+        lock_counted(mutex, &self.contentions, |t| &mut t.validity_contentions)
     }
 
     /// Returns the cached entry for `key`, refreshing its recency within

@@ -74,8 +74,10 @@ pub fn default_threads() -> usize {
 /// contentions and evictions, see [`flux_logic::ThreadTally`]) to `stats`.
 fn credit_tally(stats: &mut FixStats, start: ThreadTally) {
     let tally = flux_logic::thread_tally().since(start);
-    stats.evictions += tally.evictions as usize;
-    stats.shard_contention += tally.contentions as usize;
+    stats.hcons_contentions += tally.hcons_contentions;
+    stats.cnf_contentions += tally.cnf_contentions;
+    stats.validity_contentions += tally.validity_contentions;
+    stats.evictions += tally.evictions;
 }
 
 /// Configuration of the fixpoint solver.
@@ -114,97 +116,74 @@ impl Default for FixConfig {
     }
 }
 
-/// Statistics of a solver run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FixStats {
-    /// Number of clauses after flattening.
-    pub clauses: usize,
-    /// Number of κ variables.
-    pub kvars: usize,
-    /// Number of initial candidate conjuncts across all κ variables.
-    pub initial_candidates: usize,
-    /// Number of weakening iterations performed.  In parallel mode each
-    /// component counts its own iterations and the totals are summed, so
-    /// the figure is comparable to — but not identical with — the global
-    /// iteration count of the sequential engine.
-    pub iterations: usize,
-    /// Number of SMT validity queries requested (including cache hits).
-    pub smt_queries: usize,
-    /// Queries answered from the validity cache.
-    pub cache_hits: usize,
-    /// Cache hits whose entry was produced by an *earlier* solve call on the
-    /// same solver (cross-function sharing within one verification run).
-    pub cross_fn_hits: usize,
-    /// Cache hits whose entry was produced by a *different* solver instance
-    /// (cross-benchmark sharing through the process-global cache).
-    pub xbench_hits: usize,
-    /// Queries that reached the SMT engine.
-    pub cache_misses: usize,
-    /// Solver sessions opened (at most one per clause per iteration; none
-    /// for clauses fully answered by the cache).
-    pub sessions: usize,
-    /// Candidates dropped by evaluating them under a counter-model instead
-    /// of issuing a per-candidate SMT query.
-    pub model_prunes: usize,
-    /// Worker-thread cap of the solve ([`FixConfig::threads`]); aggregated
-    /// by maximum, so program totals report the configured parallelism.
-    pub threads: usize,
-    /// Number of independent κ-dependency components the clause set split
-    /// into (an upper bound on usable weakening parallelism).
-    pub partitions: usize,
-    /// Well-formedness lint obligations checked (audit tier ≥ `lint`):
-    /// concrete guards/heads, κ-application arguments and candidate bodies
-    /// sort- and scope-checked before solving.
-    pub lint_checks: usize,
-    /// Clauses independently re-validated after convergence (audit tier
-    /// `full`): the final solution substituted into the clause and recheck
-    /// with a fresh one-shot solver bypassing every cache and session.
-    pub revalidations: usize,
-    /// Candidate conjuncts dropped because the solver answered `Unknown`
-    /// rather than refuting them.  Dropping is sound for the weakening
-    /// direction (the kept solution is still verified inductive), but a
-    /// *failed* concrete check in the same solve can no longer be blamed on
-    /// the program — see [`FixResult::Unknown`].  Always zero under the
-    /// default unlimited budgets on the corpus.
-    pub unknown_drops: usize,
-    /// Cache entries evicted by this solve's own threads (the calling
-    /// thread and the workers it spawned) across the bounded caches
-    /// (hash-cons memos, CNF cache, validity caches).  Counted per thread
-    /// where each eviction happens, so solves running concurrently never
-    /// count each other's evictions.  Zero unless a capacity cap
-    /// (`FLUX_CACHE_CAP`) is set.
-    pub evictions: usize,
-    /// Times one of this solve's threads found a process-global cache lock
-    /// (validity shards, CNF shards, hcons interner) held by another
-    /// thread, counted per thread like `evictions`.  A convoying
-    /// diagnostic: zero when nothing else runs concurrently.
-    pub shard_contention: usize,
-}
-
-impl FixStats {
-    /// Adds `other` into `self` field-wise (counters sum; the `threads` cap
-    /// merges by maximum); used to aggregate per-worker statistics into a
-    /// solve's totals and per-function statistics into program totals in
-    /// `flux-check`.
-    pub fn absorb(&mut self, other: &FixStats) {
-        self.clauses += other.clauses;
-        self.kvars += other.kvars;
-        self.initial_candidates += other.initial_candidates;
-        self.iterations += other.iterations;
-        self.smt_queries += other.smt_queries;
-        self.cache_hits += other.cache_hits;
-        self.cross_fn_hits += other.cross_fn_hits;
-        self.xbench_hits += other.xbench_hits;
-        self.cache_misses += other.cache_misses;
-        self.sessions += other.sessions;
-        self.model_prunes += other.model_prunes;
-        self.threads = self.threads.max(other.threads);
-        self.partitions += other.partitions;
-        self.lint_checks += other.lint_checks;
-        self.revalidations += other.revalidations;
-        self.unknown_drops += other.unknown_drops;
-        self.evictions += other.evictions;
-        self.shard_contention += other.shard_contention;
+flux_logic::counters! {
+    /// Statistics of a solver run.
+    pub struct FixStats {
+        /// Number of clauses after flattening.
+        pub clauses: usize,
+        /// Number of κ variables.
+        pub kvars: usize,
+        /// Number of initial candidate conjuncts across all κ variables.
+        pub initial_candidates: usize,
+        /// Number of weakening iterations performed.  In parallel mode each
+        /// component counts its own iterations and the totals are summed, so
+        /// the figure is comparable to — but not identical with — the global
+        /// iteration count of the sequential engine.
+        pub iterations: usize,
+        /// Number of SMT validity queries requested (including cache hits).
+        pub smt_queries: usize,
+        /// Queries answered from the validity cache.
+        pub cache_hits: usize,
+        /// Cache hits whose entry was produced by an *earlier* solve call on the
+        /// same solver (cross-function sharing within one verification run).
+        pub cross_fn_hits: usize,
+        /// Cache hits whose entry was produced by a *different* solver instance
+        /// (cross-benchmark sharing through the process-global cache).
+        pub xbench_hits: usize,
+        /// Queries that reached the SMT engine.
+        pub cache_misses: usize,
+        /// Solver sessions opened (at most one per clause per iteration; none
+        /// for clauses fully answered by the cache).
+        pub sessions: usize,
+        /// Candidates dropped by evaluating them under a counter-model instead
+        /// of issuing a per-candidate SMT query.
+        pub model_prunes: usize,
+        /// Number of independent κ-dependency components the clause set split
+        /// into (an upper bound on usable weakening parallelism).
+        pub partitions: usize,
+        /// Well-formedness lint obligations checked (audit tier ≥ `lint`):
+        /// concrete guards/heads, κ-application arguments and candidate bodies
+        /// sort- and scope-checked before solving.
+        pub lint_checks: usize,
+        /// Clauses independently re-validated after convergence (audit tier
+        /// `full`): the final solution substituted into the clause and recheck
+        /// with a fresh one-shot solver bypassing every cache and session.
+        pub revalidations: usize,
+        /// Candidate conjuncts dropped because the solver answered `Unknown`
+        /// rather than refuting them.  Dropping is sound for the weakening
+        /// direction (the kept solution is still verified inductive), but a
+        /// *failed* concrete check in the same solve can no longer be blamed on
+        /// the program — see [`FixResult::Unknown`].  Always zero under the
+        /// default unlimited budgets on the corpus.
+        pub unknown_drops: usize,
+        /// Cache entries evicted by this solve's own threads (the calling
+        /// thread and the workers it spawned) across the bounded caches
+        /// (hash-cons memos, CNF cache, validity caches).  Counted per thread
+        /// where each eviction happens, so solves running concurrently never
+        /// count each other's evictions.  Zero unless a capacity cap
+        /// (`FLUX_CACHE_CAP`) is set.
+        pub evictions: usize,
+        /// Times one of this solve's threads found the hash-consing table lock
+        /// held by another thread, counted per thread like `evictions`.  This
+        /// and the next two are convoying diagnostics, one per process-global
+        /// lock: zero when nothing else runs concurrently.
+        pub hcons_contentions: usize,
+        /// Times one of this solve's threads found the CNF cache lock held by
+        /// another thread.
+        pub cnf_contentions: usize,
+        /// Times one of this solve's threads found a validity-cache shard lock
+        /// held by another thread.
+        pub validity_contentions: usize,
     }
 }
 
@@ -1076,7 +1055,7 @@ pub struct FixpointSolver {
     /// Statistics of the most recent [`FixpointSolver::solve`] call.  In
     /// parallel mode the per-worker statistics are merged in worker-slot
     /// order; the *totals* are stable because [`FixStats::absorb`] is
-    /// commutative (sums and a max), but which worker processed which
+    /// commutative (counters only sum), but which worker processed which
     /// component — and hence each slot's share — depends on scheduling
     /// (see [`FixpointSolver::worker_queries`]).
     pub stats: FixStats,
@@ -1156,7 +1135,6 @@ impl FixpointSolver {
         self.stats = FixStats {
             clauses: clauses.len(),
             kvars: kvars.len(),
-            threads,
             partitions: parts.components.len(),
             ..FixStats::default()
         };
@@ -1309,7 +1287,7 @@ impl FixpointSolver {
         engine.weaken(clauses, &all, kvars, ctx, solution);
         let checks = engine.check_concrete(clauses, &parts.concrete, kvars, ctx, solution);
         let (stats, smt_stats, unknowns) = (engine.stats, engine.smt, engine.unknowns);
-        self.stats.absorb(&stats);
+        self.stats.absorb(stats);
         self.smt.absorb(smt_stats);
         self.worker_queries.push(stats.smt_queries);
         (checks, unknowns)
@@ -1482,7 +1460,7 @@ impl FixpointSolver {
                             reasons.append(&mut unknowns);
                             match worker_stats.get_mut(slot) {
                                 Some((ws, wsmt)) => {
-                                    ws.absorb(&stats);
+                                    ws.absorb(stats);
                                     wsmt.absorb(smt_stats);
                                 }
                                 None => worker_stats.push((stats, smt_stats)),
@@ -1502,7 +1480,7 @@ impl FixpointSolver {
 
         // Deterministic merge: worker-slot order.
         for (stats, smt_stats) in &worker_stats {
-            self.stats.absorb(stats);
+            self.stats.absorb(*stats);
             self.smt.absorb(*smt_stats);
             self.worker_queries.push(stats.smt_queries);
         }
@@ -2049,7 +2027,6 @@ mod tests {
         let reference = sequential.solve(&c, &kvars, &SortCtx::new());
         assert!(reference.is_safe());
         assert_eq!(sequential.stats.partitions, 2);
-        assert_eq!(sequential.stats.threads, 1);
         for threads in [2, 3, 8] {
             let mut parallel = FixpointSolver::new(hermetic(threads));
             let result = parallel.solve(&c, &kvars, &SortCtx::new());
@@ -2057,7 +2034,6 @@ mod tests {
                 result, reference,
                 "threads={threads} diverged from the sequential fixpoint"
             );
-            assert_eq!(parallel.stats.threads, threads);
             assert_eq!(parallel.stats.partitions, 2);
         }
     }
@@ -2147,13 +2123,13 @@ mod tests {
         let par_result = parallel.solve(&c, &kvars, &SortCtx::new());
         assert_eq!(seq_result, par_result);
         let (mut seq, mut par) = (sequential.stats, parallel.stats);
-        // The thread cap is configuration and lock contention depends on
-        // whatever else runs concurrently, not on the work; equalise both
-        // before comparing the work counters.
-        seq.threads = 0;
-        par.threads = 0;
-        seq.shard_contention = 0;
-        par.shard_contention = 0;
+        // Lock contention depends on whatever else runs concurrently, not
+        // on the work; equalise it before comparing the work counters.
+        for stats in [&mut seq, &mut par] {
+            stats.hcons_contentions = 0;
+            stats.cnf_contentions = 0;
+            stats.validity_contentions = 0;
+        }
         assert_eq!(seq, par);
     }
 }

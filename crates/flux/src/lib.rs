@@ -53,51 +53,17 @@ pub struct VerifyConfig {
 }
 
 /// End-to-end statistics of the incremental query engine for one
-/// verification run, aggregated over all functions.
+/// verification run, aggregated over all functions: the two layers'
+/// counter registries plus the run-level figures that are not counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
-    /// Validity queries requested by the verifier (including cache hits).
-    pub smt_queries: usize,
-    /// Queries answered from the fixpoint validity cache.
-    pub cache_hits: usize,
-    /// Cache hits served by an entry another function's solve created (the
-    /// cache is shared across all functions of one verification run).
-    pub cross_fn_hits: usize,
-    /// Cache hits served by an entry a *different* solver instance created
-    /// (cross-benchmark sharing through the process-global verdict cache).
-    pub xbench_hits: usize,
-    /// Queries that reached the SMT engine.
-    pub cache_misses: usize,
-    /// Candidates dropped by counter-model evaluation instead of a
-    /// per-candidate SMT query (Flux weakening loop only).
-    pub model_prunes: usize,
-    /// Solver sessions opened.
-    pub sessions: usize,
-    /// Goal checks discharged on a session's persistent CDCL core (clause
-    /// database and learned clauses retained from an earlier goal).
-    pub sat_reuse: usize,
-    /// SAT-core invocations inside the engine.
-    pub sat_rounds: usize,
-    /// Theory (LIA) checks inside the engine.
-    pub theory_checks: usize,
-    /// Simplex pivots across all theory checks.
-    pub pivots: usize,
-    /// Literals assigned by SAT unit propagation.
-    pub propagations: usize,
-    /// Watcher visits answered by the cached blocking literal alone,
-    /// without touching the clause.
-    pub blocked_visits: usize,
-    /// Learned-clause-database reductions performed by the SAT cores.
-    pub db_reductions: usize,
-    /// Simplex rows visited through the column occurrence lists and the
-    /// suspect set.
-    pub col_scans: usize,
-    /// Hypothesis conjuncts retracted from live sessions instead of
-    /// rebuilding the session when a depended-on κ weakened (Flux
-    /// weakening loop only).
-    pub conjunct_retractions: usize,
-    /// Quantifier instances generated (baseline verifier only).
-    pub quant_instances: usize,
+    /// Fixpoint-layer counters summed over every function's solve.  The
+    /// baseline verifier has no fixpoint layer; it reports its validity
+    /// queries as `smt_queries` and `cache_misses` (it caches nothing), its
+    /// SMT sessions as `sessions` and its audit lint as `lint_checks`.
+    pub fix: FixStats,
+    /// SMT-engine counters summed over every function.
+    pub smt: SmtStats,
     /// Worker-thread cap of the *clause-level* fixpoint scheduler
     /// ([`flux_fixpoint::FixConfig::threads`]; Flux mode only — the
     /// baseline verifier is single-threaded and reports 1).  The
@@ -114,40 +80,14 @@ pub struct QueryStats {
     /// (the `fn_parallel` column: where the wall-clock went under the
     /// function-level fan-out; Flux mode only, empty for the baseline).
     pub fn_times_ms: Vec<usize>,
-    /// Times one of the run's solve threads found a process-global cache
-    /// lock (validity shards, CNF shards, hcons interner) held by another
-    /// thread — the mutex-convoying diagnostic for the shared caches,
-    /// counted per thread (see [`flux_fixpoint::FixStats`]).  Zero when
-    /// nothing runs concurrently.
-    pub shard_contention: usize,
-    /// Independent κ-dependency components across all fixpoint solves (the
-    /// available weakening parallelism; Flux mode only).
-    pub partitions: usize,
     /// SMT queries issued per worker slot, summed across all fixpoint
     /// solves of the run (Flux mode only; empty for the baseline).
     pub worker_queries: Vec<usize>,
-    /// Obligations sort-/scope-checked by the audit lint (zero unless the
-    /// audit tier is at least `lint`; see `FLUX_AUDIT`).
-    pub lint_checks: usize,
-    /// Theory certificates checked by the SMT engine — Farkas-validated
-    /// infeasible cores, evaluated models, SAT invariant sweeps (zero
-    /// unless the audit tier is `full`).
-    pub certs_checked: usize,
-    /// Clauses independently re-validated after fixpoint convergence (zero
-    /// unless the audit tier is `full`; Flux mode only).
-    pub revalidations: usize,
-    /// Functions whose solve degraded to an inconclusive result because a
-    /// deadline or step budget ran out or a worker panicked (zero under the
-    /// default unlimited budgets; Flux mode only — the baseline reports
-    /// budget stops through `budget_exhausted`).
+    /// Functions whose verification was inconclusive: no obligation failed,
+    /// but a deadline or step budget ran out or a worker panicked before
+    /// every obligation was decided.  Zero under the default unlimited
+    /// budgets.
     pub unknowns: usize,
-    /// Cache entries evicted during the run (hash-consing memos, CNF memos
-    /// and validity-cache entries combined; zero unless `FLUX_CACHE_CAP`
-    /// bounds the caches; Flux mode only).
-    pub evictions: usize,
-    /// Times a solver component stopped early because its resource budget
-    /// was exhausted (SAT decision/conflict caps, theory-round deadlines).
-    pub budget_exhausted: usize,
 }
 
 /// The outcome of verifying one source file with one of the verifiers.
@@ -202,8 +142,6 @@ pub fn verify_source(
                 flux_check::check_source(source, &config.check).map_err(|errs| FrontendError {
                     messages: errs.iter().map(|d| d.render(source)).collect(),
                 })?;
-            let fix = report.total_fixpoint_stats();
-            let smt = report.total_smt_stats();
             Ok(VerifyOutcome {
                 mode,
                 safe: report.is_safe(),
@@ -217,39 +155,17 @@ pub fn verify_source(
                 spec_lines: metrics.spec_lines,
                 annot_lines: metrics.annot_lines,
                 stats: QueryStats {
-                    smt_queries: fix.smt_queries,
-                    cache_hits: fix.cache_hits,
-                    cross_fn_hits: fix.cross_fn_hits,
-                    xbench_hits: fix.xbench_hits,
-                    cache_misses: fix.cache_misses,
-                    model_prunes: fix.model_prunes,
-                    sessions: fix.sessions,
-                    sat_reuse: smt.sat_reuse,
-                    sat_rounds: smt.sat_rounds,
-                    theory_checks: smt.theory_checks,
-                    pivots: smt.pivots,
-                    propagations: smt.propagations,
-                    blocked_visits: smt.blocked_visits,
-                    db_reductions: smt.db_reductions,
-                    col_scans: smt.col_scans,
-                    conjunct_retractions: smt.conjunct_retractions,
-                    quant_instances: smt.quant_instances,
-                    threads: fix.threads,
+                    fix: report.total_fixpoint_stats(),
+                    smt: report.total_smt_stats(),
+                    threads: config.check.fixpoint.threads.max(1),
                     fn_threads: report.fn_threads,
                     fn_times_ms: report
                         .fn_times()
                         .iter()
                         .map(|t| t.as_millis() as usize)
                         .collect(),
-                    shard_contention: fix.shard_contention,
-                    partitions: fix.partitions,
                     worker_queries: report.total_worker_queries(),
-                    lint_checks: fix.lint_checks,
-                    certs_checked: smt.certs_checked,
-                    revalidations: fix.revalidations,
                     unknowns: report.functions.iter().filter(|f| f.is_unknown()).count(),
-                    evictions: fix.evictions,
-                    budget_exhausted: smt.budget_exhausted,
                 },
             })
         }
@@ -272,35 +188,19 @@ pub fn verify_source(
                 spec_lines: metrics.spec_lines,
                 annot_lines: metrics.annot_lines,
                 stats: QueryStats {
-                    smt_queries: smt.queries,
-                    cache_hits: 0,
-                    cross_fn_hits: 0,
-                    xbench_hits: 0,
-                    cache_misses: smt.queries,
-                    model_prunes: 0,
-                    sessions: smt.sessions,
-                    sat_reuse: smt.sat_reuse,
-                    sat_rounds: smt.sat_rounds,
-                    theory_checks: smt.theory_checks,
-                    pivots: smt.pivots,
-                    propagations: smt.propagations,
-                    blocked_visits: smt.blocked_visits,
-                    db_reductions: smt.db_reductions,
-                    col_scans: smt.col_scans,
-                    conjunct_retractions: smt.conjunct_retractions,
-                    quant_instances: smt.quant_instances,
+                    fix: FixStats {
+                        smt_queries: smt.queries,
+                        cache_misses: smt.queries,
+                        sessions: smt.sessions,
+                        lint_checks: report.functions.iter().map(|f| f.lint_checks).sum(),
+                        ..FixStats::default()
+                    },
+                    smt,
                     threads: 1,
                     fn_threads: 1,
                     fn_times_ms: Vec::new(),
-                    shard_contention: 0,
-                    partitions: 0,
                     worker_queries: Vec::new(),
-                    lint_checks: report.functions.iter().map(|f| f.lint_checks).sum(),
-                    certs_checked: smt.certs_checked,
-                    revalidations: 0,
-                    unknowns: report.functions.iter().map(|f| f.unknowns).sum(),
-                    evictions: 0,
-                    budget_exhausted: smt.budget_exhausted,
+                    unknowns: report.functions.iter().filter(|f| f.is_unknown()).count(),
                 },
             })
         }
@@ -544,9 +444,45 @@ pub fn render_table1(rows: &[TableRow]) -> String {
 /// by the `table1` binary after the main table so the engine's perf
 /// trajectory is visible across PRs.
 pub fn render_query_stats(rows: &[TableRow]) -> String {
+    /// One row of the table: the Flux outcome's columns, then the two
+    /// baseline columns.
+    fn line(name: &str, s: &QueryStats, baseline: &QueryStats) -> String {
+        let (fix, smt) = (&s.fix, &s.smt);
+        let hit_percent = (fix.cache_hits * 100)
+            .checked_div(fix.smt_queries)
+            .unwrap_or(0);
+        let contend = format!(
+            "{}/{}/{}",
+            fix.hcons_contentions, fix.cnf_contentions, fix.validity_contentions
+        );
+        format!(
+            "{name:<10} | {:>8} {:>9} {:>8} {:>8} {:>8} {:>7}% {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>8} {:>7} {:>4} {:>6} {:>6} {:>13} | {:>8} {:>10}\n",
+            fix.smt_queries,
+            fix.cache_hits,
+            fix.cross_fn_hits,
+            fix.xbench_hits,
+            fix.cache_misses,
+            hit_percent,
+            fix.model_prunes,
+            fix.sessions,
+            smt.sat_reuse,
+            smt.pivots,
+            smt.propagations,
+            smt.blocked_visits,
+            smt.db_reductions,
+            smt.col_scans,
+            smt.conjunct_retractions,
+            s.threads,
+            s.fn_threads,
+            fix.partitions,
+            contend,
+            baseline.fix.smt_queries,
+            baseline.smt.quant_instances,
+        )
+    }
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<10} | {:>8} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>8} {:>7} {:>4} {:>6} {:>6} {:>7} | {:>8} {:>10}\n",
+        "{:<10} | {:>8} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>8} {:>7} {:>4} {:>6} {:>6} {:>13} | {:>8} {:>10}\n",
         "benchmark",
         "queries",
         "hits",
@@ -570,126 +506,59 @@ pub fn render_query_stats(rows: &[TableRow]) -> String {
         "bl-qrys",
         "bl-quants"
     ));
-    out.push_str(&"-".repeat(206));
-    out.push('\n');
-    let mut total = QueryStats::default();
-    let mut total_baseline = QueryStats::default();
+    let rule = format!("{}\n", "-".repeat(212));
+    out.push_str(&rule);
+    let mut flux = QueryStats::default();
+    let mut baseline = QueryStats::default();
     for row in rows.iter().filter(|r| !r.is_library) {
-        let s = &row.flux.stats;
-        let hit_percent = (s.cache_hits * 100).checked_div(s.smt_queries).unwrap_or(0);
-        out.push_str(&format!(
-            "{:<10} | {:>8} {:>9} {:>8} {:>8} {:>8} {:>7}% {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>8} {:>7} {:>4} {:>6} {:>6} {:>7} | {:>8} {:>10}\n",
-            row.name,
-            s.smt_queries,
-            s.cache_hits,
-            s.cross_fn_hits,
-            s.xbench_hits,
-            s.cache_misses,
-            hit_percent,
-            s.model_prunes,
-            s.sessions,
-            s.sat_reuse,
-            s.pivots,
-            s.propagations,
-            s.blocked_visits,
-            s.db_reductions,
-            s.col_scans,
-            s.conjunct_retractions,
-            s.threads,
-            s.fn_threads,
-            s.partitions,
-            s.shard_contention,
-            row.baseline.stats.smt_queries,
-            row.baseline.stats.quant_instances,
-        ));
-        total.smt_queries += s.smt_queries;
-        total.cache_hits += s.cache_hits;
-        total.cross_fn_hits += s.cross_fn_hits;
-        total.xbench_hits += s.xbench_hits;
-        total.cache_misses += s.cache_misses;
-        total.model_prunes += s.model_prunes;
-        total.sessions += s.sessions;
-        total.sat_reuse += s.sat_reuse;
-        total.pivots += s.pivots;
-        total.propagations += s.propagations;
-        total.blocked_visits += s.blocked_visits;
-        total.db_reductions += s.db_reductions;
-        total.col_scans += s.col_scans;
-        total.conjunct_retractions += s.conjunct_retractions;
-        // Pool *widths* are configuration, not work: aggregate each by
-        // maximum, separately — max-merging a single combined figure would
-        // misreport effective parallelism once both pools coexist.
-        total.threads = total.threads.max(s.threads);
-        total.fn_threads = total.fn_threads.max(s.fn_threads);
-        total.shard_contention += s.shard_contention;
-        total.partitions += s.partitions;
-        total.lint_checks += s.lint_checks + row.baseline.stats.lint_checks;
-        total.certs_checked += s.certs_checked + row.baseline.stats.certs_checked;
-        total.revalidations += s.revalidations;
-        total.unknowns += s.unknowns;
-        total.evictions += s.evictions;
-        total.budget_exhausted += s.budget_exhausted + row.baseline.stats.budget_exhausted;
-        total_baseline.smt_queries += row.baseline.stats.smt_queries;
-        total_baseline.quant_instances += row.baseline.stats.quant_instances;
+        out.push_str(&line(&row.name, &row.flux.stats, &row.baseline.stats));
+        for (total, s) in [
+            (&mut flux, &row.flux.stats),
+            (&mut baseline, &row.baseline.stats),
+        ] {
+            total.fix.absorb(s.fix);
+            total.smt.absorb(s.smt);
+            total.unknowns += s.unknowns;
+            // Pool *widths* are configuration, not work: aggregate each by
+            // maximum, separately — max-merging a single combined figure
+            // would misreport effective parallelism once both pools coexist.
+            total.threads = total.threads.max(s.threads);
+            total.fn_threads = total.fn_threads.max(s.fn_threads);
+        }
     }
-    out.push_str(&"-".repeat(206));
-    out.push('\n');
-    let hit_percent = (total.cache_hits * 100)
-        .checked_div(total.smt_queries)
-        .unwrap_or(0);
-    out.push_str(&format!(
-        "{:<10} | {:>8} {:>9} {:>8} {:>8} {:>8} {:>7}% {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>8} {:>7} {:>4} {:>6} {:>6} {:>7} | {:>8} {:>10}\n",
-        "Total",
-        total.smt_queries,
-        total.cache_hits,
-        total.cross_fn_hits,
-        total.xbench_hits,
-        total.cache_misses,
-        hit_percent,
-        total.model_prunes,
-        total.sessions,
-        total.sat_reuse,
-        total.pivots,
-        total.propagations,
-        total.blocked_visits,
-        total.db_reductions,
-        total.col_scans,
-        total.conjunct_retractions,
-        total.threads,
-        total.fn_threads,
-        total.partitions,
-        total.shard_contention,
-        total_baseline.smt_queries,
-        total_baseline.quant_instances,
-    ));
+    out.push_str(&rule);
+    out.push_str(&line("Total", &flux, &baseline));
+    let mut both = flux.clone();
+    both.fix.absorb(baseline.fix);
+    both.smt.absorb(baseline.smt);
+    both.unknowns += baseline.unknowns;
     out.push_str(&format!(
         "audit (both verifiers): lint_checks={} certs_checked={} revalidations={} \
          (all zero unless FLUX_AUDIT / --audit raises the tier)\n",
-        total.lint_checks, total.certs_checked, total.revalidations,
+        both.fix.lint_checks, both.smt.certs_checked, both.fix.revalidations,
     ));
     out.push_str(&format!(
         "robustness (both verifiers): unknowns={} evictions={} budget_exhausted={} \
          (all zero unless FLUX_DEADLINE_MS / FLUX_CACHE_CAP / --deadline-ms / --budget \
          constrain the run)\n",
-        total.unknowns, total.evictions, total.budget_exhausted,
+        both.unknowns, both.fix.evictions, both.smt.budget_exhausted,
     ));
-    let fn_time_total: usize = rows
-        .iter()
-        .filter(|r| !r.is_library)
-        .flat_map(|r| r.flux.stats.fn_times_ms.iter())
-        .sum();
-    let fn_time_max: usize = rows
-        .iter()
-        .filter(|r| !r.is_library)
-        .flat_map(|r| r.flux.stats.fn_times_ms.iter())
-        .copied()
-        .max()
-        .unwrap_or(0);
+    let fn_times = || {
+        rows.iter()
+            .filter(|r| !r.is_library)
+            .flat_map(|r| r.flux.stats.fn_times_ms.iter().copied())
+    };
     out.push_str(&format!(
-        "fn_parallel (flux): fn_threads={} shard_contention={} \
+        "fn_parallel (flux): fn_threads={} contentions hcons={} cnf={} validity={} \
          fn_time_ms_total={} fn_time_ms_max={} \
-         (per-function wall-clock vector in --json as fn_times_ms)\n",
-        total.fn_threads, total.shard_contention, fn_time_total, fn_time_max,
+         (contend column: hcons/cnf/validity; per-function wall-clock vector in \
+         --json as fn_times_ms)\n",
+        flux.fn_threads,
+        flux.fix.hcons_contentions,
+        flux.fix.cnf_contentions,
+        flux.fix.validity_contentions,
+        fn_times().sum::<usize>(),
+        fn_times().max().unwrap_or(0),
     ));
     out
 }
@@ -698,77 +567,46 @@ pub fn render_query_stats(rows: &[TableRow]) -> String {
 /// binary to `BENCH_table1.json` with `--json`): per-benchmark wall-clock
 /// and the full [`QueryStats`] of both verifiers, so the perf trajectory —
 /// queries issued, counter-model prunes, persistent-SAT reuse — can be
-/// tracked across PRs by diffing one file.
+/// tracked across PRs by diffing one file.  Each outcome holds its
+/// run-level fields, then every [`FixStats`] counter by name, then an
+/// `"smt"` object with every [`SmtStats`] counter (nested, because both
+/// layers count `sessions`).
 ///
 /// The writer is hand-rolled because the workspace builds without external
 /// crates; every emitted value is a number, boolean or benchmark name, so no
 /// string escaping is needed.
 pub fn render_table1_json(rows: &[TableRow], gate: &GateTolerances) -> String {
+    fn object(fields: &[(&str, String)], indent: &str) -> String {
+        let members: Vec<String> = fields
+            .iter()
+            .map(|(key, value)| format!("{indent}  \"{key}\": {value}"))
+            .collect();
+        format!("{{\n{}\n{indent}}}", members.join(",\n"))
+    }
+    fn list(values: &[usize]) -> String {
+        let items: Vec<String> = values.iter().map(usize::to_string).collect();
+        format!("[{}]", items.join(", "))
+    }
     fn outcome_json(out: &VerifyOutcome, indent: &str) -> String {
         let s = &out.stats;
-        let worker_queries = s
-            .worker_queries
-            .iter()
-            .map(|q| q.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\n{indent}  \"safe\": {},\n{indent}  \"time_s\": {:.6},\n{indent}  \
-             \"functions\": {},\n{indent}  \"smt_queries\": {},\n{indent}  \
-             \"cache_hits\": {},\n{indent}  \"cross_fn_hits\": {},\n{indent}  \
-             \"xbench_hits\": {},\n{indent}  \
-             \"cache_misses\": {},\n{indent}  \"model_prunes\": {},\n{indent}  \
-             \"sessions\": {},\n{indent}  \"sat_reuse\": {},\n{indent}  \
-             \"sat_rounds\": {},\n{indent}  \"theory_checks\": {},\n{indent}  \
-             \"pivots\": {},\n{indent}  \"propagations\": {},\n{indent}  \
-             \"blocked_visits\": {},\n{indent}  \"db_reductions\": {},\n{indent}  \
-             \"col_scans\": {},\n{indent}  \"conjunct_retractions\": {},\n{indent}  \
-             \"quant_instances\": {},\n{indent}  \"threads\": {},\n{indent}  \
-             \"partitions\": {},\n{indent}  \"lint_checks\": {},\n{indent}  \
-             \"certs_checked\": {},\n{indent}  \"revalidations\": {},\n{indent}  \
-             \"unknowns\": {},\n{indent}  \"evictions\": {},\n{indent}  \
-             \"budget_exhausted\": {},\n{indent}  \
-             \"fn_threads\": {},\n{indent}  \
-             \"shard_contention\": {},\n{indent}  \
-             \"fn_times_ms\": [{}],\n{indent}  \
-             \"worker_queries\": [{}]\n{indent}}}",
-            out.safe,
-            out.time.as_secs_f64(),
-            out.functions,
-            s.smt_queries,
-            s.cache_hits,
-            s.cross_fn_hits,
-            s.xbench_hits,
-            s.cache_misses,
-            s.model_prunes,
-            s.sessions,
-            s.sat_reuse,
-            s.sat_rounds,
-            s.theory_checks,
-            s.pivots,
-            s.propagations,
-            s.blocked_visits,
-            s.db_reductions,
-            s.col_scans,
-            s.conjunct_retractions,
-            s.quant_instances,
-            s.threads,
-            s.partitions,
-            s.lint_checks,
-            s.certs_checked,
-            s.revalidations,
-            s.unknowns,
-            s.evictions,
-            s.budget_exhausted,
-            s.fn_threads,
-            s.shard_contention,
-            s.fn_times_ms
-                .iter()
-                .map(|t| t.to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-            worker_queries,
-        )
+        let mut fields = vec![
+            ("safe", out.safe.to_string()),
+            ("time_s", format!("{:.6}", out.time.as_secs_f64())),
+            ("functions", out.functions.to_string()),
+            ("threads", s.threads.to_string()),
+            ("fn_threads", s.fn_threads.to_string()),
+            ("unknowns", s.unknowns.to_string()),
+            ("fn_times_ms", list(&s.fn_times_ms)),
+            ("worker_queries", list(&s.worker_queries)),
+        ];
+        fields.extend(s.fix.counters().map(|(name, n)| (name, n.to_string())));
+        let smt: Vec<_> = s
+            .smt
+            .counters()
+            .map(|(name, n)| (name, n.to_string()))
+            .collect();
+        fields.push(("smt", object(&smt, &format!("{indent}  "))));
+        object(&fields, indent)
     }
     let mut out = String::from("{\n  \"benchmarks\": [\n");
     let mut first = true;
@@ -854,6 +692,37 @@ mod tests {
         let rendered = render_table1(std::slice::from_ref(&row));
         assert!(rendered.contains("dotprod"));
         assert!(rendered.contains("Flux"));
+    }
+
+    /// The robustness footer sums both verifiers: a row where only the
+    /// baseline was inconclusive still shows up in `unknowns`.
+    #[test]
+    fn robustness_footer_counts_inconclusive_baseline_functions() {
+        let outcome = |mode, unknowns| VerifyOutcome {
+            mode,
+            safe: false,
+            errors: Vec::new(),
+            time: Duration::ZERO,
+            functions: 1,
+            loc: 0,
+            spec_lines: 0,
+            annot_lines: 0,
+            stats: QueryStats {
+                unknowns,
+                ..QueryStats::default()
+            },
+        };
+        let row = TableRow {
+            name: "synthetic".to_owned(),
+            is_library: false,
+            flux: outcome(Mode::Flux, 0),
+            baseline: outcome(Mode::Baseline, 1),
+        };
+        let rendered = render_query_stats(&[row]);
+        assert!(
+            rendered.contains("robustness (both verifiers): unknowns=1 "),
+            "{rendered}"
+        );
     }
 
     #[test]

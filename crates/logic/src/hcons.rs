@@ -117,7 +117,7 @@ pub fn flush_hcons_memos() -> usize {
 /// thread.
 fn count_memo_evictions(total: usize) {
     MEMO_EVICTIONS.fetch_add(total as u64, Ordering::Relaxed);
-    crate::util::tally_evictions(total as u64);
+    crate::util::tally_evictions(total);
 }
 
 /// Times any thread found the interner's table lock held by another thread,
@@ -140,7 +140,7 @@ fn table() -> MutexGuard<'static, Table> {
     });
     // Audit, not avoidance: count acquisitions that would block, then take
     // the lock as before (recovering from poisoning either way).
-    lock_counted(mutex, &TABLE_CONTENTIONS)
+    lock_counted(mutex, &TABLE_CONTENTIONS, |t| &mut t.hcons_contentions)
 }
 
 impl Table {

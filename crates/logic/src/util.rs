@@ -1,6 +1,7 @@
-//! Small process-wide utilities shared across the workspace: poison-tolerant
-//! mutex locking, per-thread tallies of shared-cache events, and
-//! warn-and-default environment-variable parsing.
+//! Small process-wide utilities shared across the workspace: the
+//! [`counters!`](crate::counters) registry macro, poison-tolerant mutex
+//! locking, per-thread tallies of shared-cache events, and warn-and-default
+//! environment-variable parsing.
 //!
 //! They exist because the workspace keeps *process-global* state (the
 //! hash-cons table here, the CNF/atom caches in `flux-smt`, the verdict
@@ -13,38 +14,109 @@ use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, TryLockError};
 
-/// Shared-cache events caused by one thread: contended acquisitions of a
-/// process-global cache lock (hcons table, CNF shards, validity shards) and
-/// entries evicted from a bounded cache.  Every event is also counted in
-/// its cache's process-global counter; the per-thread copy lets a solve
-/// attribute to itself exactly the events of the threads it ran on, which
-/// differencing the global counters cannot do while other solves overlap.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ThreadTally {
-    /// Lock acquisitions that found the lock held by another thread.
-    pub contentions: u64,
-    /// Cache entries evicted.
-    pub evictions: u64,
+/// Declares a struct of event counters once and generates everything that
+/// walks them.  Each field is a documented `pub usize` counter; the struct
+/// derives `Clone, Copy, Debug, Default, PartialEq, Eq` and gains
+///
+/// * `absorb(&mut self, other: Self)`: counter-by-counter sum, to fold a
+///   worker's, session's or function's counters into a total;
+/// * `since(&self, earlier: Self) -> Self`: counter-by-counter difference,
+///   to attribute monotone counters to the work done since a snapshot;
+/// * `counters(&self)` and `counters_mut(&mut self)`: every counter's name
+///   and value, in declaration order, for renderers and serializers.
+///
+/// The fields stay ordinary named fields, so `stats.pivots` reads and
+/// struct literals work as on a hand-written struct, while totals, diffs
+/// and JSON loop over the registry instead of listing every field again.
+///
+/// ```
+/// flux_logic::counters! {
+///     /// Work done by a toy engine.
+///     pub struct Work {
+///         /// Steps taken.
+///         pub steps: usize,
+///         /// Restarts.
+///         pub restarts: usize,
+///     }
+/// }
+///
+/// let mut total = Work { steps: 3, restarts: 1 };
+/// total.absorb(Work { steps: 2, restarts: 0 });
+/// assert_eq!(total.since(Work { steps: 1, restarts: 1 }), Work { steps: 4, restarts: 0 });
+/// let walk: Vec<_> = total.counters().collect();
+/// assert_eq!(walk, [("steps", 5), ("restarts", 1)]);
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[$field_attr:meta])*
+                pub $field:ident: usize,
+            )*
+        }
+    ) => {
+        $(#[$attr])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        $vis struct $name {
+            $(
+                $(#[$field_attr])*
+                pub $field: usize,
+            )*
+        }
+
+        impl $name {
+            /// Adds `other` into `self`, counter by counter.
+            pub fn absorb(&mut self, other: Self) {
+                $(self.$field += other.$field;)*
+            }
+
+            /// Counter-by-counter difference `self - earlier`: the events
+            /// counted since the `earlier` snapshot of the same counters.
+            pub fn since(&self, earlier: Self) -> Self {
+                Self {
+                    $($field: self.$field - earlier.$field,)*
+                }
+            }
+
+            /// Every counter's name and value, in declaration order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, usize)> {
+                [$((stringify!($field), self.$field)),*].into_iter()
+            }
+
+            /// Every counter's name and value slot, in declaration order.
+            pub fn counters_mut(&mut self) -> impl Iterator<Item = (&'static str, &mut usize)> {
+                [$((stringify!($field), &mut self.$field)),*].into_iter()
+            }
+        }
+    };
 }
 
-impl ThreadTally {
-    /// Field-wise difference `self - earlier` of two snapshots taken on the
-    /// same thread.
-    pub fn since(self, earlier: ThreadTally) -> ThreadTally {
-        ThreadTally {
-            contentions: self.contentions - earlier.contentions,
-            evictions: self.evictions - earlier.evictions,
-        }
+crate::counters! {
+    /// Shared-cache events caused by one thread: contended acquisitions of
+    /// each process-global cache lock, and entries evicted from a bounded
+    /// cache.  Every event is also counted in its cache's process-global
+    /// counter; the per-thread copy lets a solve attribute to itself exactly
+    /// the events of the threads it ran on, which differencing the global
+    /// counters cannot do while other solves overlap.
+    pub struct ThreadTally {
+        /// Acquisitions of the hash-consing table lock that found it held
+        /// by another thread.
+        pub hcons_contentions: usize,
+        /// Acquisitions of the CNF cache lock that found it held by another
+        /// thread.
+        pub cnf_contentions: usize,
+        /// Acquisitions of a validity-cache shard lock that found it held
+        /// by another thread.
+        pub validity_contentions: usize,
+        /// Cache entries evicted.
+        pub evictions: usize,
     }
 }
 
 thread_local! {
-    static TALLY: Cell<ThreadTally> = const {
-        Cell::new(ThreadTally {
-            contentions: 0,
-            evictions: 0,
-        })
-    };
+    static TALLY: Cell<ThreadTally> = Cell::new(ThreadTally::default());
 }
 
 fn bump_tally(update: impl FnOnce(&mut ThreadTally)) {
@@ -62,19 +134,24 @@ pub fn thread_tally() -> ThreadTally {
 }
 
 /// Counts `n` cache evictions against the calling thread.
-pub fn tally_evictions(n: u64) {
+pub fn tally_evictions(n: usize) {
     bump_tally(|t| t.evictions += n);
 }
 
 /// Locks `mutex` like [`lock_recover`]; when another thread holds it, the
 /// acquisition is counted in `contentions` (the lock's process-global
-/// counter) and in the calling thread's [`ThreadTally`] before blocking.
-pub fn lock_counted<'a, T>(mutex: &'a Mutex<T>, contentions: &AtomicU64) -> MutexGuard<'a, T> {
+/// counter) and in the calling thread's [`ThreadTally`], in the field that
+/// `tally` selects for this lock, before blocking.
+pub fn lock_counted<'a, T>(
+    mutex: &'a Mutex<T>,
+    contentions: &AtomicU64,
+    tally: fn(&mut ThreadTally) -> &mut usize,
+) -> MutexGuard<'a, T> {
     match mutex.try_lock() {
         Ok(guard) => guard,
         Err(TryLockError::WouldBlock) => {
             contentions.fetch_add(1, Ordering::Relaxed);
-            bump_tally(|t| t.contentions += 1);
+            bump_tally(|t| *tally(t) += 1);
             lock_recover(mutex)
         }
         Err(TryLockError::Poisoned(_)) => lock_recover(mutex),

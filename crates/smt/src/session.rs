@@ -45,7 +45,9 @@ use crate::cnf::tseitin_literal;
 use crate::preprocess::{eliminate_div_mod, eliminate_ite, normalize_comparisons};
 use crate::sat::{SatLit, SatResult, SatSolver};
 use crate::simplex::{IncrementalSimplex, LiaResult, Prepared, SlotId};
-use crate::solver::{check_sat_impl, Model, SatOutcome, SmtConfig, SmtStats, Validity};
+use crate::solver::{
+    check_sat_impl, engine_stats, Model, SatOutcome, SmtConfig, SmtStats, Validity,
+};
 use flux_logic::{simplify, Expr, ExprId, Name, Sort, SortCtx};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -172,7 +174,8 @@ fn cnf_memo() -> &'static Mutex<CnfCache> {
 /// memoizes pure data behind `Arc`s, so no torn state is observable
 /// through its API.
 fn cnf_cache() -> MutexGuard<'static, CnfCache> {
-    let mut cache = flux_logic::lock_counted(cnf_memo(), &CNF_CONTENTIONS);
+    let mut cache =
+        flux_logic::lock_counted(cnf_memo(), &CNF_CONTENTIONS, |t| &mut t.cnf_contentions);
     if crate::testing::inject_fault("cnf-cache") == Some(crate::testing::Fault::Delay) {
         // Hold the lock a beat: exercises every caller's tolerance of
         // contention on the global cache (there is nothing to time out — the
@@ -257,7 +260,7 @@ impl CnfCache {
     fn flush(&mut self) -> usize {
         let total = self.memo_len();
         self.evictions += total as u64;
-        flux_logic::tally_evictions(total as u64);
+        flux_logic::tally_evictions(total);
         self.free_vars.clear();
         self.preproc.clear();
         self.cnf.clear();
@@ -1011,12 +1014,7 @@ impl Session {
             .copied()
             .collect();
         let assumptions = [guard];
-        let pivots_before = core.theory.pivots();
-        let props_before = core.sat.propagations();
-        let blocked_before = core.sat.blocked_visits();
-        let reductions_before = core.sat.db_reductions();
-        let col_scans_before = core.theory.col_scans();
-        let stops_before = core.sat.budget_stops();
+        let engine_before = engine_stats(&core.sat, &core.theory);
         let outcome = 'search: {
             if crate::testing::inject_fault("session") == Some(crate::testing::Fault::Unknown) {
                 break 'search SatOutcome::Unknown;
@@ -1148,12 +1146,8 @@ impl Session {
         // The counter windows close *after* retirement so the propagation
         // work of the compacting unit clause is attributed to this check
         // rather than slipping between windows.
-        self.stats.pivots += (core.theory.pivots() - pivots_before) as usize;
-        self.stats.propagations += core.sat.propagations() - props_before;
-        self.stats.blocked_visits += core.sat.blocked_visits() - blocked_before;
-        self.stats.db_reductions += core.sat.db_reductions() - reductions_before;
-        self.stats.col_scans += (core.theory.col_scans() - col_scans_before) as usize;
-        self.stats.budget_exhausted += core.sat.budget_stops() - stops_before;
+        self.stats
+            .absorb(engine_stats(&core.sat, &core.theory).since(engine_before));
         match outcome {
             SatOutcome::Unsat => Validity::Valid,
             SatOutcome::Sat(model) => Validity::Invalid(Some(model)),

@@ -77,90 +77,49 @@ impl Default for MaxTheoryRounds {
     }
 }
 
-/// Cumulative statistics of a [`Solver`] (or a [`crate::Session`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SmtStats {
-    /// Number of satisfiability queries.
-    pub queries: usize,
-    /// Number of solver sessions opened (including the implicit one-shot
-    /// session behind every `check_valid_imp` call).
-    pub sessions: usize,
-    /// Number of SAT-solver invocations across all queries.
-    pub sat_rounds: usize,
-    /// Goal checks discharged on a session's already-built persistent CDCL
-    /// core (clause database and learned clauses retained from an earlier
-    /// goal of the same session) instead of rebuilding SAT state.
-    pub sat_reuse: usize,
-    /// Number of theory (LIA) checks.
-    pub theory_checks: usize,
-    /// Number of simplex pivots across all theory checks.
-    pub pivots: usize,
-    /// Number of literals assigned by SAT unit propagation.
-    pub propagations: usize,
-    /// Number of quantifier instances generated.
-    pub quant_instances: usize,
-    /// Watcher visits answered by the cached blocking literal alone,
-    /// without touching the clause.
-    pub blocked_visits: usize,
-    /// Learned-clause-database reductions performed by the SAT cores.
-    pub db_reductions: usize,
-    /// Simplex rows visited through the column occurrence lists and the
-    /// suspect set (bound slides, pivot updates, violated-row selection).
-    pub col_scans: usize,
-    /// Hypothesis conjuncts retracted from a live session (by rebuilding
-    /// the SAT clause database from the surviving conjuncts' cached CNFs,
-    /// keeping the variable space and the simplex tableau) instead of
-    /// discarding the session when the hypothesis context changed.
-    pub conjunct_retractions: usize,
-    /// Theory certificates checked under `FLUX_AUDIT=full`: one per
-    /// certified conflict core, validated model, and SAT invariant sweep.
-    pub certs_checked: usize,
-    /// Checks that gave up because a [`ResourceBudget`] limit tripped: SAT
-    /// searches stopped at a decision/conflict cap, plus deadline-driven
-    /// exits from the DPLL(T) theory-round loops.  Always zero under the
-    /// default unlimited budget.
-    pub budget_exhausted: usize,
-}
-
-impl SmtStats {
-    /// Adds `other` into `self` field-wise; used to fold the statistics of a
-    /// finished session back into the owning solver.
-    pub fn absorb(&mut self, other: SmtStats) {
-        self.queries += other.queries;
-        self.sessions += other.sessions;
-        self.sat_rounds += other.sat_rounds;
-        self.sat_reuse += other.sat_reuse;
-        self.theory_checks += other.theory_checks;
-        self.pivots += other.pivots;
-        self.propagations += other.propagations;
-        self.quant_instances += other.quant_instances;
-        self.blocked_visits += other.blocked_visits;
-        self.db_reductions += other.db_reductions;
-        self.col_scans += other.col_scans;
-        self.conjunct_retractions += other.conjunct_retractions;
-        self.certs_checked += other.certs_checked;
-        self.budget_exhausted += other.budget_exhausted;
-    }
-
-    /// Field-wise difference `self - earlier`; used to attribute a shared
-    /// solver's cumulative counters to the work done since a snapshot.
-    pub fn since(&self, earlier: SmtStats) -> SmtStats {
-        SmtStats {
-            queries: self.queries - earlier.queries,
-            sessions: self.sessions - earlier.sessions,
-            sat_rounds: self.sat_rounds - earlier.sat_rounds,
-            sat_reuse: self.sat_reuse - earlier.sat_reuse,
-            theory_checks: self.theory_checks - earlier.theory_checks,
-            pivots: self.pivots - earlier.pivots,
-            propagations: self.propagations - earlier.propagations,
-            quant_instances: self.quant_instances - earlier.quant_instances,
-            blocked_visits: self.blocked_visits - earlier.blocked_visits,
-            db_reductions: self.db_reductions - earlier.db_reductions,
-            col_scans: self.col_scans - earlier.col_scans,
-            conjunct_retractions: self.conjunct_retractions - earlier.conjunct_retractions,
-            certs_checked: self.certs_checked - earlier.certs_checked,
-            budget_exhausted: self.budget_exhausted - earlier.budget_exhausted,
-        }
+flux_logic::counters! {
+    /// Cumulative statistics of a [`Solver`] (or a [`crate::Session`]).
+    pub struct SmtStats {
+        /// Number of satisfiability queries.
+        pub queries: usize,
+        /// Number of solver sessions opened (including the implicit one-shot
+        /// session behind every `check_valid_imp` call).
+        pub sessions: usize,
+        /// Number of SAT-solver invocations across all queries.
+        pub sat_rounds: usize,
+        /// Goal checks discharged on a session's already-built persistent CDCL
+        /// core (clause database and learned clauses retained from an earlier
+        /// goal of the same session) instead of rebuilding SAT state.
+        pub sat_reuse: usize,
+        /// Number of theory (LIA) checks.
+        pub theory_checks: usize,
+        /// Number of simplex pivots across all theory checks.
+        pub pivots: usize,
+        /// Number of literals assigned by SAT unit propagation.
+        pub propagations: usize,
+        /// Number of quantifier instances generated.
+        pub quant_instances: usize,
+        /// Watcher visits answered by the cached blocking literal alone,
+        /// without touching the clause.
+        pub blocked_visits: usize,
+        /// Learned-clause-database reductions performed by the SAT cores.
+        pub db_reductions: usize,
+        /// Simplex rows visited through the column occurrence lists and the
+        /// suspect set (bound slides, pivot updates, violated-row selection).
+        pub col_scans: usize,
+        /// Hypothesis conjuncts retracted from a live session (by rebuilding
+        /// the SAT clause database from the surviving conjuncts' cached CNFs,
+        /// keeping the variable space and the simplex tableau) instead of
+        /// discarding the session when the hypothesis context changed.
+        pub conjunct_retractions: usize,
+        /// Theory certificates checked under `FLUX_AUDIT=full`: one per
+        /// certified conflict core, validated model, and SAT invariant sweep.
+        pub certs_checked: usize,
+        /// Checks that gave up because a [`ResourceBudget`] limit tripped: SAT
+        /// searches stopped at a decision/conflict cap, plus deadline-driven
+        /// exits from the DPLL(T) theory-round loops.  Always zero under the
+        /// default unlimited budget.
+        pub budget_exhausted: usize,
     }
 }
 
@@ -291,14 +250,25 @@ impl Solver {
 
     /// Opens an incremental session that assumes `hypotheses` once and can
     /// then check many goals against them.  Fold the session's statistics
-    /// back with [`Solver::absorb`] when done.
+    /// back into [`Solver::stats`] with [`SmtStats::absorb`] when done.
     pub fn assume(&mut self, ctx: &SortCtx, hypotheses: &[Expr]) -> Session {
         Session::assume(self.config, ctx, hypotheses)
     }
+}
 
-    /// Adds a finished session's statistics to this solver's statistics.
-    pub fn absorb(&mut self, stats: SmtStats) {
-        self.stats.absorb(stats);
+/// The work counters the SAT core and the simplex tableau keep themselves,
+/// read into an [`SmtStats`].  A one-shot query absorbs the reading whole;
+/// a session's persistent core differences two readings taken around each
+/// check.
+pub(crate) fn engine_stats(sat: &SatSolver, theory: &IncrementalSimplex) -> SmtStats {
+    SmtStats {
+        pivots: theory.pivots() as usize,
+        propagations: sat.propagations(),
+        blocked_visits: sat.blocked_visits(),
+        db_reductions: sat.db_reductions(),
+        col_scans: theory.col_scans() as usize,
+        budget_exhausted: sat.budget_stops(),
+        ..SmtStats::default()
     }
 }
 
@@ -524,12 +494,7 @@ pub(crate) fn dpll_t(
         }
         stats.certs_checked += 1;
     }
-    stats.pivots += theory.pivots() as usize;
-    stats.propagations += sat.propagations();
-    stats.blocked_visits += sat.blocked_visits();
-    stats.db_reductions += sat.db_reductions();
-    stats.col_scans += theory.col_scans() as usize;
-    stats.budget_exhausted += sat.budget_stops();
+    stats.absorb(engine_stats(&sat, &theory));
     outcome
 }
 

@@ -46,14 +46,11 @@ pub struct WpFnReport {
     pub unknowns: usize,
     /// Wall-clock verification time.
     pub time: Duration,
-    /// Number of SMT validity queries.
-    pub queries: usize,
-    /// Number of quantifier instances the solver had to generate.
-    pub quant_instances: usize,
     /// Obligations and hypotheses sort-/scope-checked by the audit lint
     /// (zero unless the audit tier is at least `lint`).
     pub lint_checks: usize,
-    /// Full statistics of the underlying SMT engine.
+    /// Full statistics of the underlying SMT engine, including the
+    /// validity queries issued and the quantifier instances generated.
     pub smt_stats: flux_smt::SmtStats,
 }
 
@@ -61,6 +58,12 @@ impl WpFnReport {
     /// True if every obligation was discharged.
     pub fn is_safe(&self) -> bool {
         self.errors.is_empty() && self.unknowns == 0
+    }
+
+    /// True if verification was inconclusive: no obligation failed, but
+    /// some could not be decided.
+    pub fn is_unknown(&self) -> bool {
+        self.errors.is_empty() && self.unknowns > 0
     }
 }
 
@@ -126,7 +129,6 @@ pub struct WpVerifier<'a> {
     ctx: SortCtx,
     errors: Vec<Diagnostic>,
     unknowns: usize,
-    queries: usize,
     audit: AuditTier,
     lint_checks: usize,
 }
@@ -155,7 +157,6 @@ pub fn verify_function(program: &ast::Program, def: &ast::FnDef, config: &WpConf
         ctx,
         errors: Vec::new(),
         unknowns: 0,
-        queries: 0,
         audit: config.smt.audit,
         lint_checks: 0,
     };
@@ -165,8 +166,6 @@ pub fn verify_function(program: &ast::Program, def: &ast::FnDef, config: &WpConf
         errors: verifier.errors,
         unknowns: verifier.unknowns,
         time: start.elapsed(),
-        queries: verifier.queries,
-        quant_instances: verifier.solver.stats.quant_instances,
         lint_checks: verifier.lint_checks,
         smt_stats: verifier.solver.stats,
     }
@@ -198,7 +197,6 @@ impl<'a> WpVerifier<'a> {
     }
 
     fn check(&mut self, state: &State, goal: Expr, span: Span, what: &str) {
-        self.queries += 1;
         let facts = self.prune_irrelevant_quantifiers(&state.facts, &goal);
         // Audit lint: the emitted obligation and every hypothesis handed to
         // the solver must be boolean and closed under the verifier's sort
@@ -1376,7 +1374,7 @@ mod tests {
             "#,
         );
         assert_eq!(report.functions.len(), 1);
-        assert!(report.functions[0].queries >= 1);
+        assert!(report.functions[0].smt_stats.queries >= 1);
         assert!(report.total_time() > Duration::ZERO);
     }
 }

@@ -1,17 +1,17 @@
 //! Per-solve attribution of shared-cache lock contention and evictions.
 //! Solves that run concurrently must each report only the events of their
-//! own threads (the solving thread and the workers it spawns), so the
-//! per-solve figures sum to at most the movement of the process-global
-//! counters over the same window.  A delay-only fault plan makes every CNF
-//! shard holder sleep, so contention is certain; small cache caps make
-//! evictions certain.
+//! own threads (the solving thread and the workers it spawns), so for each
+//! lock the per-solve figures sum to at most the movement of that lock's
+//! process-global counter over the same window.  A delay-only fault plan
+//! makes every CNF cache holder sleep, so CNF contention is certain; small
+//! cache caps make evictions certain.
 //!
 //! The fault plan and the cache caps are process-global, so this file holds
 //! a single test.
 
 use flux_fixpoint::{
     global_cache, set_global_cache_capacity, validity_shard_contentions, Constraint, FixConfig,
-    FixpointSolver, Guard, KVarApp, KVarStore,
+    FixStats, FixpointSolver, Guard, KVarApp, KVarStore,
 };
 use flux_logic::{hcons_contentions, hcons_memo_evictions, set_hcons_memo_capacity};
 use flux_logic::{Expr, Name, Sort, SortCtx};
@@ -65,13 +65,36 @@ fn system(salt: usize) -> (Constraint, KVarStore) {
     (Constraint::conj(loops), kvars)
 }
 
-fn global_contentions() -> u64 {
-    validity_shard_contentions() + cnf_shard_contentions() + hcons_contentions()
+/// The process-global event counters, in the order of [`per_solve`]'s
+/// figures: contentions on the hcons, CNF and validity locks, then
+/// evictions from every bounded cache.
+fn globals() -> [u64; 4] {
+    [
+        hcons_contentions(),
+        cnf_shard_contentions(),
+        validity_shard_contentions(),
+        hcons_memo_evictions() + cnf_cache_evictions() + global_cache().evictions(),
+    ]
 }
 
-fn global_evictions() -> u64 {
-    hcons_memo_evictions() + cnf_cache_evictions() + global_cache().evictions()
+/// The same four events as [`globals`], as solves attributed them to
+/// themselves.
+fn per_solve(stats: &FixStats) -> [u64; 4] {
+    [
+        stats.hcons_contentions,
+        stats.cnf_contentions,
+        stats.validity_contentions,
+        stats.evictions,
+    ]
+    .map(|n| n as u64)
 }
+
+const EVENTS: [&str; 4] = [
+    "hcons contentions",
+    "CNF contentions",
+    "validity contentions",
+    "evictions",
+];
 
 #[test]
 fn concurrent_solves_report_only_their_own_contention_and_evictions() {
@@ -85,8 +108,7 @@ fn concurrent_solves_report_only_their_own_contention_and_evictions() {
             delay_ms: 1,
             ..FaultPlan::default()
         });
-        let contentions_before = global_contentions();
-        let evictions_before = global_evictions();
+        let before = globals();
         // Every solving thread starts its first solve together, so the
         // solves overlap.
         let start = Arc::new(Barrier::new(SOLVING_THREADS));
@@ -95,7 +117,7 @@ fn concurrent_solves_report_only_their_own_contention_and_evictions() {
                 let start = Arc::clone(&start);
                 std::thread::spawn(move || {
                     start.wait();
-                    let (mut contention, mut evictions) = (0usize, 0usize);
+                    let mut total = FixStats::default();
                     for round in 0..ROUNDS {
                         let (c, kvars) = system(t * ROUNDS + round);
                         let mut solver = FixpointSolver::new(FixConfig {
@@ -103,40 +125,36 @@ fn concurrent_solves_report_only_their_own_contention_and_evictions() {
                             ..FixConfig::default()
                         });
                         assert!(solver.solve(&c, &kvars, &SortCtx::new()).is_safe());
-                        contention += solver.stats.shard_contention;
-                        evictions += solver.stats.evictions;
+                        total.absorb(solver.stats);
                     }
-                    (contention, evictions)
+                    total
                 })
             })
             .collect();
-        let (mut contention, mut evictions) = (0usize, 0usize);
+        let mut total = FixStats::default();
         for worker in workers {
-            let (c, e) = worker.join().expect("solving thread panicked");
-            contention += c;
-            evictions += e;
+            total.absorb(worker.join().expect("solving thread panicked"));
         }
-        let global_contention = global_contentions() - contentions_before;
-        let global_eviction = global_evictions() - evictions_before;
+        let after = globals();
         clear_fault_plan();
         set_hcons_memo_capacity(None);
         set_cnf_cache_capacity(None);
         set_global_cache_capacity(None);
 
         assert!(
-            contention > 0,
-            "lock holders sleep under the delay plan, so the solves must contend"
+            total.cnf_contentions > 0,
+            "CNF cache holders sleep under the delay plan, so the solves must contend"
         );
-        assert!(
-            contention as u64 <= global_contention,
-            "per-solve contention sums to {contention}, but only {global_contention} \
-             contended acquisitions happened: overlapping solves counted each other's"
-        );
-        assert!(evictions > 0, "the small caps must force evictions");
-        assert!(
-            evictions as u64 <= global_eviction,
-            "per-solve evictions sum to {evictions}, but only {global_eviction} \
-             entries were evicted: overlapping solves counted each other's"
-        );
+        assert!(total.evictions > 0, "the small caps must force evictions");
+        let attributed = per_solve(&total);
+        for (i, event) in EVENTS.iter().enumerate() {
+            let global = after[i] - before[i];
+            assert!(
+                attributed[i] <= global,
+                "per-solve {event} sum to {}, but only {global} happened: \
+                 overlapping solves counted each other's",
+                attributed[i]
+            );
+        }
     });
 }

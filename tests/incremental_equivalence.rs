@@ -23,7 +23,7 @@ fn incremental_and_one_shot_agree_on_the_whole_corpus() {
             .unwrap_or_else(|e| panic!("{}: frontend error {e}", b.name));
         assert!(outcome.safe, "{}: {:?}", b.name, outcome.errors);
         assert!(
-            outcome.stats.revalidations > 0,
+            outcome.stats.fix.revalidations > 0,
             "{}: no clause was re-validated",
             b.name
         );
@@ -47,17 +47,17 @@ fn table1_workload_reports_cache_hits_and_sessions() {
         let outcome = verify_source(b.flux_src, Mode::Flux, &config).unwrap();
         let stats = &outcome.stats;
         assert_eq!(
-            stats.cache_hits + stats.cache_misses,
-            stats.smt_queries,
+            stats.fix.cache_hits + stats.fix.cache_misses,
+            stats.fix.smt_queries,
             "{}: hits + misses must account for every query",
             b.name
         );
-        total_hits += stats.cache_hits;
-        total_sessions += stats.sessions;
-        total_queries += stats.smt_queries;
-        total_prunes += stats.model_prunes;
-        total_sat_reuse += stats.sat_reuse;
-        total_retractions += stats.conjunct_retractions;
+        total_hits += stats.fix.cache_hits;
+        total_sessions += stats.fix.sessions;
+        total_queries += stats.fix.smt_queries;
+        total_prunes += stats.fix.model_prunes;
+        total_sat_reuse += stats.smt.sat_reuse;
+        total_retractions += stats.smt.conjunct_retractions;
     }
     assert!(
         total_queries > 0,

@@ -134,7 +134,7 @@ fn parallel_stats_merge_is_lossless_on_the_corpus() {
             let s = &outcome.stats;
             assert_eq!(
                 s.worker_queries.iter().sum::<usize>(),
-                s.smt_queries,
+                s.fix.smt_queries,
                 "{} at fn={fn_threads}/cl={threads}: per-worker query counts must sum                  to the total (per-function vectors must never interleave)",
                 b.name
             );
@@ -147,18 +147,18 @@ fn parallel_stats_merge_is_lossless_on_the_corpus() {
                 s.worker_queries.len()
             );
             assert_eq!(
-                s.cache_hits + s.cache_misses,
-                s.smt_queries,
+                s.fix.cache_hits + s.fix.cache_misses,
+                s.fix.smt_queries,
                 "{} at fn={fn_threads}/cl={threads}: hits + misses must account for                  every query",
                 b.name
             );
             assert!(
-                s.cross_fn_hits + s.xbench_hits <= s.cache_hits,
+                s.fix.cross_fn_hits + s.fix.xbench_hits <= s.fix.cache_hits,
                 "{} at fn={fn_threads}/cl={threads}: hit classifications exceed total hits",
                 b.name
             );
             assert!(
-                s.partitions > 0,
+                s.fix.partitions > 0,
                 "{} at fn={fn_threads}/cl={threads}: a verified benchmark must report                  its κ-partitions",
                 b.name
             );

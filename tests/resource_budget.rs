@@ -176,3 +176,25 @@ fn starved_pipeline_reports_unknown_not_errors() {
         );
     }
 }
+
+/// `unknowns` counts inconclusive *functions* in both verifiers: a starved
+/// baseline run of a one-function benchmark reports one unknown function,
+/// however many of its obligations went undecided.
+#[test]
+fn baseline_unknowns_count_inconclusive_functions() {
+    let b = flux::benchmark("bsearch").expect("bsearch benchmark exists");
+    let mut config = VerifyConfig::default();
+    config.wp.smt.budget = ResourceBudget::uniform_steps(1);
+    let outcome = flux::verify_source(b.baseline_src, Mode::Baseline, &config)
+        .expect("frontend must still succeed under budgets");
+    assert!(
+        outcome.errors.is_empty(),
+        "a starved run of a safe benchmark fabricated errors: {:?}",
+        outcome.errors
+    );
+    assert_eq!(outcome.functions, 1);
+    assert_eq!(
+        outcome.stats.unknowns, outcome.functions,
+        "bsearch's one function is inconclusive, so exactly one unknown"
+    );
+}

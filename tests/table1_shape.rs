@@ -76,11 +76,11 @@ fn quantified_baseline_pays_an_instantiation_burden_flux_never_does() {
                 baseline_outcome.errors
             );
             assert_eq!(
-                flux_outcome.stats.quant_instances, 0,
+                flux_outcome.stats.smt.quant_instances, 0,
                 "Flux VCs must stay quantifier-free"
             );
             assert!(
-                baseline_outcome.stats.quant_instances > 0,
+                baseline_outcome.stats.smt.quant_instances > 0,
                 "the baseline should have instantiated container axioms on kmp"
             );
         })

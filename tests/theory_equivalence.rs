@@ -223,12 +223,12 @@ fn pivot_and_propagation_counters_are_reported() {
     let outcome = verify_source(b.flux_src, Mode::Flux, &VerifyConfig::default()).unwrap();
     assert!(outcome.safe);
     assert!(
-        outcome.stats.propagations > 0,
+        outcome.stats.smt.propagations > 0,
         "watched propagation must report its unit propagations: {:?}",
         outcome.stats
     );
     assert!(
-        outcome.stats.pivots > 0,
+        outcome.stats.smt.pivots > 0,
         "the persistent simplex must report its pivots: {:?}",
         outcome.stats
     );

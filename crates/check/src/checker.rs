@@ -20,7 +20,7 @@
 
 use flux_fixpoint::{Constraint, Guard, KVarApp, KVarStore, Tag};
 use flux_ir::{BaseTy, FnSig, RTy, RefKind, Refine, ResolvedProgram};
-use flux_logic::{Expr, Name, Sort, Subst};
+use flux_logic::{Expr, Name, NameSupply, Sort, Subst};
 use flux_syntax::ast;
 use flux_syntax::span::{Diagnostic, Span};
 
@@ -96,11 +96,15 @@ struct FnCtx {
     scope: Vec<(Name, Sort)>,
 }
 
-/// The constraint generator.
+/// The constraint generator.  It checks one function body
+/// ([`Generator::gen_function`] consumes it), so its name supply counts that
+/// body's binders only: a function's constraint does not depend on the
+/// functions checked before it.
 pub struct Generator<'a> {
     program: &'a ResolvedProgram,
     kvars: KVarStore,
     tags: Vec<TagInfo>,
+    names: NameSupply,
 }
 
 impl<'a> Generator<'a> {
@@ -110,6 +114,7 @@ impl<'a> Generator<'a> {
             program,
             kvars: KVarStore::new(),
             tags: Vec::new(),
+            names: NameSupply::body(),
         }
     }
 
@@ -178,7 +183,10 @@ impl<'a> Generator<'a> {
                 refine,
             } => {
                 let sorts = base.index_sorts();
-                let fresh: Vec<Name> = binders.iter().map(|b| Name::fresh(b.as_str())).collect();
+                let fresh: Vec<Name> = binders
+                    .iter()
+                    .map(|b| self.names.fresh(b.as_str()))
+                    .collect();
                 let subst: Subst = binders
                     .iter()
                     .zip(&fresh)
@@ -268,7 +276,7 @@ impl<'a> Generator<'a> {
                     Some(base) if !base.index_sorts().is_empty() => {
                         let sorts = base.index_sorts();
                         let binders: Vec<Name> = (0..sorts.len())
-                            .map(|i| Name::fresh(&format!("t{i}")))
+                            .map(|i| self.names.fresh(&format!("t{i}")))
                             .collect();
                         for (b, s) in binders.iter().zip(&sorts) {
                             all_binders.push((*b, *s));
@@ -323,7 +331,7 @@ impl<'a> Generator<'a> {
                     };
                 }
                 let binders: Vec<Name> = (0..sorts.len())
-                    .map(|i| Name::fresh(&format!("t{i}")))
+                    .map(|i| self.names.fresh(&format!("t{i}")))
                     .collect();
                 let mut kv_sorts = sorts.clone();
                 kv_sorts.extend(scope.iter().map(|(_, s)| *s));
@@ -410,7 +418,10 @@ impl<'a> Generator<'a> {
             ) => {
                 // Open the actual existential universally and recurse.
                 let sorts = base.index_sorts();
-                let fresh: Vec<Name> = binders.iter().map(|b| Name::fresh(b.as_str())).collect();
+                let fresh: Vec<Name> = binders
+                    .iter()
+                    .map(|b| self.names.fresh(b.as_str()))
+                    .collect();
                 let subst: Subst = binders
                     .iter()
                     .zip(&fresh)
@@ -651,8 +662,8 @@ impl<'a> Generator<'a> {
 
     fn new_vec_elem_template(&mut self, ascription: Option<&ast::RustTy>, fn_ctx: &FnCtx) -> RTy {
         let default_elem = match ascription {
-            Some(ast::RustTy::RVec(elem)) => flux_ir::default_rty_of_rust_ty(elem),
-            _ => RTy::exists_top(BaseTy::Float),
+            Some(ast::RustTy::RVec(elem)) => flux_ir::default_rty_of_rust_ty(elem, &mut self.names),
+            _ => RTy::exists_top(BaseTy::Float, &mut self.names),
         };
         self.template_like(&default_elem, &fn_ctx.scope)
     }
@@ -829,7 +840,7 @@ impl<'a> Generator<'a> {
         let mut renaming = Subst::new();
         let mut freshened: Vec<(String, RTy)> = Vec::new();
         for (name, ty) in &template.locals {
-            let ty = freshen_binders(ty, &mut renaming, prefix, scope);
+            let ty = freshen_binders(ty, &mut self.names, &mut renaming, prefix, scope);
             freshened.push((name.clone(), ty));
         }
         // Pass 2: emit the refinements under the global renaming and build
@@ -1118,7 +1129,7 @@ impl<'a> Generator<'a> {
                         | ast::BinOpKind::Gt
                         | ast::BinOpKind::Ge
                         | ast::BinOpKind::Eq
-                        | ast::BinOpKind::Ne => RTy::exists_top(BaseTy::Bool),
+                        | ast::BinOpKind::Ne => RTy::exists_top(BaseTy::Bool, &mut self.names),
                         _ => RTy::Indexed {
                             base: BaseTy::Float,
                             indices: vec![],
@@ -1275,7 +1286,7 @@ impl<'a> Generator<'a> {
             } => {
                 // A vector behind a weak reference: open a fresh copy of its
                 // existential length for this access.
-                let fresh = Name::fresh("len");
+                let fresh = self.names.fresh("len");
                 let subst = Subst::single(binders[0], Expr::Var(fresh));
                 let guard = match refine {
                     Refine::Pred(p) => Guard::Pred(subst.apply(&p)),
@@ -1741,7 +1752,7 @@ impl<'a> Generator<'a> {
             } => Ok(indices[0].clone()),
             RTy::Exists {
                 base: BaseTy::Bool, ..
-            } => Ok(Expr::var(Name::fresh("unknown_bool"))),
+            } => Ok(Expr::var(self.names.fresh("unknown_bool"))),
             other => Err(Diagnostic::error(
                 format!("expected a boolean value, found {other}"),
                 span,
@@ -1807,12 +1818,14 @@ fn bases_compatible(a: &BaseTy, b: &BaseTy) -> bool {
     )
 }
 
-/// Renames every existential binder of `ty` to a fresh name, recording the
-/// renaming, pushing the binders (with implicit non-negativity facts) onto
-/// `prefix` and extending `scope`.  The refinement itself is *not* emitted —
-/// [`Generator::emit_refinements`] does that after all binders are known.
+/// Renames every existential binder of `ty` to a fresh name from `names`,
+/// recording the renaming, pushing the binders (with implicit
+/// non-negativity facts) onto `prefix` and extending `scope`.  The
+/// refinement itself is *not* emitted — [`Generator::emit_refinements`] does
+/// that after all binders are known.
 fn freshen_binders(
     ty: &RTy,
+    names: &mut NameSupply,
     renaming: &mut Subst,
     prefix: &mut Vec<PrefixItem>,
     scope: &mut Vec<(Name, Sort)>,
@@ -1824,7 +1837,7 @@ fn freshen_binders(
             refine,
         } => {
             let sorts = base.index_sorts();
-            let fresh: Vec<Name> = binders.iter().map(|b| Name::fresh(b.as_str())).collect();
+            let fresh: Vec<Name> = binders.iter().map(|b| names.fresh(b.as_str())).collect();
             for ((old, new), sort) in binders.iter().zip(&fresh).zip(&sorts) {
                 renaming.insert(*old, Expr::Var(*new));
                 let nonneg = if base.indices_nonneg() && *sort == Sort::Int {
@@ -1844,7 +1857,7 @@ fn freshen_binders(
         RTy::Ref {
             kind: RefKind::Strg,
             inner,
-        } => RTy::ref_strg(freshen_binders(inner, renaming, prefix, scope)),
+        } => RTy::ref_strg(freshen_binders(inner, names, renaming, prefix, scope)),
         other => other.clone(),
     }
 }

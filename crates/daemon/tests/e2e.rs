@@ -64,8 +64,8 @@ fn full_matrix_cold_then_warm_with_cross_request_hits() {
         }
 
         // Warm pass: identical requests again.  The verdicts must not
-        // drift, and the process-global validity cache — keyed on
-        // α-normalized clause expressions precisely so that re-runs hit —
+        // drift, and the process-global validity cache — whose keys are
+        // the same on a re-run because binder names are deterministic —
         // must serve cross-request (`xbench`) hits.
         let mut warm_xbench = 0;
         for (name, mode, wire_mode) in &cells {

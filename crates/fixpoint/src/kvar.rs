@@ -47,7 +47,7 @@ pub fn formal_name(kvid: KVid, i: usize) -> Name {
 }
 
 /// A store of κ declarations.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct KVarStore {
     decls: Vec<KVarDecl>,
 }

@@ -35,9 +35,8 @@ use crate::constraint::{Clause, Constraint, Guard, Head, Tag};
 use crate::kvar::{KVarApp, KVarStore, KVid};
 use crate::partition::{partition, Partition};
 use crate::qualifier::{default_qualifiers, Qualifier};
-use flux_logic::{lock_recover, AlphaRenamer, Expr, ExprId, Name, Sort, SortCtx, ThreadTally};
+use flux_logic::{lock_recover, Expr, ExprId, Name, Sort, SortCtx, ThreadTally};
 use flux_smt::{Model, Session, SmtConfig, SmtStats, Solver, Validity};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -350,7 +349,7 @@ struct ClauseState {
     hyp_ids: Vec<ExprId>,
     /// Base context extended with the clause binders.
     clause_ctx: SortCtx,
-    /// Interned cache-key parts.
+    /// The cache-key parts shared by every goal of the clause.
     keys: ClauseKeys,
     /// The live solver session, opened lazily on the first cache miss and
     /// kept across iterations.
@@ -389,11 +388,6 @@ struct ClauseMemo {
     kvar_insts: Vec<Option<(u64, ExprId)>>,
     /// Base context extended with the clause binders.
     ctx: Option<SortCtx>,
-    /// α-normalization memo: original hypothesis id ↦ canonical id under
-    /// this clause's renamer.  The renamer is determined by the clause
-    /// context, which never changes, so entries stay valid across κ
-    /// version bumps (where the hypothesis ids themselves largely repeat).
-    canon: HashMap<ExprId, ExprId>,
 }
 
 impl ClauseMemo {
@@ -402,7 +396,6 @@ impl ClauseMemo {
             pred_ids: vec![None; guards],
             kvar_insts: vec![None; guards],
             ctx: None,
-            canon: HashMap::new(),
         }
     }
 }
@@ -419,67 +412,33 @@ fn guard_versions_of(clause: &Clause, versions: &BTreeMap<KVid, u64>) -> Vec<u64
         .collect()
 }
 
-/// Per-clause parts of the validity-cache key, interned once per clause and
+/// Per-clause parts of the validity-cache key, collected once per clause and
 /// shared (via `Arc`) by the keys of every goal checked against it.
 ///
-/// Keys are α-normalized: context binders (and quantifier binders inside
-/// hypotheses and goals) are renamed to positional canonical names before
-/// interning.  Binder names come from [`Name::fresh`], whose process-global
-/// counter makes them differ between otherwise identical runs — without the
-/// renaming, a daemon's warm cache could never hit across requests.  The
-/// solver itself always works on the original expressions; only the keys
-/// are canonical, and the renaming is injective, so α-distinct queries keep
-/// distinct keys.
+/// Keys are the raw hash-consed ids.  The checker names binders from
+/// deterministic per-function and per-signature supplies
+/// ([`flux_logic::NameSupply`]), so the same obligation has the same ids in
+/// every run, request and process, and a cached counter-model names the
+/// binders of the clause that asks for it.  The context carries each
+/// binder's sort, so one name bound at two sorts in two functions keeps two
+/// keys.
 struct ClauseKeys {
     fns: FnCtxId,
     ctx: Arc<[(Name, Sort)]>,
     hyps: Arc<[ExprId]>,
-    /// The clause's canonical renamer, fixed by the context binders.
-    renamer: AlphaRenamer,
-    /// Goal-normalization memo: the weakening loop probes the same goal ids
-    /// across iterations, and normalization walks the goal tree.
-    goal_memo: RefCell<HashMap<ExprId, ExprId>>,
 }
 
 impl ClauseKeys {
-    /// `canon` memoizes hypothesis normalization across rebuilds of the
-    /// same clause (the renamer is a pure function of the clause context,
-    /// which never changes, so entries survive κ version bumps).
-    fn new(
-        fns: FnCtxId,
-        clause_ctx: &SortCtx,
-        hyp_ids: &[ExprId],
-        canon: &mut HashMap<ExprId, ExprId>,
-    ) -> ClauseKeys {
-        let mut renamer = AlphaRenamer::new();
-        let ctx: Arc<[(Name, Sort)]> = clause_ctx
-            .iter()
-            .map(|(name, sort)| (renamer.bind(name), sort))
-            .collect();
-        let hyps: Arc<[ExprId]> = hyp_ids
-            .iter()
-            .map(|id| {
-                *canon
-                    .entry(*id)
-                    .or_insert_with(|| ExprId::intern(&renamer.normalize(&id.expr())))
-            })
-            .collect();
+    fn new(fns: FnCtxId, clause_ctx: &SortCtx, hyp_ids: &[ExprId]) -> ClauseKeys {
         ClauseKeys {
             fns,
-            ctx,
-            hyps,
-            renamer,
-            goal_memo: RefCell::new(HashMap::new()),
+            ctx: clause_ctx.iter().collect(),
+            hyps: hyp_ids.into(),
         }
     }
 
     fn for_goal_id(&self, goal: ExprId) -> QueryKey {
-        let canon = *self
-            .goal_memo
-            .borrow_mut()
-            .entry(goal)
-            .or_insert_with(|| ExprId::intern(&self.renamer.normalize(&goal.expr())));
-        QueryKey::new(self.fns, self.ctx.clone(), self.hyps.clone(), canon)
+        QueryKey::new(self.fns, self.ctx.clone(), self.hyps.clone(), goal)
     }
 }
 
@@ -723,8 +682,7 @@ impl<'a> Engine<'a> {
                                 .ctx
                                 .get_or_insert_with(|| clause_ctx(clause, ctx))
                                 .clone();
-                            let keys =
-                                ClauseKeys::new(self.fns, &clause_ctx, &hyp_ids, &mut memo.canon);
+                            let keys = ClauseKeys::new(self.fns, &clause_ctx, &hyp_ids);
                             // A weakened κ-guard changes the hypotheses by a
                             // conjunct diff: retract the stale conjuncts from
                             // the live session and keep its CDCL core,
@@ -889,7 +847,7 @@ impl<'a> Engine<'a> {
         };
         let hyp_ids = self.hypotheses_of(clause, solution, kvars);
         let clause_ctx = clause_ctx(clause, ctx);
-        let keys = ClauseKeys::new(self.fns, &clause_ctx, &hyp_ids, &mut HashMap::new());
+        let keys = ClauseKeys::new(self.fns, &clause_ctx, &hyp_ids);
         let mut session = None;
         let goal_id = ExprId::intern(goal);
         let verdict = self.check(

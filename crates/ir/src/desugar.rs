@@ -2,7 +2,7 @@
 //! function signatures over refined types.
 
 use crate::rty::{BaseTy, RTy, RefKind};
-use flux_logic::{Expr, Name, Sort, SortCtx};
+use flux_logic::{Expr, Name, NameSupply, Sort, SortCtx};
 use flux_syntax::ast::{self, FluxSig, IndexArg, RTyAnnot, RefinementAnnot, RustTy};
 use flux_syntax::span::{Diagnostic, Span};
 
@@ -34,7 +34,9 @@ impl FnSig {
 }
 
 /// Desugars the signature of `def`, combining its Rust parameter types with
-/// the `#[flux::sig(...)]` annotation if present.
+/// the `#[flux::sig(...)]` annotation if present.  Binders are named from a
+/// supply of the signature's own, so a signature's names do not depend on
+/// the functions resolved before it.
 pub fn desugar_fn_sig(def: &ast::FnDef) -> Result<FnSig, Diagnostic> {
     match &def.flux_sig {
         Some(sig) => desugar_annotated(def, sig),
@@ -45,31 +47,39 @@ pub fn desugar_fn_sig(def: &ast::FnDef) -> Result<FnSig, Diagnostic> {
 /// The signature used when a function has no Flux annotation: every type is
 /// unrefined.
 pub fn default_sig(def: &ast::FnDef) -> FnSig {
+    let mut names = NameSupply::signature();
     FnSig {
         refine_params: Vec::new(),
         param_names: def.params.iter().map(|p| p.name.clone()).collect(),
         params: def
             .params
             .iter()
-            .map(|p| default_rty_of_rust_ty(&p.ty))
+            .map(|p| default_rty_of_rust_ty(&p.ty, &mut names))
             .collect(),
-        ret: default_rty_of_rust_ty(&def.ret),
+        ret: default_rty_of_rust_ty(&def.ret, &mut names),
         ensures: Vec::new(),
     }
 }
 
-/// The unrefined refined-type corresponding to a surface Rust type.
-pub fn default_rty_of_rust_ty(ty: &RustTy) -> RTy {
+/// The unrefined refined-type corresponding to a surface Rust type, its
+/// binders drawn from `names`.
+pub fn default_rty_of_rust_ty(ty: &RustTy, names: &mut NameSupply) -> RTy {
     match ty {
-        RustTy::Int => RTy::exists_top(BaseTy::Int),
-        RustTy::Uint => RTy::exists_top(BaseTy::Uint),
-        RustTy::Bool => RTy::exists_top(BaseTy::Bool),
-        RustTy::Float => RTy::exists_top(BaseTy::Float),
+        RustTy::Int => RTy::exists_top(BaseTy::Int, names),
+        RustTy::Uint => RTy::exists_top(BaseTy::Uint, names),
+        RustTy::Bool => RTy::exists_top(BaseTy::Bool, names),
+        RustTy::Float => RTy::exists_top(BaseTy::Float, names),
         RustTy::Unit => RTy::Unit,
-        RustTy::RVec(elem) => RTy::exists_top(BaseTy::Vec(Box::new(default_rty_of_rust_ty(elem)))),
-        RustTy::RMat(elem) => RTy::exists_top(BaseTy::Mat(Box::new(default_rty_of_rust_ty(elem)))),
+        RustTy::RVec(elem) => {
+            let elem = default_rty_of_rust_ty(elem, names);
+            RTy::exists_top(BaseTy::Vec(Box::new(elem)), names)
+        }
+        RustTy::RMat(elem) => {
+            let elem = default_rty_of_rust_ty(elem, names);
+            RTy::exists_top(BaseTy::Mat(Box::new(elem)), names)
+        }
         RustTy::Ref(mutability, inner) => {
-            let inner = default_rty_of_rust_ty(inner);
+            let inner = default_rty_of_rust_ty(inner, names);
             match mutability {
                 ast::Mutability::Shared => RTy::ref_shr(inner),
                 ast::Mutability::Mutable => RTy::ref_mut(inner),
@@ -91,6 +101,7 @@ fn desugar_annotated(def: &ast::FnDef, sig: &FluxSig) -> Result<FnSig, Diagnosti
     }
     let mut cx = DesugarCx {
         refine_params: Vec::new(),
+        names: NameSupply::signature(),
         span: sig.span,
     };
     let mut params = Vec::new();
@@ -131,6 +142,7 @@ fn desugar_annotated(def: &ast::FnDef, sig: &FluxSig) -> Result<FnSig, Diagnosti
 
 struct DesugarCx {
     refine_params: Vec<(Name, Sort)>,
+    names: NameSupply,
     span: Span,
 }
 
@@ -162,7 +174,7 @@ impl DesugarCx {
             } => {
                 // Aliases first.
                 if base == "nat" && refinement.is_none() && args.is_empty() {
-                    return Ok(RTy::nat());
+                    return Ok(RTy::nat(&mut self.names));
                 }
                 let base_ty = match base.as_str() {
                     "i8" | "i16" | "i32" | "i64" | "i128" | "isize" => BaseTy::Int,
@@ -172,14 +184,14 @@ impl DesugarCx {
                     "RVec" => {
                         let elem = match args.first() {
                             Some(a) => self.rty(a)?,
-                            None => RTy::exists_top(BaseTy::Float),
+                            None => RTy::exists_top(BaseTy::Float, &mut self.names),
                         };
                         BaseTy::Vec(Box::new(elem))
                     }
                     "RMat" => {
                         let elem = match args.first() {
                             Some(a) => self.rty(a)?,
-                            None => RTy::exists_top(BaseTy::Float),
+                            None => RTy::exists_top(BaseTy::Float, &mut self.names),
                         };
                         BaseTy::Mat(Box::new(elem))
                     }
@@ -191,7 +203,7 @@ impl DesugarCx {
                     }
                 };
                 match refinement {
-                    None => Ok(RTy::exists_top(base_ty)),
+                    None => Ok(RTy::exists_top(base_ty, &mut self.names)),
                     Some(RefinementAnnot::Indices(indices)) => {
                         let sorts = base_ty.index_sorts();
                         if sorts.is_empty() {

@@ -1,7 +1,7 @@
 //! Refined types — the internal representation of λ_LR types (§3.1).
 
 use flux_fixpoint::{KVarApp, KVid};
-use flux_logic::{Expr, Name, Sort};
+use flux_logic::{Expr, Name, NameSupply, Sort};
 use std::fmt;
 
 /// Reference kinds, extending Rust's `&`/`&mut` with the `&strg` strong
@@ -121,13 +121,11 @@ impl RTy {
         }
     }
 
-    /// The unrefined ("top") existential type over a base.
-    pub fn exists_top(base: BaseTy) -> RTy {
-        let binders = base
-            .index_sorts()
-            .iter()
-            .enumerate()
-            .map(|(i, _)| Name::fresh(&format!("v{i}")))
+    /// The unrefined ("top") existential type over a base, its binders
+    /// drawn from `names`.
+    pub fn exists_top(base: BaseTy, names: &mut NameSupply) -> RTy {
+        let binders = (0..base.index_sorts().len())
+            .map(|i| names.fresh(&format!("v{i}")))
             .collect();
         RTy::Exists {
             base,
@@ -136,9 +134,10 @@ impl RTy {
         }
     }
 
-    /// `i32{v: v >= 0}` — the `nat` alias from the paper.
-    pub fn nat() -> RTy {
-        let v = Name::fresh("v");
+    /// `i32{v: v >= 0}` — the `nat` alias from the paper, its binder drawn
+    /// from `names`.
+    pub fn nat(names: &mut NameSupply) -> RTy {
+        let v = names.fresh("v");
         RTy::Exists {
             base: BaseTy::Int,
             binders: vec![v],
@@ -329,10 +328,11 @@ mod tests {
         let n = Name::intern("n");
         let t = RTy::indexed(BaseTy::Int, Expr::Var(n) + Expr::int(1));
         assert_eq!(t.to_string(), "i32[n + 1]");
-        let nat = RTy::nat();
+        let mut names = NameSupply::signature();
+        let nat = RTy::nat(&mut names);
         assert!(nat.to_string().starts_with("i32{"));
         let vecty = RTy::indexed(
-            BaseTy::Vec(Box::new(RTy::exists_top(BaseTy::Float))),
+            BaseTy::Vec(Box::new(RTy::exists_top(BaseTy::Float, &mut names))),
             Expr::Var(n),
         );
         let printed = vecty.to_string();

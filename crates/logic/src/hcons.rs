@@ -201,9 +201,9 @@ impl Table {
 
     /// DAG substitution.  `memo` maps already-substituted ids to their
     /// results, so shared subterms are processed once per call.  Quantified
-    /// subterms fall back to the (capture-avoiding) tree substitution on the
-    /// rebuilt subtree: they are rare, and the fresh-name renaming performed
-    /// there is inherently not memoizable.
+    /// subterms are rare, so they fall back to the capture-avoiding tree
+    /// substitution on the rebuilt subtree; its renaming is deterministic,
+    /// so both paths give the same id on every call.
     fn subst_rec(
         &mut self,
         id: ExprId,

@@ -56,6 +56,12 @@ impl Name {
     /// The generated name contains a `%` character, which the surface
     /// language lexer rejects in identifiers, so fresh names can never be
     /// captured by user-written programs.
+    ///
+    /// The name depends on a process-global counter, so it differs between
+    /// otherwise identical runs.  Names that reach the validity cache's keys
+    /// come from a [`NameSupply`] instead; the remaining callers are the
+    /// solver's preprocessing (`$div`, `$mod`, `${f}`), quantifier
+    /// instantiation (`$sk_`, `$quant`) and the program-logic baseline.
     pub fn fresh(prefix: &str) -> Name {
         loop {
             let n = FRESH_COUNTER.fetch_add(1, Ordering::Relaxed);
@@ -77,6 +83,49 @@ impl Name {
         let interner = interner().lock().expect("interner poisoned");
         interner.names[self.0 as usize]
     }
+}
+
+/// A deterministic supply of binder names, owned by value by whatever
+/// generates one function body's constraint or desugars one signature.
+///
+/// [`NameSupply::fresh`] returns `{base}%{tag}{k}`: `base` is the hint up to
+/// its first `%`, `tag` is `b` for body names and `s` for signature names,
+/// and `k` counts this supply's names from 0.  A name therefore depends only
+/// on the calls made to its own supply, so the same function yields the same
+/// names — and the same hash-consed ids — in every run, request and process.
+///
+/// Names are unique within one supply.  They never equal a user identifier
+/// (identifiers cannot contain `%`) or a [`Name::fresh`] result
+/// (`{prefix}%{digits}`), and body and signature names never equal each
+/// other.
+#[derive(Debug)]
+pub struct NameSupply {
+    tag: char,
+    next: u32,
+}
+
+impl NameSupply {
+    /// The supply for the binders opened while checking one function body.
+    pub fn body() -> NameSupply {
+        NameSupply { tag: 'b', next: 0 }
+    }
+
+    /// The supply for the binders of one desugared signature.
+    pub fn signature() -> NameSupply {
+        NameSupply { tag: 's', next: 0 }
+    }
+
+    /// The next name of this supply, based on `hint`.
+    pub fn fresh(&mut self, hint: &str) -> Name {
+        let name = Name::intern(&format!("{}%{}{}", base(hint), self.tag, self.next));
+        self.next += 1;
+        name
+    }
+}
+
+/// `hint` up to its first `%`: the user-facing part of a generated name.
+pub(crate) fn base(hint: &str) -> &str {
+    hint.split_once('%').map_or(hint, |(base, _)| base)
 }
 
 impl fmt::Debug for Name {
@@ -130,6 +179,15 @@ mod tests {
         assert_eq!(f, again);
         let other = Name::fresh("v");
         assert_ne!(f, other);
+    }
+
+    #[test]
+    fn supplies_count_from_zero_and_strip_old_suffixes() {
+        let mut body = NameSupply::body();
+        assert_eq!(body.fresh("v0%s3").as_str(), "v0%b0");
+        assert_eq!(body.fresh("t0").as_str(), "t0%b1");
+        assert_eq!(NameSupply::body().fresh("v0%s3"), Name::intern("v0%b0"));
+        assert_eq!(NameSupply::signature().fresh("v0").as_str(), "v0%s0");
     }
 
     #[test]

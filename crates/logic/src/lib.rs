@@ -54,10 +54,10 @@ pub use hcons::{
     flush_hcons_memos, hcons_contentions, hcons_memo_evictions, hcons_memo_high_watermark,
     interned_nodes, set_hcons_memo_capacity, ExprId,
 };
-pub use intern::Name;
+pub use intern::{Name, NameSupply};
 pub use simplify::simplify;
 pub use sort::{Sort, SortCtx, SortError};
-pub use subst::{AlphaRenamer, Subst};
+pub use subst::Subst;
 pub use util::{env_parse, lock_counted, lock_recover, tally_evictions, thread_tally, ThreadTally};
 
 /// A convenience alias: predicates are just boolean-sorted expressions.

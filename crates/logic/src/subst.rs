@@ -1,7 +1,7 @@
 //! Capture-avoiding substitution of refinement expressions for variables.
 
 use crate::{Expr, Name};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A simultaneous substitution mapping refinement variables to expressions.
 ///
@@ -95,30 +95,38 @@ impl Subst {
                 inner.insert(*name, repl.clone());
             }
         }
-        // Rename binders that would capture free variables of replacements.
-        let mut clash: Vec<Name> = Vec::new();
-        for (_, repl) in inner.map.iter() {
-            for fv in repl.free_vars() {
-                if binders.iter().any(|(b, _)| *b == fv) {
-                    clash.push(fv);
-                }
-            }
+        // Rename binders that would capture free variables of replacements,
+        // each to the first `{base}%q{k}` that is free nowhere it could be
+        // captured or capture: not in the body, not in a replacement, not in
+        // the substitution's domain and not another binder of this list.
+        // The choice depends only on the inputs, so the same substitution
+        // always yields the same expression.
+        let mut repl_vars = BTreeSet::new();
+        for repl in inner.map.values() {
+            repl.collect_free_vars(&mut repl_vars);
         }
         let mut new_binders = binders.to_vec();
+        if !binders.iter().any(|(b, _)| repl_vars.contains(b)) {
+            return (new_binders, inner.apply(body));
+        }
+        let mut taken = body.free_vars();
+        taken.extend(&repl_vars);
+        taken.extend(self.map.keys());
+        taken.extend(binders.iter().map(|(b, _)| *b));
         let mut renaming = Subst::new();
         for (name, _) in new_binders.iter_mut() {
-            if clash.contains(name) {
-                let fresh = Name::fresh(name.as_str());
-                renaming.insert(*name, Expr::Var(fresh));
-                *name = fresh;
+            if repl_vars.contains(name) {
+                let base = crate::intern::base(name.as_str());
+                let renamed = (0u32..)
+                    .map(|k| Name::intern(&format!("{base}%q{k}")))
+                    .find(|candidate| !taken.contains(candidate))
+                    .expect("only finitely many names are taken");
+                taken.insert(renamed);
+                renaming.insert(*name, Expr::Var(renamed));
+                *name = renamed;
             }
         }
-        let body = if renaming.is_empty() {
-            body.clone()
-        } else {
-            renaming.apply(body)
-        };
-        (new_binders, inner.apply(&body))
+        (new_binders, inner.apply(&renaming.apply(body)))
     }
 }
 
@@ -136,129 +144,6 @@ impl Expr {
     /// Substitutes `expr` for every free occurrence of `name` in `self`.
     pub fn subst(&self, name: Name, expr: Expr) -> Expr {
         Subst::single(name, expr).apply(self)
-    }
-}
-
-/// Canonical α-renaming for cache keys.
-///
-/// The fixpoint engine keys its validity cache on hash-consed clause
-/// expressions.  Binder names inside those expressions come from
-/// [`Name::fresh`], whose process-global counter makes otherwise identical
-/// verification runs produce different names — and therefore different
-/// keys, so a warm cache never hits across runs.  An `AlphaRenamer` maps
-/// context binders (via [`AlphaRenamer::bind`]) and quantifier binders
-/// (during [`AlphaRenamer::normalize`]) to positional canonical names
-/// (`%k0`, `%k1`, …), so α-equivalent queries share one key no matter
-/// which run produced them.
-///
-/// The canonical names contain `%`, which the surface lexer rejects in
-/// identifiers, so user programs can never mention them; [`Name::fresh`]
-/// skips strings that are already interned, so it can never mint them
-/// either.  The renaming is injective — each binding position gets a
-/// distinct canonical name — so two queries normalize to the same key only
-/// if they are genuinely α-equivalent.  Normalized expressions serve
-/// *only* as cache keys: the solver always works on the originals.
-#[derive(Debug, Default)]
-pub struct AlphaRenamer {
-    outer: std::collections::HashMap<Name, Name>,
-    next: usize,
-}
-
-impl AlphaRenamer {
-    /// A renamer with no context binders.
-    pub fn new() -> AlphaRenamer {
-        AlphaRenamer::default()
-    }
-
-    fn canonical(i: usize) -> Name {
-        Name::intern(&format!("%k{i}"))
-    }
-
-    /// Binds a context variable, returning its canonical positional name.
-    /// Binding a name again shadows the earlier binding, mirroring
-    /// `SortCtx` lookup (free occurrences resolve innermost).
-    pub fn bind(&mut self, name: Name) -> Name {
-        let canon = AlphaRenamer::canonical(self.next);
-        self.next += 1;
-        self.outer.insert(name, canon);
-        canon
-    }
-
-    /// α-normalizes `expr` under the bound context.  Free occurrences of
-    /// bound names are canonicalized; quantifier binders are renamed
-    /// positionally, with numbering continuing from the context but scoped
-    /// to this call, so a given expression normalizes identically no
-    /// matter how many others were normalized before it.  Names bound
-    /// neither by the context nor by a quantifier pass through untouched,
-    /// as do function symbols (they live in a separate namespace).
-    pub fn normalize(&self, expr: &Expr) -> Expr {
-        let mut scope = ScopedRenamer {
-            map: self.outer.clone(),
-            next: self.next,
-        };
-        scope.go(expr)
-    }
-}
-
-/// The per-[`AlphaRenamer::normalize`]-call scope: the outer map extended
-/// with quantifier binders encountered along the current path.
-struct ScopedRenamer {
-    map: std::collections::HashMap<Name, Name>,
-    next: usize,
-}
-
-impl ScopedRenamer {
-    fn go(&mut self, expr: &Expr) -> Expr {
-        match expr {
-            Expr::Var(name) => Expr::Var(self.map.get(name).copied().unwrap_or(*name)),
-            Expr::Const(_) => expr.clone(),
-            Expr::UnOp(op, e) => Expr::unop(*op, self.go(e)),
-            Expr::BinOp(op, l, r) => {
-                let l = self.go(l);
-                let r = self.go(r);
-                Expr::binop(*op, l, r)
-            }
-            Expr::Ite(c, t, e) => {
-                let c = self.go(c);
-                let t = self.go(t);
-                let e = self.go(e);
-                Expr::ite(c, t, e)
-            }
-            Expr::App(f, args) => Expr::App(*f, args.iter().map(|a| self.go(a)).collect()),
-            Expr::Forall(binders, body) => {
-                let (binders, body) = self.go_binders(binders, body);
-                Expr::Forall(binders, Box::new(body))
-            }
-            Expr::Exists(binders, body) => {
-                let (binders, body) = self.go_binders(binders, body);
-                Expr::Exists(binders, Box::new(body))
-            }
-        }
-    }
-
-    fn go_binders(
-        &mut self,
-        binders: &[(Name, crate::Sort)],
-        body: &Expr,
-    ) -> (Vec<(Name, crate::Sort)>, Expr) {
-        let mut renamed = Vec::with_capacity(binders.len());
-        let mut saved = Vec::with_capacity(binders.len());
-        for (name, sort) in binders {
-            let canon = AlphaRenamer::canonical(self.next);
-            self.next += 1;
-            saved.push((*name, self.map.insert(*name, canon)));
-            renamed.push((canon, *sort));
-        }
-        let body = self.go(body);
-        // Restore shadowed bindings innermost-first so duplicate binder
-        // names in one list unwind correctly.
-        for (name, previous) in saved.into_iter().rev() {
-            match previous {
-                Some(previous) => self.map.insert(name, previous),
-                None => self.map.remove(&name),
-            };
-        }
-        (renamed, body)
     }
 }
 
@@ -323,6 +208,23 @@ mod tests {
     }
 
     #[test]
+    fn capture_avoiding_renaming_is_deterministic() {
+        // (forall k. x < k)[x ↦ k], twice: the renamed binder must be the
+        // same both times and must not capture the substituted k.
+        let e = Expr::forall(vec![(n("k"), Sort::Int)], Expr::lt(v("x"), v("k")));
+        let first = e.subst(n("x"), v("k"));
+        assert_eq!(first, e.subst(n("x"), v("k")));
+        match &first {
+            Expr::Forall(binders, body) => {
+                let bound = binders[0].0;
+                assert_ne!(bound, n("k"));
+                assert_eq!(**body, Expr::lt(v("k"), Expr::Var(bound)));
+            }
+            other => panic!("expected forall, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn substitution_inside_application() {
         let e = Expr::app(n("select"), vec![v("a"), v("i")]);
         let out = e.subst(n("i"), Expr::int(0));
@@ -355,75 +257,5 @@ mod tests {
         let e = Expr::forall(vec![(n("x"), Sort::Int)], Expr::gt(v("x"), v("y")));
         let out = e.subst(n("x"), Expr::int(1));
         assert_eq!(out, e);
-    }
-
-    #[test]
-    fn alpha_equivalent_contexts_normalize_identically() {
-        // Two runs of the same program draw different fresh names for the
-        // same binders; after positional renaming the expressions agree.
-        let (a, b) = (Name::fresh("x"), Name::fresh("x"));
-        assert_ne!(a, b);
-        let normalize = |name: Name| {
-            let mut renamer = AlphaRenamer::new();
-            renamer.bind(name);
-            renamer.normalize(&Expr::ge(Expr::Var(name), Expr::int(0)))
-        };
-        assert_eq!(normalize(a), normalize(b));
-    }
-
-    #[test]
-    fn distinct_binders_stay_distinct() {
-        // Injectivity: x > y must not collapse onto x > x.
-        let mut renamer = AlphaRenamer::new();
-        renamer.bind(n("x"));
-        renamer.bind(n("y"));
-        let xy = renamer.normalize(&Expr::gt(v("x"), v("y")));
-        let xx = renamer.normalize(&Expr::gt(v("x"), v("x")));
-        assert_ne!(xy, xx);
-    }
-
-    #[test]
-    fn quantifier_binders_normalize_positionally() {
-        let (a, b) = (Name::fresh("q"), Name::fresh("q"));
-        let quantified =
-            |q: Name| Expr::forall(vec![(q, Sort::Int)], Expr::ge(Expr::Var(q), v("free")));
-        let renamer = AlphaRenamer::new();
-        assert_eq!(
-            renamer.normalize(&quantified(a)),
-            renamer.normalize(&quantified(b))
-        );
-        // The free variable is untouched.
-        match renamer.normalize(&quantified(a)) {
-            Expr::Forall(_, body) => match *body {
-                Expr::BinOp(_, _, r) => assert_eq!(*r, v("free")),
-                other => panic!("expected binop body, got {other:?}"),
-            },
-            other => panic!("expected forall, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn normalization_is_call_scoped() {
-        // Numbering restarts from the context size on every call: the same
-        // expression normalizes identically regardless of what was
-        // normalized before it.
-        let mut renamer = AlphaRenamer::new();
-        renamer.bind(n("c"));
-        let e = Expr::exists(vec![(n("w"), Sort::Int)], Expr::gt(v("w"), v("c")));
-        let first = renamer.normalize(&e);
-        let _other =
-            renamer.normalize(&Expr::forall(vec![(n("z"), Sort::Bool)], Expr::Var(n("z"))));
-        assert_eq!(renamer.normalize(&e), first);
-    }
-
-    #[test]
-    fn shadowing_resolves_innermost() {
-        let mut renamer = AlphaRenamer::new();
-        let outer = renamer.bind(n("x"));
-        let inner = renamer.bind(n("x"));
-        assert_ne!(outer, inner);
-        // A free occurrence refers to the innermost binding, as SortCtx
-        // lookup would resolve it.
-        assert_eq!(renamer.normalize(&v("x")), Expr::Var(inner));
     }
 }

@@ -1341,9 +1341,11 @@ mod tests {
     }
 
     /// The same syntactic conjunct bound at different sorts in different
-    /// sessions must not poison the global preprocessing cache: comparison
-    /// normalisation depends on the operand sorts, which are part of the
-    /// cache key.
+    /// sessions must not poison the global preprocessing cache or the
+    /// shared atom table: comparison normalisation depends on the operand
+    /// sorts, which are part of the cache key, and the one name is a
+    /// simplex column inside `Lin` atoms in the first session and an
+    /// `Atom::Bool` in the second.
     #[test]
     fn preproc_cache_distinguishes_sorts() {
         let shared = Expr::eq(v("cc_sorted"), v("cc_other"));

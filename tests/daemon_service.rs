@@ -94,28 +94,38 @@ const UNSAFE_SRC: &str = r#"
     }
 "#;
 
+/// The `caches` object of a `final` statistics frame.
+fn caches_of(frame: &Value) -> &Value {
+    assert_eq!(result_of(frame), "final");
+    frame.get("caches").expect("final frames report caches")
+}
+
+fn cache_size(caches: &Value, field: &str) -> u64 {
+    caches
+        .get(field)
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("caches report {field}"))
+}
+
 #[test]
 fn serves_verify_status_reload_shutdown_with_warm_second_pass() {
     let _guard = lock();
     with_watchdog("daemon service flow", 600, || {
         let config = test_config();
-        let (responses, _) = serve(
+        let (cold, _) = serve(
             &config,
             script(&[
                 r#"{"id":1,"method":"verify","program":"bsearch"}"#.to_string(),
                 r#"{"id":2,"method":"status"}"#.to_string(),
-                r#"{"id":3,"method":"verify","program":"bsearch","mode":"flux"}"#.to_string(),
-                r#"{"id":5,"method":"shutdown"}"#.to_string(),
+                r#"{"id":3,"method":"shutdown"}"#.to_string(),
             ]),
         );
-        assert_eq!(result_of(&responses[&1]), "verified");
-        assert_eq!(result_of(&responses[&2]), "status");
-        let caches = responses[&2].get("caches").expect("status reports caches");
+        assert_eq!(result_of(&cold[&1]), "verified");
+        // `status` may be answered before the worker finishes verifying,
+        // so the cache sizes are read from the drained `final` frames.
+        assert_eq!(result_of(&cold[&2]), "status");
+        let caches = cold[&2].get("caches").expect("status reports caches");
         assert!(caches.get("hcons_nodes").and_then(Value::as_u64).is_some());
-        assert!(
-            caches.get("cnf_atoms").and_then(Value::as_u64).unwrap_or(0) > 0,
-            "status reports the CNF atom table the first verify filled"
-        );
         assert_eq!(
             caches
                 .get("hcons_watermark_exceeded")
@@ -123,26 +133,40 @@ fn serves_verify_status_reload_shutdown_with_warm_second_pass() {
             Some(false),
             "the node arena cannot plausibly exceed the default watermark here"
         );
-        // Second pass over the same program: served from the warm
-        // process-global verdict cache (the single worker serializes the
-        // two requests, so the first has landed before the second runs).
-        assert_eq!(result_of(&responses[&3]), "verified");
-        let xbench = responses[&3]
-            .get("stats")
-            .and_then(|s| s.get("xbench_hits"))
-            .and_then(Value::as_u64)
-            .expect("verify responses carry stats");
-        assert!(xbench > 0, "second pass should hit the warm cache");
-        // Final statistics frame answers the shutdown id after the drain.
-        assert_eq!(result_of(&responses[&5]), "final");
-        assert_eq!(
-            responses[&5].get("admitted").and_then(Value::as_u64),
-            Some(2)
+        let cold_caches = caches_of(&cold[&3]);
+        assert!(
+            cache_size(cold_caches, "cnf_atoms") > 0,
+            "the final frame reports the CNF atom table the verify filled"
         );
-        assert_eq!(
-            responses[&5].get("verified").and_then(Value::as_u64),
-            Some(2)
+        assert_eq!(cold[&3].get("admitted").and_then(Value::as_u64), Some(1));
+        assert_eq!(cold[&3].get("verified").and_then(Value::as_u64), Some(1));
+
+        // A second session verifying the same program: binder names are
+        // deterministic, so every query is answered from the warm
+        // process-global verdict cache and nothing new is interned.
+        let (warm, _) = serve(
+            &config,
+            script(&[
+                r#"{"id":1,"method":"verify","program":"bsearch","mode":"flux"}"#.to_string(),
+                r#"{"id":2,"method":"shutdown"}"#.to_string(),
+            ]),
         );
+        assert_eq!(result_of(&warm[&1]), "verified");
+        let stats = warm[&1].get("stats").expect("verify responses carry stats");
+        let stat = |field: &str| stats.get(field).and_then(Value::as_u64).expect(field);
+        assert_eq!(stat("cache_misses"), 0, "the second pass must not miss");
+        assert!(
+            stat("xbench_hits") > 0,
+            "the second pass hits the warm cache"
+        );
+        let warm_caches = caches_of(&warm[&2]);
+        for field in ["hcons_nodes", "cnf_len", "cnf_atoms"] {
+            assert_eq!(
+                cache_size(warm_caches, field),
+                cache_size(cold_caches, field),
+                "the second pass grew {field}"
+            );
+        }
 
         // A second daemon run over the same process (the caches are
         // process-global and still warm): `reload` must report dropping

@@ -12,10 +12,11 @@
 //!    [`flux_smt::ResourceBudget`] clamped by a server-side ceiling, and
 //!    `catch_unwind` containment: a panicking request yields a structured
 //!    `error` response and a fresh worker, never a dead daemon.
-//! 2. **Generational cache reclaim** — the verdict cache is an LRU trimmed
-//!    back to its target after every request; memo tables are capped.  The
-//!    hash-consing node arena is exempt for soundness (`ExprId` stability)
-//!    and monitored against a watermark instead.
+//! 2. **Generational cache reclaim** — every cache stays uncapped and warm;
+//!    the hash-consing node arena is held to a watermark.  When a job leaves
+//!    the arena above it and no job is in flight, the daemon flushes the
+//!    whole generation — every holder of `ExprId`s together, so no id is
+//!    ever reused while something still holds it.
 //! 3. **Admission control** — a bounded queue; overload yields a
 //!    structured `busy` response with `retry_after_ms`, and `shutdown` or
 //!    end-of-input drains in-flight work before a final statistics frame.
@@ -32,7 +33,7 @@ pub mod proto;
 pub mod server;
 
 pub use proto::{parse_request, read_frame, write_frame, Frame, Request, VerifyRequest};
-pub use server::{run, ServerConfig};
+pub use server::{flush_generation, run, Flushed, ServerConfig};
 
 /// Installs a panic hook that suppresses the default backtrace spam for
 /// *injected* worker faults while forwarding every other panic unchanged.

@@ -1,5 +1,5 @@
 //! The `fluxd` server loop: supervised workers, bounded admission, and
-//! generational cache reclaim between requests.
+//! generational cache reclaim while idle.
 //!
 //! # Supervision tree
 //!
@@ -23,32 +23,32 @@
 //!
 //! # Generational reclaim
 //!
-//! A long-running daemon must not grow without bound across requests.  The
-//! warm state splits into two classes:
+//! A long-running daemon must not grow without bound across requests, and
+//! must not evict the warm set that makes a repeated request free.  Every
+//! process-global cache runs uncapped: the verdict cache, the CNF memo and
+//! its atom table, and the hash-consing memos.  They all hold `ExprId`s,
+//! which are indices into the hash-consing arena, so they all grow with
+//! it; the arena is the one thing the daemon bounds.
 //!
-//! * **Reclaimable** — the fixpoint validity cache (LRU, trimmed to
-//!   `validity_cache_cap` after every request), the CNF memo cache
-//!   (uncapped by default, reclaim-on-acquire under `cnf_cache_cap`) and
-//!   the hash-consing simplify/quantifier/application memos (capped,
-//!   reclaim-on-acquire).  Dropping any entry only costs recomputation;
-//!   `reload` flushes all three.
-//! * **Exempt** — the hash-consing `nodes`/`index` arena and the CNF atom
-//!   table.  `ExprId`s are indices into the arena and live inside cached
-//!   verdict keys; freeing or compacting the arena would let two different
-//!   expressions alias one id, which is a *soundness* bug, not a
-//!   performance bug.  Every CNF memo key is an `ExprId` and every atom is
-//!   determined by one, so the memo and the atom table only grow with the
-//!   arena.  The daemon watches the arena against `hcons_node_watermark`
-//!   and reports the sizes and the breach through `status`, so an operator
-//!   can recycle the process on their own schedule.
+//! When a job leaves the arena above `hcons_node_watermark` and no other
+//! verify job is in flight, the worker flushes the whole *generation* in
+//! one hold of the generation lock ([`flush_generation`]): the verdict
+//! cache, the CNF memo and atom table, and the arena with its index and
+//! memos.  Dropping only some of them would be unsound — a surviving
+//! verdict keyed on a recycled id would answer for a different formula —
+//! so they go together.  Each verify job holds the lock's read side for its
+//! whole run, so a flush never pulls ids out from under a solve; a busy
+//! daemon skips the flush, and the next job to finish retries it.  An idle
+//! daemon is therefore never above its watermark.  `reload` runs the same
+//! flush, waiting for the jobs in flight.
 //!
 //! # Live reconfiguration
 //!
 //! `reload` re-reads the `FLUXD_*` environment and applies it to the
-//! running instance: cache capacities are re-applied, the worker pool is
-//! resized (grown eagerly; shrunk lazily — an excess worker retires after
-//! its next job), and per-request settings such as the deadline ceiling
-//! take effect for every subsequent admission.  The resolved widths are
+//! running instance: the worker pool is resized (grown eagerly; shrunk
+//! lazily — an excess worker retires after its next job), and per-request
+//! settings such as the deadline ceiling and the watermark take effect for
+//! every subsequent admission.  The resolved widths are
 //! reported in the `reload` answer so a client can confirm the daemon
 //! actually observed the new environment — the historical bug this guards
 //! against was `FLUX_THREADS` being cached in a process-global `OnceLock`,
@@ -62,7 +62,7 @@ use crate::proto::{
 };
 use flux::{verify_source, Mode, VerifyConfig, VerifyOutcome};
 use flux_bench::json::quote;
-use flux_logic::{env_parse, lock_recover};
+use flux_logic::{env_parse, lock_recover, GenerationGuard};
 use flux_smt::testing::{fault_delay, inject_fault, Fault};
 use flux_smt::ResourceBudget;
 use std::io::{BufRead, Write};
@@ -95,19 +95,21 @@ pub struct ServerConfig {
     /// Suggested client back-off carried in `busy` responses
     /// (`FLUXD_RETRY_AFTER_MS`).
     pub retry_after_ms: u64,
-    /// Post-request LRU trim target for the global validity cache; the hard
-    /// in-request cap is twice this (`FLUXD_VALIDITY_CAP`).
+    /// Not applied by the daemon, which runs every cache uncapped.  The
+    /// three cap fields are read only by `perfbench`'s in-process replay of
+    /// the daemon's cache policy (it caps the validity cache at twice this
+    /// value and trims back to it after each request); their values mean
+    /// "uncapped" there.  Nothing reads them from the environment.
     pub validity_cache_cap: usize,
-    /// CNF memo-cache capacity in entries, 0 for none (`FLUXD_CNF_CAP`).
-    /// The default is 0: the memo grows only with the hash-consing arena,
-    /// and a cap flushes it, encodings in use included, whenever one lock
-    /// hold pushes it past the cap.
+    /// See `validity_cache_cap`; 0 means uncapped.
     pub cnf_cache_cap: usize,
-    /// Hash-consing memo-table capacity (`FLUXD_HCONS_MEMO_CAP`).
+    /// See `validity_cache_cap`; 0 means uncapped.
     pub hcons_memo_cap: usize,
-    /// Advisory bound on the *exempt* hash-consing node arena; breaches are
-    /// reported via `status`, never enforced by freeing nodes
-    /// (`FLUXD_HCONS_WATERMARK`).
+    /// Enforced bound on the hash-consing node arena
+    /// (`FLUXD_HCONS_WATERMARK`): once a job leaves more nodes than this and
+    /// no job is in flight, the daemon flushes the whole generation.  The
+    /// warm caches cost about 0.5 KB of RSS per node, so the default of 4M
+    /// nodes allows about 2 GB before a flush.
     pub hcons_node_watermark: usize,
 }
 
@@ -119,9 +121,9 @@ impl Default for ServerConfig {
             max_frame: DEFAULT_MAX_FRAME,
             max_deadline_ms: 30_000,
             retry_after_ms: 100,
-            validity_cache_cap: 4096,
+            validity_cache_cap: usize::MAX / 2,
             cnf_cache_cap: 0,
-            hcons_memo_cap: 1 << 16,
+            hcons_memo_cap: 0,
             hcons_node_watermark: 4_000_000,
         }
     }
@@ -138,10 +140,8 @@ impl ServerConfig {
             max_frame: env_parse("FLUXD_MAX_FRAME", d.max_frame),
             max_deadline_ms: env_parse("FLUXD_MAX_DEADLINE_MS", d.max_deadline_ms).max(1),
             retry_after_ms: env_parse("FLUXD_RETRY_AFTER_MS", d.retry_after_ms),
-            validity_cache_cap: env_parse("FLUXD_VALIDITY_CAP", d.validity_cache_cap).max(1),
-            cnf_cache_cap: env_parse("FLUXD_CNF_CAP", d.cnf_cache_cap),
-            hcons_memo_cap: env_parse("FLUXD_HCONS_MEMO_CAP", d.hcons_memo_cap),
             hcons_node_watermark: env_parse("FLUXD_HCONS_WATERMARK", d.hcons_node_watermark),
+            ..d
         }
     }
 }
@@ -156,6 +156,7 @@ struct Stats {
     errored: AtomicU64,
     busy: AtomicU64,
     respawns: AtomicU64,
+    generations: AtomicU64,
 }
 
 impl Stats {
@@ -168,11 +169,15 @@ impl Stats {
 /// `shutdown` request, then drains and flushes a final statistics frame.
 /// The binary passes stdin/stdout; in-process tests pass buffers.
 pub fn run(config: &ServerConfig, mut input: impl BufRead, output: impl Write + Send) {
-    apply_cache_caps(config);
+    // The caches stay warm: neither `FLUX_CACHE_CAP` nor an earlier
+    // in-process caller caps them; the node watermark bounds them instead.
+    flux_fixpoint::set_global_cache_capacity(None);
+    flux_smt::set_cnf_cache_capacity(None);
+    flux_logic::set_hcons_memo_capacity(None);
 
     // The configuration is shared mutable state: `reload` swaps in a fresh
     // `from_env` snapshot mid-run, and workers re-read it per job so new
-    // deadline ceilings and trim targets apply to every later admission.
+    // deadline ceilings and watermarks apply to every later admission.
     let cfg = Arc::new(Mutex::new(config.clone()));
     let stats = Arc::new(Stats::default());
     let started = Instant::now();
@@ -244,20 +249,17 @@ pub fn run(config: &ServerConfig, mut input: impl BufRead, output: impl Write + 
                         let _ = resp_tx.send(report(id, "status", &snapshot, &stats, started));
                     }
                     Ok(Request::Reload { id }) => {
-                        // Re-read the environment and apply it live: cache
-                        // caps take effect immediately, the worker pool is
-                        // grown eagerly / shrunk lazily, and later verify
-                        // jobs clone the fresh snapshot.  The answer echoes
-                        // the resolved widths so callers can assert the new
-                        // environment was actually observed (and not, as a
-                        // `OnceLock` once made it, cached from startup).
+                        // Re-read the environment and apply it live: the
+                        // worker pool is grown eagerly / shrunk lazily, and
+                        // later verify jobs clone the fresh snapshot.  The
+                        // answer echoes the resolved widths so callers can
+                        // assert the new environment was actually observed
+                        // (and not, as a `OnceLock` once made it, cached
+                        // from startup).  The generation flush waits for
+                        // the verify jobs in flight.
                         let fresh = ServerConfig::from_env();
-                        apply_cache_caps(&fresh);
-                        let memos = flux_logic::flush_hcons_memos();
-                        let cnf = flux_smt::flush_cnf_cache();
-                        let cache = flux_fixpoint::global_cache();
-                        let dropped = cache.len();
-                        cache.clear();
+                        let flushed = flush_generation(&flux_logic::write_generation());
+                        stats.bump(&stats.generations);
                         let target = fresh.workers;
                         *lock_recover(&cfg) = fresh;
                         while workers.len() < target {
@@ -266,10 +268,11 @@ pub fn run(config: &ServerConfig, mut input: impl BufRead, output: impl Write + 
                         let fn_threads = flux_fixpoint::default_threads();
                         let _ = resp_tx.send(format!(
                             "{{\"id\":{id},\"result\":\"reloaded\",\
-                             \"hcons_memos_flushed\":{memos},\
-                             \"cnf_entries_flushed\":{cnf},\
-                             \"validity_entries_dropped\":{dropped},\
-                             \"workers\":{target},\"fn_threads\":{fn_threads}}}"
+                             \"hcons_memos_flushed\":{},\
+                             \"cnf_entries_flushed\":{},\
+                             \"validity_entries_dropped\":{},\
+                             \"workers\":{target},\"fn_threads\":{fn_threads}}}",
+                            flushed.hcons_memos, flushed.cnf_entries, flushed.validity_entries,
                         ));
                     }
                     Ok(Request::Shutdown { id }) => {
@@ -339,6 +342,7 @@ pub fn run(config: &ServerConfig, mut input: impl BufRead, output: impl Write + 
             let Ok(job) = job else { break };
             let (response, _panicked) = contained_verify(&snapshot, job, &stats);
             let _ = resp_tx.send(response);
+            reclaim_when_idle(&snapshot, &stats);
         }
 
         // Final statistics snapshot: the answer to `shutdown`, or an
@@ -358,7 +362,7 @@ pub fn run(config: &ServerConfig, mut input: impl BufRead, output: impl Write + 
 /// One worker: pull jobs until the queue closes.  A caught panic retires
 /// the worker after answering, so the supervisor replaces it with a fresh
 /// thread.  Each job runs against a fresh clone of the shared config, so a
-/// `reload` between jobs changes deadline ceilings and trim targets
+/// `reload` between jobs changes deadline ceilings and the watermark
 /// without restarting the pool.
 fn worker_loop(
     index: usize,
@@ -373,6 +377,7 @@ fn worker_loop(
         let snapshot = lock_recover(cfg).clone();
         let (response, panicked) = contained_verify(&snapshot, job, stats);
         let _ = tx.send(response);
+        reclaim_when_idle(&snapshot, stats);
         if panicked {
             // Retire after containing a panic: the supervisor respawns a
             // fresh thread before the next admission.
@@ -387,20 +392,60 @@ fn worker_loop(
     }
 }
 
-/// Applies a configuration's capacity knobs to the process-global caches.
-/// The validity cache's hard cap is 2× the reclaim target: requests may
-/// overshoot while running, the post-request trim brings the cache back to
-/// its generation size.  (Its per-shard caps divide that total.)
-fn apply_cache_caps(cfg: &ServerConfig) {
-    flux_fixpoint::set_global_cache_capacity(Some(cfg.validity_cache_cap * 2));
-    flux_smt::set_cnf_cache_capacity(Some(cfg.cnf_cache_cap));
-    flux_logic::set_hcons_memo_capacity(Some(cfg.hcons_memo_cap));
+/// What one generation flush dropped.
+#[derive(Debug)]
+pub struct Flushed {
+    /// Verdicts dropped from the validity cache.
+    pub validity_entries: usize,
+    /// CNF memo entries flushed (the atom table goes too).
+    pub cnf_entries: usize,
+    /// Hash-consing memo entries flushed (the node arena goes too).
+    pub hcons_memos: usize,
+}
+
+/// Flushes the whole generation: every process-global holder of `ExprId`s
+/// or `AtomId`s, together — the validity cache, the CNF memo and its atom
+/// table, and the hash-consing arena with its index and memos.  Afterwards
+/// the process is as cold as a fresh one.  The name interner and the
+/// function-context table stay: they hold no ids, so `Name`s and
+/// `FnCtxId`s remain valid.  The holders go first and the arena last, so
+/// a flush cut short by a panic leaves no holder with a recycled id.
+pub fn flush_generation(generation: &GenerationGuard) -> Flushed {
+    let cache = flux_fixpoint::global_cache();
+    let validity_entries = cache.len();
+    cache.clear();
+    let cnf_entries = flux_smt::reset_cnf_cache(generation);
+    let hcons_memos = flux_logic::reset_hcons(generation);
+    Flushed {
+        validity_entries,
+        cnf_entries,
+        hcons_memos,
+    }
+}
+
+/// Flushes the generation after a job if the arena is above the watermark
+/// and no verify job holds the generation lock.  A busy daemon skips the
+/// flush; the next job to finish retries it.
+fn reclaim_when_idle(cfg: &ServerConfig, stats: &Stats) {
+    let over = || flux_logic::interned_nodes() > cfg.hcons_node_watermark;
+    if !over() {
+        return;
+    }
+    if let Some(generation) = flux_logic::try_write_generation() {
+        // Another worker may have flushed between the check and the lock.
+        if over() {
+            flush_generation(&generation);
+            stats.bump(&stats.generations);
+        }
+    }
 }
 
 /// Runs one verify job under `catch_unwind`, always producing a response.
-/// The flag reports whether a panic was contained.
+/// The flag reports whether a panic was contained.  The job pins the
+/// generation, so no flush runs while it holds ids.
 fn contained_verify(cfg: &ServerConfig, job: VerifyRequest, stats: &Stats) -> (String, bool) {
     let id = job.id;
+    let _generation = flux_logic::read_generation();
     match catch_unwind(AssertUnwindSafe(|| handle_verify(cfg, job, stats))) {
         Ok(response) => (response, false),
         Err(payload) => {
@@ -427,7 +472,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The verify request proper: resolve the program, clamp the budget, run
-/// the verifier, map the outcome, reclaim the caches.
+/// the verifier, map the outcome.
 fn handle_verify(cfg: &ServerConfig, job: VerifyRequest, stats: &Stats) -> String {
     // Fault site "daemon": worker dispatch.
     match inject_fault("daemon") {
@@ -464,7 +509,7 @@ fn handle_verify(cfg: &ServerConfig, job: VerifyRequest, stats: &Stats) -> Strin
     config.check.fixpoint.smt.budget = budget;
     config.wp.smt.budget = budget;
 
-    let response = match verify_source(&source, mode, &config) {
+    match verify_source(&source, mode, &config) {
         Ok(outcome) => {
             let verdict = verdict_of(&outcome);
             match verdict {
@@ -478,19 +523,7 @@ fn handle_verify(cfg: &ServerConfig, job: VerifyRequest, stats: &Stats) -> Strin
             stats.bump(&stats.errored);
             error_response(job.id, &format!("frontend: {frontend}"))
         }
-    };
-
-    // Generational reclaim: trim the validity cache back to its target so
-    // a burst of one-off queries ages out instead of accumulating.  The
-    // hash-consing node arena is deliberately exempt (see module docs).
-    {
-        let cache = flux_fixpoint::global_cache();
-        if cache.len() > cfg.validity_cache_cap {
-            cache.trim(cfg.validity_cache_cap);
-        }
     }
-
-    response
 }
 
 /// Maps a batch outcome to a wire verdict, mirroring the table renderer's
@@ -554,9 +587,10 @@ fn render_outcome(id: u64, verdict: &str, outcome: &VerifyOutcome) -> String {
     )
 }
 
-/// Renders a `status` or `final` statistics frame: lifetime counters plus
-/// the live size of every process-global cache, including the exempt CNF
-/// atom table, the exempt hash-consing arena and its advisory watermark.
+/// Renders a `status` or `final` statistics frame: lifetime counters
+/// (`generations` counts flushes) plus the live size of every
+/// process-global cache, including the CNF atom table, the hash-consing
+/// arena and its watermark.
 fn report(id: u64, result: &str, cfg: &ServerConfig, stats: &Stats, started: Instant) -> String {
     let nodes = flux_logic::interned_nodes();
     let (validity_len, validity_evictions) = {
@@ -566,10 +600,10 @@ fn report(id: u64, result: &str, cfg: &ServerConfig, stats: &Stats, started: Ins
     format!(
         "{{\"id\":{id},\"result\":\"{result}\",\
          \"admitted\":{},\"verified\":{},\"rejected\":{},\"unknown\":{},\
-         \"errors\":{},\"busy\":{},\"worker_respawns\":{},\"uptime_ms\":{},\
-         \"workers\":{},\"fn_threads\":{},\
+         \"errors\":{},\"busy\":{},\"worker_respawns\":{},\"generations\":{},\
+         \"uptime_ms\":{},\"workers\":{},\"fn_threads\":{},\
          \"caches\":{{\"validity_len\":{validity_len},\
-         \"validity_cap\":{},\"validity_evictions\":{validity_evictions},\
+         \"validity_evictions\":{validity_evictions},\
          \"cnf_len\":{},\"cnf_evictions\":{},\
          \"hcons_memo_evictions\":{},\
          \"cnf_atoms\":{},\"hcons_nodes\":{nodes},\"hcons_node_watermark\":{},\
@@ -581,10 +615,10 @@ fn report(id: u64, result: &str, cfg: &ServerConfig, stats: &Stats, started: Ins
         stats.errored.load(Ordering::Relaxed),
         stats.busy.load(Ordering::Relaxed),
         stats.respawns.load(Ordering::Relaxed),
+        stats.generations.load(Ordering::Relaxed),
         started.elapsed().as_millis(),
         cfg.workers,
         flux_fixpoint::default_threads(),
-        cfg.validity_cache_cap,
         flux_smt::cnf_cache_len(),
         flux_smt::cnf_cache_evictions(),
         flux_logic::hcons_memo_evictions(),

@@ -1,6 +1,7 @@
 //! End-to-end exercise of the real `fluxd` binary over a pipe: the full
-//! Table-1 matrix cold, then warm (asserting the cross-request cache
-//! actually hits), wire-level garbage mid-session, and a clean drain.
+//! Table-1 matrix cold, then warm (asserting every warm Flux query is a
+//! cache hit and nothing new is interned), wire-level garbage mid-session,
+//! and a clean drain.
 //!
 //! Cargo builds the binary before running integration tests and exposes
 //! its path as `CARGO_BIN_EXE_fluxd`.
@@ -25,6 +26,17 @@ fn result_of(response: &Value) -> &str {
         .get("result")
         .and_then(Value::as_str)
         .expect("response carries a result")
+}
+
+/// The live size of the daemon's hash-consing arena.
+fn hcons_nodes(daemon: &mut DaemonClient) -> u64 {
+    daemon
+        .status()
+        .expect("status round-trip")
+        .get("caches")
+        .and_then(|c| c.get("hcons_nodes"))
+        .and_then(Value::as_u64)
+        .expect("status reports hcons_nodes")
 }
 
 fn expected_verdict(name: &str, mode: Mode) -> &'static str {
@@ -63,30 +75,53 @@ fn full_matrix_cold_then_warm_with_cross_request_hits() {
             );
         }
 
-        // Warm pass: identical requests again.  The verdicts must not
-        // drift, and the process-global validity cache — whose keys are
-        // the same on a re-run because binder names are deterministic —
-        // must serve cross-request (`xbench`) hits.
-        let mut warm_xbench = 0;
-        for (name, mode, wire_mode) in &cells {
+        // Warm pass: identical requests again, the Flux cells first.  The
+        // verdicts must not drift.  Binder names are deterministic, so a
+        // re-run asks the same queries, and the daemon keeps its caches
+        // uncapped below the node watermark: every warm Flux query is a
+        // cross-request (`xbench`) hit, no solver session opens, and the
+        // Flux half interns nothing.  (The baseline verifier names its
+        // binders afresh on every run, so its half always interns.)
+        let (flux_cells, baseline_cells): (Vec<_>, Vec<_>) =
+            cells.iter().partition(|(_, mode, _)| *mode == Mode::Flux);
+        let warm = |daemon: &mut DaemonClient, name: &str, mode: Mode, wire_mode: &str| {
             let response = daemon
                 .verify_program(name, wire_mode)
                 .expect("warm verify round-trip");
             assert_eq!(
                 result_of(&response),
-                expected_verdict(name, *mode),
+                expected_verdict(name, mode),
                 "warm {name}/{wire_mode}: {response:?}"
             );
-            warm_xbench += response
-                .get("stats")
-                .and_then(|s| s.get("xbench_hits"))
-                .and_then(Value::as_u64)
-                .expect("verify responses carry stats");
+            response
+        };
+        let nodes_before = hcons_nodes(&mut daemon);
+        let mut warm_xbench = 0;
+        for (name, mode, wire_mode) in &flux_cells {
+            let response = warm(&mut daemon, name, *mode, wire_mode);
+            let stat = |field: &str| {
+                response
+                    .get("stats")
+                    .and_then(|s| s.get(field))
+                    .and_then(Value::as_u64)
+                    .expect("verify responses carry stats")
+            };
+            warm_xbench += stat("xbench_hits");
+            assert_eq!(stat("cache_misses"), 0, "warm {name}/flux missed");
+            assert_eq!(stat("sessions"), 0, "warm {name}/flux opened a session");
         }
         assert!(
             warm_xbench > 0,
             "the warm pass must hit the cross-request verdict cache"
         );
+        assert_eq!(
+            hcons_nodes(&mut daemon),
+            nodes_before,
+            "the warm Flux cells interned new nodes"
+        );
+        for (name, mode, wire_mode) in &baseline_cells {
+            warm(&mut daemon, name, *mode, wire_mode);
+        }
 
         // Wire-level garbage mid-session: a structured error comes back
         // and the daemon keeps serving.
@@ -98,8 +133,8 @@ fn full_matrix_cold_then_warm_with_cross_request_hits() {
             .expect("daemon still serves after garbage");
         assert_eq!(result_of(&alive), "verified");
 
-        // Status reflects the workload; the exempt node arena is reported
-        // but not breached by this small session.
+        // Status reflects the workload; the node arena stays below the
+        // default watermark in this small session, so no flush ran.
         let status = daemon.status().expect("status round-trip");
         assert_eq!(result_of(&status), "status");
         assert_eq!(
@@ -113,6 +148,7 @@ fn full_matrix_cold_then_warm_with_cross_request_hits() {
                 .and_then(Value::as_bool),
             Some(false)
         );
+        assert_eq!(status.get("generations").and_then(Value::as_u64), Some(0));
 
         // Clean drain: the final frame answers the shutdown id and the
         // child exits successfully.

@@ -12,8 +12,12 @@
 //!    `error` or `busy`, but a conclusive verdict must match the Table-1
 //!    expectation matrix: an unsafe program never comes back `verified`,
 //!    an expected-safe one never `rejected`.
-//! 4. **Bounded warm state** — every `status` probe sees the validity
-//!    cache inside its configured hard cap.
+//! 4. **Generations churn** — the node watermark is set so low that the
+//!    stream crosses it again and again.  Each crossing flushes the whole
+//!    generation once no job is in flight, so the final frame, from an
+//!    idle daemon, counts at least one generation and shows an arena at or
+//!    below the watermark.  Property 3 then covers verdicts that span
+//!    flushes under the fault storm.
 //!
 //! The stream length is `FLUXD_SOAK_REQUESTS` (default 500 in release —
 //! CI runs 200, the nightly job 1000 — and 24 under a debug profile,
@@ -28,7 +32,10 @@ use flux_smt::testing::with_watchdog;
 use flux_suite::{benchmarks, expect_verifies, Mode};
 use std::collections::HashMap;
 
-const VALIDITY_CAP: u64 = 256;
+/// Hash-consing nodes the daemon may keep before it flushes a generation:
+/// below what one bsearch or fft Flux verification interns (~1.3k and
+/// ~2.9k nodes), so the stream crosses it many times.
+const HCONS_WATERMARK: u64 = 1000;
 
 const SAFE_SRC: &str = r#"
     #[flux::sig(fn(i32{v: v > 0}) -> i32{v: v > 1})]
@@ -110,15 +117,12 @@ fn classify(id: u64, kind: &Kind, response: &Value) -> bool {
     match kind {
         Kind::Status => {
             assert_eq!(result, "status", "id {id}: {response:?}");
-            let len = response
-                .get("caches")
-                .and_then(|c| c.get("validity_len"))
-                .and_then(Value::as_u64)
-                .expect("status reports the validity cache size");
-            // The in-request hard cap is twice the reclaim target.
             assert!(
-                len <= VALIDITY_CAP * 2,
-                "id {id}: validity cache grew past its hard cap: {len}"
+                response
+                    .get("generations")
+                    .and_then(Value::as_u64)
+                    .is_some(),
+                "id {id}: status reports the generations flushed: {response:?}"
             );
             false
         }
@@ -189,9 +193,9 @@ fn fault_soak_never_crashes_hangs_or_lies() {
             &[
                 ("FLUXD_MAX_DEADLINE_MS", "600000".to_string()),
                 // A shallow queue so request bursts actually overflow into
-                // `busy`, and a small cache cap so reclaim churns for real.
+                // `busy`, and a low node watermark so generations churn.
                 ("FLUXD_QUEUE_CAP", "2".to_string()),
-                ("FLUXD_VALIDITY_CAP", VALIDITY_CAP.to_string()),
+                ("FLUXD_HCONS_WATERMARK", HCONS_WATERMARK.to_string()),
                 ("FLUXD_RETRY_AFTER_MS", "5".to_string()),
                 ("FLUXD_FAULT_SEED", seed.to_string()),
                 ("FLUXD_FAULT_UNKNOWN_PERMILLE", "80".to_string()),
@@ -263,13 +267,28 @@ fn fault_soak_never_crashes_hangs_or_lies() {
         );
 
         // Clean exit 0 after the storm: the final frame reports the
-        // panics the pool absorbed.
+        // panics the pool absorbed and the generations it flushed, and the
+        // idle daemon sits at or below its watermark.
         let fin = daemon.shutdown().expect("faulted daemon drains cleanly");
         assert_eq!(result_of(&fin), "final");
         let respawns = fin
             .get("worker_respawns")
             .and_then(Value::as_u64)
             .expect("final frame reports respawns");
+        let generations = fin
+            .get("generations")
+            .and_then(Value::as_u64)
+            .expect("final frame reports generations");
+        assert!(generations >= 1, "the stream never flushed a generation");
+        let nodes = fin
+            .get("caches")
+            .and_then(|c| c.get("hcons_nodes"))
+            .and_then(Value::as_u64)
+            .expect("final frame reports hcons_nodes");
+        assert!(
+            nodes <= HCONS_WATERMARK,
+            "the idle daemon holds {nodes} nodes, above its watermark"
+        );
         if requests >= 200 {
             assert!(
                 respawns > 0,
@@ -278,7 +297,8 @@ fn fault_soak_never_crashes_hangs_or_lies() {
         }
         eprintln!(
             "soak: {requests} requests, {conclusive} conclusive, \
-             {busy_retries} busy retries, {respawns} worker respawns"
+             {busy_retries} busy retries, {respawns} worker respawns, \
+             {generations} generations"
         );
 
         // A fresh, fault-free daemon over the same programs answers

@@ -13,16 +13,17 @@
 //! comparing a candidate query against the cache costs a few `u32`
 //! comparisons instead of deep tree equality, and interning the hypotheses
 //! once per clause amortises the key cost over every goal of that clause.
-//! The hash-cons table is append-only for the process lifetime, so an
-//! `ExprId` means the same expression forever — which is what makes one
-//! **process-global** cache sound: verdicts computed while verifying one
-//! benchmark can be replayed for any later benchmark, program or long-lived
-//! caller in the same process (see [`global_cache`]).  Keys additionally
-//! carry an interned fingerprint of the uninterpreted-function declaration
-//! context ([`FnCtxId`]), because the same expression can be interpreted
-//! differently under different function signatures; the historical design
-//! instead cleared a per-solver cache whenever the base context changed,
-//! which is exactly the sharing this cache exists to keep.
+//! The hash-cons table is append-only within a generation, so an `ExprId`
+//! means the same expression until a generation flush clears this cache
+//! together with the table (see `flux_logic::write_generation`) — which is
+//! what makes one **process-global** cache sound: verdicts computed while
+//! verifying one benchmark can be replayed for any later benchmark, program
+//! or long-lived caller in the same process (see [`global_cache`]).  Keys
+//! additionally carry an interned fingerprint of the uninterpreted-function
+//! declaration context ([`FnCtxId`]), because the same expression can be
+//! interpreted differently under different function signatures; the
+//! historical design instead cleared a per-solver cache whenever the base
+//! context changed, which is exactly the sharing this cache exists to keep.
 //!
 //! Entries are stamped with the global solve *epoch* and the *owner*
 //! (solver instance) that created them, so a hit can be attributed: a
@@ -241,9 +242,10 @@ impl ValidityCache {
         self.map.is_empty()
     }
 
-    /// Drops all cached verdicts (the eviction counter survives).
+    /// Drops all cached verdicts and frees their memory (the eviction
+    /// counter survives).
     pub fn clear(&mut self) {
-        self.map.clear();
+        self.map = HashMap::new();
         self.order.clear();
     }
 }

@@ -10,7 +10,8 @@
 //! [`ExprId`] provides both: interning an [`Expr`] walks the tree once and
 //! maps every distinct subterm to a `u32` id in a global append-only table,
 //! so two structurally equal expressions always receive the same id, no
-//! matter where or when they were built.  On top of the shared table this
+//! matter where or when they were built.  Only [`reset_hcons`], under the
+//! generation lock, empties the table.  On top of the shared table this
 //! module offers memoized substitution ([`ExprId::subst`]) and memoized
 //! simplification ([`ExprId::simplified`]); both agree exactly with their
 //! tree-walking counterparts ([`crate::Subst::apply`] and
@@ -21,13 +22,17 @@ use crate::util::lock_counted;
 use crate::{simplify, BinOp, Constant, Expr, Name, Sort, SortCtx, SortError, Subst, UnOp, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{
+    Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+    TryLockError,
+};
 
 /// The identifier of a hash-consed expression.
 ///
 /// Two [`ExprId`]s are equal iff the expressions they were interned from are
-/// structurally equal.  Ids are stable for the lifetime of the process,
-/// which makes them usable as persistent cache keys.
+/// structurally equal.  Ids are stable for the lifetime of a *generation*
+/// (see [`read_generation`]), which makes them usable as persistent cache
+/// keys; a process that never resets the table has one generation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ExprId(u32);
 
@@ -55,14 +60,56 @@ struct Table {
     /// and [`ExprId::has_app`]); pure, so valid forever.
     quant_memo: HashMap<u32, bool>,
     app_memo: HashMap<u32, bool>,
+    /// Cap on the combined size of the three memo maps (0 = unlimited).
+    /// Seeded from `FLUX_CACHE_CAP` when the table is created; see
+    /// [`set_hcons_memo_capacity`].  The `nodes`/`index` maps are never
+    /// evicted: ids must stay stable for a whole generation, so only
+    /// [`reset_hcons`] frees them.
+    memo_cap: usize,
 }
 
-/// Cap on the combined size of the table's three memo maps (0 = unlimited);
-/// see [`set_hcons_memo_capacity`].  The `nodes`/`index` maps themselves are
-/// *never* evicted: id stability for the process lifetime is what makes
-/// [`ExprId`]s usable as persistent cache keys, so memory governance here is
-/// limited to the (freely recomputable) memos.
-static MEMO_CAP: AtomicUsize = AtomicUsize::new(0);
+/// The generation lock.  Every process-global holder of [`ExprId`]s —
+/// this table, the CNF cache and the validity cache — is only sound while
+/// the ids it holds denote what they denoted when it stored them.  A
+/// caller that wants to drop all of them at once takes the write side
+/// ([`write_generation`]); a caller whose work holds ids takes the read
+/// side ([`read_generation`]) for as long as it holds them.
+static GENERATION: RwLock<()> = RwLock::new(());
+
+/// Exclusive hold on the generation lock.  The resets of the id tables
+/// ([`reset_hcons`], `flux_smt::reset_cnf_cache`) take one by reference, so
+/// nothing resets a table while a reader may still hold its ids.
+pub struct GenerationGuard {
+    _write: RwLockWriteGuard<'static, ()>,
+}
+
+/// Pins the current generation: no reset can run until the guard drops.
+/// Hold it across any work that keeps [`ExprId`]s (a whole verification).
+/// The lock guards no data, so a writer that panicked leaves nothing for
+/// its poisoning to protect, here or in the write functions below.
+pub fn read_generation() -> RwLockReadGuard<'static, ()> {
+    GENERATION.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Takes the generation lock exclusively, waiting for every reader to
+/// finish.
+pub fn write_generation() -> GenerationGuard {
+    GenerationGuard {
+        _write: GENERATION.write().unwrap_or_else(PoisonError::into_inner),
+    }
+}
+
+/// Takes the generation lock exclusively if no reader holds it.
+pub fn try_write_generation() -> Option<GenerationGuard> {
+    match GENERATION.try_write() {
+        Ok(_write) => Some(GenerationGuard { _write }),
+        Err(TryLockError::Poisoned(poisoned)) => Some(GenerationGuard {
+            _write: poisoned.into_inner(),
+        }),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
+
 /// Total memo entries evicted so far (monotone; callers read deltas).
 static MEMO_EVICTIONS: AtomicU64 = AtomicU64::new(0);
 /// Largest combined memo size observed (before any eviction).
@@ -79,9 +126,12 @@ static TABLE_CONTENTIONS: AtomicU64 = AtomicU64::new(0);
 /// (simplification and the structural predicates).  When the combined size
 /// exceeds the cap after an operation, all three memos are flushed in one
 /// region reclaim — entries are pure functions of their subterm, so the only
-/// cost is recomputation.  `None` (the default) disables the cap.
+/// cost is recomputation.  `None` disables the cap.  The default comes from
+/// `FLUX_CACHE_CAP` (unset or 0 = unlimited), read when the table is
+/// created, so this call creates the table first: the seed can never
+/// overwrite an explicit cap.
 pub fn set_hcons_memo_capacity(cap: Option<usize>) {
-    MEMO_CAP.store(cap.unwrap_or(0), Ordering::Relaxed);
+    table().memo_cap = cap.unwrap_or(0);
 }
 
 /// Total number of hash-cons memo entries evicted so far.  Monotone;
@@ -96,19 +146,19 @@ pub fn hcons_memo_high_watermark() -> usize {
     MEMO_HIGH_WATERMARK.load(Ordering::Relaxed)
 }
 
-/// Flushes the hash-cons table's three memo maps immediately, regardless of
-/// any cap — the region-reclaim hook a long-running service calls between
-/// requests to drop per-request memo garbage.  The `nodes`/`index` maps are
-/// deliberately untouched: [`ExprId`] stability is soundness-critical (ids
-/// key the process-global verdict cache), so node growth is only *reported*
-/// (via [`interned_nodes`]) and watermark-checked by the caller, never
-/// reclaimed.  Returns the number of entries flushed.
-pub fn flush_hcons_memos() -> usize {
+/// Drops the whole table — nodes, index and memos — and frees its memory:
+/// the next interned expression gets id 0 again.  Every [`ExprId`] handed
+/// out before is meaningless afterwards, which is why the caller must hold
+/// the generation lock and must also drop every other holder of ids in the
+/// same hold.  The memo cap survives.  Returns the number of memo entries
+/// flushed, which count as evictions.
+pub fn reset_hcons(_generation: &GenerationGuard) -> usize {
     let mut table = table();
     let total = table.simplify_memo.len() + table.quant_memo.len() + table.app_memo.len();
-    table.simplify_memo.clear();
-    table.quant_memo.clear();
-    table.app_memo.clear();
+    *table = Table {
+        memo_cap: table.memo_cap,
+        ..Table::default()
+    };
     count_memo_evictions(total);
     total
 }
@@ -130,13 +180,10 @@ pub fn hcons_contentions() -> u64 {
 fn table() -> MutexGuard<'static, Table> {
     static TABLE: OnceLock<Mutex<Table>> = OnceLock::new();
     let mutex = TABLE.get_or_init(|| {
-        // Seed the memo cap from the environment once, at first use; an
-        // explicit `set_hcons_memo_capacity` call still wins later.
-        let cap = crate::util::env_parse("FLUX_CACHE_CAP", 0usize);
-        if cap != 0 {
-            MEMO_CAP.store(cap, Ordering::Relaxed);
-        }
-        Mutex::new(Table::default())
+        Mutex::new(Table {
+            memo_cap: crate::util::env_parse("FLUX_CACHE_CAP", 0usize),
+            ..Table::default()
+        })
     });
     // Audit, not avoidance: count acquisitions that would block, then take
     // the lock as before (recovering from poisoning either way).
@@ -614,8 +661,7 @@ impl Table {
     fn reclaim_memos(&mut self) {
         let total = self.simplify_memo.len() + self.quant_memo.len() + self.app_memo.len();
         MEMO_HIGH_WATERMARK.fetch_max(total, Ordering::Relaxed);
-        let cap = MEMO_CAP.load(Ordering::Relaxed);
-        if cap != 0 && total > cap {
+        if self.memo_cap != 0 && total > self.memo_cap {
             self.simplify_memo.clear();
             self.quant_memo.clear();
             self.app_memo.clear();

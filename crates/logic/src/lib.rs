@@ -51,8 +51,9 @@ pub use audit::{audit_tier, lint, AuditTier, LintError};
 pub use eval::{evaluate, Value};
 pub use expr::{BinOp, Constant, Expr, UnOp};
 pub use hcons::{
-    flush_hcons_memos, hcons_contentions, hcons_memo_evictions, hcons_memo_high_watermark,
-    interned_nodes, set_hcons_memo_capacity, ExprId,
+    hcons_contentions, hcons_memo_evictions, hcons_memo_high_watermark, interned_nodes,
+    read_generation, reset_hcons, set_hcons_memo_capacity, try_write_generation, write_generation,
+    ExprId, GenerationGuard,
 };
 pub use intern::{Name, NameSupply};
 pub use simplify::simplify;

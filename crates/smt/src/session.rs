@@ -190,20 +190,36 @@ fn cnf_cache() -> MutexGuard<'static, CnfCache> {
 /// Caps the process-global CNF cache's memo maps (`None` = unlimited),
 /// reclaiming at once if they are over the new cap.  Defaults to
 /// `FLUX_CACHE_CAP` (unset or 0 = unlimited).  The atom table is exempt:
-/// cached and in-core clauses reference its ids for the life of the
-/// process, and it only grows with the hash-consing arena.
+/// cached and in-core clauses reference its ids until the next generation
+/// flush ([`reset_cnf_cache`]), and it only grows with the hash-consing
+/// arena.
 pub fn set_cnf_cache_capacity(cap: Option<usize>) {
     let mut cache = flux_logic::lock_recover(cnf_memo());
     cache.cap = cap.unwrap_or(0);
     cache.reclaim();
 }
 
-/// Flushes the CNF cache's memo maps now, regardless of any cap — the
-/// region-reclaim hook a long-running service calls between requests.  The
-/// atom table stays (see [`set_cnf_cache_capacity`]).  Returns the number
-/// of entries flushed, which also count as evictions.
+/// Flushes the CNF cache's memo maps now, regardless of any cap.  The atom
+/// table stays (see [`set_cnf_cache_capacity`]).  Returns the number of
+/// entries flushed, which also count as evictions.
 pub fn flush_cnf_cache() -> usize {
     flux_logic::lock_recover(cnf_memo()).flush()
+}
+
+/// Drops every memo map *and* the atom table, freeing their memory; the cap
+/// survives.  Memo keys are [`ExprId`]s and atoms name them, so this belongs
+/// to a generation flush: the caller holds the generation lock and resets
+/// the hash-consing table in the same hold.  Returns the number of memo
+/// entries flushed, which also count as evictions.
+pub fn reset_cnf_cache(_generation: &flux_logic::GenerationGuard) -> usize {
+    let mut cache = flux_logic::lock_recover(cnf_memo());
+    let total = cache.flush();
+    *cache = CnfCache {
+        cap: cache.cap,
+        evictions: cache.evictions,
+        ..CnfCache::default()
+    };
+    total
 }
 
 /// Total entries evicted from the process-global CNF cache so far.  A pure
@@ -218,8 +234,8 @@ pub fn cnf_cache_len() -> usize {
     flux_logic::lock_recover(cnf_memo()).memo_len()
 }
 
-/// Number of atoms in the CNF cache's atom table, which reclaim never
-/// shrinks.  A pure read, like [`cnf_cache_evictions`].
+/// Number of atoms in the CNF cache's atom table, which only
+/// [`reset_cnf_cache`] shrinks.  A pure read, like [`cnf_cache_evictions`].
 pub fn cnf_atoms() -> usize {
     flux_logic::lock_recover(cnf_memo()).atoms.len()
 }

@@ -1,0 +1,121 @@
+//! A generation flush is a clean restart.  `flux_daemon::flush_generation`
+//! drops every process-global holder of hash-consed ids at once — the
+//! verdict cache, the CNF memo and its atom table, and the hash-consing
+//! arena — so the next verification runs exactly as in a fresh process,
+//! and the one after it is warm again.
+//!
+//! This is its own test binary with a single test: it resets the
+//! process-global tables, which would pull ids out from under any
+//! concurrent verification.
+
+use flux::{verify_source, Mode, VerifyConfig, VerifyOutcome};
+use flux_bench::json::{parse, Value};
+use flux_daemon::{flush_generation, proto, run, ServerConfig};
+use std::io::Cursor;
+
+fn cache_sizes() -> (usize, usize, usize, usize) {
+    (
+        flux_logic::interned_nodes(),
+        flux_smt::cnf_atoms(),
+        flux_smt::cnf_cache_len(),
+        flux_fixpoint::global_cache().len(),
+    )
+}
+
+#[test]
+fn a_flushed_generation_verifies_like_a_fresh_process() {
+    flux_fixpoint::set_global_cache_capacity(None);
+    flux_smt::set_cnf_cache_capacity(None);
+    flux_logic::set_hcons_memo_capacity(None);
+    let mut config = VerifyConfig::default();
+    config.check.fixpoint.threads = 1;
+    config.check.fn_threads = 1;
+    let benchmarks = flux::benchmarks();
+    let pass = || -> Vec<VerifyOutcome> {
+        benchmarks
+            .iter()
+            .map(|b| {
+                verify_source(b.flux_src, Mode::Flux, &config)
+                    .expect("the corpus parses and resolves")
+            })
+            .collect()
+    };
+
+    let first = pass();
+    flush_generation(&flux_logic::write_generation());
+    assert_eq!(
+        cache_sizes(),
+        (0, 0, 0, 0),
+        "the flush left state behind (hcons nodes, CNF atoms, CNF entries, verdicts)"
+    );
+
+    // The pass after the flush is the first pass again, counter for
+    // counter: both pools are pinned to one thread, so the run is
+    // deterministic.
+    let cold = pass();
+    for ((b, first), cold) in benchmarks.iter().zip(&first).zip(&cold) {
+        assert_eq!(cold.safe, first.safe, "{}: the verdict changed", b.name);
+        assert_eq!(cold.errors, first.errors, "{}: the errors changed", b.name);
+        assert_eq!(
+            cold.stats.fix, first.stats.fix,
+            "{}: fixpoint counters",
+            b.name
+        );
+        assert_eq!(cold.stats.smt, first.stats.smt, "{}: SMT counters", b.name);
+    }
+
+    let before = cache_sizes();
+    let warm = pass();
+    for ((b, cold), warm) in benchmarks.iter().zip(&cold).zip(&warm) {
+        assert_eq!(warm.safe, cold.safe, "{}: the verdict changed", b.name);
+        assert_eq!(
+            warm.stats.fix.smt_queries, cold.stats.fix.smt_queries,
+            "{}: the warm pass must ask the same queries",
+            b.name
+        );
+        assert_eq!(warm.stats.fix.cache_misses, 0, "{}: a warm miss", b.name);
+        assert_eq!(warm.stats.fix.sessions, 0, "{}: a warm session", b.name);
+    }
+    assert_eq!(cache_sizes(), before, "the warm pass grew a cache");
+
+    // The daemon flushes on its own once a job leaves the arena above the
+    // watermark: with a watermark of one node, after every job.
+    let daemon = ServerConfig {
+        workers: 1,
+        max_deadline_ms: 600_000,
+        hcons_node_watermark: 1,
+        ..ServerConfig::default()
+    };
+    let mut input = Vec::new();
+    for payload in [
+        r#"{"id":1,"method":"verify","program":"bsearch"}"#,
+        r#"{"id":2,"method":"verify","program":"bsearch"}"#,
+        r#"{"id":3,"method":"shutdown"}"#,
+    ] {
+        proto::write_frame(&mut input, payload).expect("framing into a Vec cannot fail");
+    }
+    let mut output = Vec::new();
+    run(&daemon, Cursor::new(input), &mut output);
+    let mut cursor = Cursor::new(output);
+    let mut responses = Vec::new();
+    while let proto::Frame::Payload(payload) = proto::read_frame(&mut cursor, usize::MAX) {
+        responses.push(parse(&payload).expect("the daemon emits JSON"));
+    }
+    let results: Vec<&str> = responses
+        .iter()
+        .map(|r| r.get("result").and_then(Value::as_str).expect("a result"))
+        .collect();
+    assert_eq!(results, ["verified", "verified", "final"], "{responses:?}");
+    let fin = &responses[2];
+    let generations = fin.get("generations").and_then(Value::as_u64);
+    assert!(
+        generations.expect("the final frame counts generations") >= 1,
+        "the daemon never flushed: {fin:?}"
+    );
+    let nodes = fin
+        .get("caches")
+        .and_then(|c| c.get("hcons_nodes"))
+        .and_then(Value::as_u64)
+        .expect("the final frame reports hcons_nodes");
+    assert!(nodes <= 1, "the idle daemon kept {nodes} nodes");
+}

@@ -19,10 +19,7 @@ fn cache_sizes() -> (usize, usize, usize) {
 
 #[test]
 fn second_verification_of_the_corpus_hits_the_cache_and_grows_nothing() {
-    // Reading the node count first initializes the hash-consing table, which
-    // seeds its memo cap from `FLUX_CACHE_CAP`; the explicit calls below
-    // then win.  Uncapped caches keep every entry of the first pass.
-    cache_sizes();
+    // Uncapped caches keep every entry of the first pass.
     flux_fixpoint::set_global_cache_capacity(None);
     flux_smt::set_cnf_cache_capacity(None);
     flux_logic::set_hcons_memo_capacity(None);

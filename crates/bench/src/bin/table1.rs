@@ -11,12 +11,12 @@
 //!
 //! With `--json [PATH]` the run is additionally written as machine-readable
 //! JSON (default path `BENCH_table1.json`): per benchmark and verifier the
-//! run-level fields (`safe`, `time_s`, `functions`, `threads`,
-//! `fn_threads`, `unknowns`, `fn_times_ms`, `worker_queries`), then every
-//! `FixStats` counter under its field name (`smt_queries`, `cache_hits`,
-//! `sessions`, ...), then an `smt` object with every `SmtStats` counter
-//! (`pivots`, `propagations`, ...), so per-PR regressions in queries issued
-//! (or prunes/reuse lost) are visible by diffing one file.  The committed
+//! run-level fields (`safe`, `time_s`, `functions`, `fn_threads`,
+//! `unknowns`, `fn_times_ms`), then every `FixStats` counter under its
+//! field name (`smt_queries`, `cache_hits`, `sessions`, ...), then an
+//! `smt` object with every `SmtStats` counter (`pivots`, `propagations`,
+//! ...), so per-PR regressions in queries issued (or prunes/reuse lost)
+//! are visible by diffing one file.  The committed
 //! snapshot is a `--threads 1` run, whose counters are deterministic.
 //! Before overwriting, the fresh run is *gated* against the committed
 //! snapshot — totals **and** each benchmark individually, so a 3× `kmp`
@@ -26,12 +26,11 @@
 //! object; `--no-gate` skips the comparison, e.g. when a regression is
 //! intentional and the snapshot is being re-baselined.
 //!
-//! `--threads N` pins both parallel pools — the clause-level workers inside
-//! each fixpoint solve and the function-level fan-out above them (the
-//! default for each is the `FLUX_THREADS` environment variable, else the
-//! machine's available parallelism); the run's effective parallelism is
-//! recorded per benchmark in the JSON (`threads`, `fn_threads`,
-//! `partitions`, `worker_queries`, `fn_times_ms`, and the per-lock
+//! `--threads N` pins the function fan-out, the checker's only thread pool;
+//! every fixpoint solve runs on its fan-out worker's thread (the default
+//! width is the `FLUX_THREADS` environment variable, else the machine's
+//! available parallelism).  The run's effective parallelism is recorded per
+//! benchmark in the JSON (`fn_threads`, `fn_times_ms`, and the per-lock
 //! `hcons_contentions`, `cnf_contentions` and `validity_contentions`).
 //!
 //! `--audit [TIER]` runs both verifiers under the audit layer (`lint`, or
@@ -448,9 +447,6 @@ fn main() -> ExitCode {
     }
     let mut config = flux::VerifyConfig::default();
     if let Some(threads) = threads {
-        // One flag pins both pools: the clause-level workers inside each
-        // fixpoint solve and the function-level fan-out above them.
-        config.check.fixpoint.threads = threads;
         config.check.fn_threads = threads;
     }
     if let Some(tier) = audit {
@@ -477,15 +473,12 @@ fn main() -> ExitCode {
     }
     if daemon_mode && gate_enabled {
         // Daemon-routed responses carry a reduced statistics block (no
-        // per-worker queries, no pivot counts), so the rows are not
-        // comparable to a committed in-process snapshot.
+        // pivot counts), so the rows are not comparable to a committed
+        // in-process snapshot.
         println!("perf gate: skipped (daemon-routed runs report reduced statistics)");
         gate_enabled = false;
     }
-    println!(
-        "fixpoint worker threads: {} (function fan-out: {})",
-        config.check.fixpoint.threads, config.check.fn_threads
-    );
+    println!("function fan-out threads: {}", config.check.fn_threads);
     println!("audit tier: {}", config.check.fixpoint.smt.audit);
     let rows = if daemon_mode {
         match daemon_table1(deadline_ms, budget_steps) {

@@ -37,11 +37,32 @@ use checker::Generator;
 use flux_fixpoint::{FixConfig, FixResult, FixpointSolver};
 use flux_ir::ResolvedProgram;
 use flux_logic::{lock_recover, SortCtx};
+use flux_smt::testing::Fault;
 use flux_syntax::span::Diagnostic;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// The default width of the function fan-out ([`CheckConfig::fn_threads`]):
+/// the `FLUX_THREADS` environment variable when set (clamped to at least 1),
+/// otherwise the machine's available parallelism.
+///
+/// A set-but-unparsable `FLUX_THREADS` falls back to **1**, not to the
+/// machine's parallelism, and warns on stderr: the variable exists to pin
+/// runs to one thread, so a typo must never silently widen such a run.  An
+/// empty value counts as unset.
+pub fn default_threads() -> usize {
+    // Deliberately NOT cached in a process-global `OnceLock`: long-running
+    // callers (`fluxd`'s `reload`, tests that sweep thread counts) re-read
+    // the environment and must observe changes.
+    match std::env::var("FLUX_THREADS") {
+        Ok(raw) if !raw.trim().is_empty() => flux_logic::env_parse("FLUX_THREADS", 1usize).max(1),
+        _ => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1),
+    }
+}
 
 /// Configuration of the checker.
 #[derive(Clone, Debug)]
@@ -49,14 +70,13 @@ pub struct CheckConfig {
     /// Configuration forwarded to the fixpoint solver (and through it to the
     /// SMT solver).
     pub fixpoint: FixConfig,
-    /// Worker threads for the *function-level* fan-out in [`check_program`]:
-    /// whole per-function solves run concurrently, each worker owning its
-    /// own [`FixpointSolver`].  Orthogonal to the clause-level pool inside
-    /// each solve ([`FixConfig::threads`]); both default to
-    /// [`flux_fixpoint::default_threads`] (the `FLUX_THREADS` environment
-    /// variable, else the machine's parallelism).  `1` reproduces the
-    /// historical shared-solver sequential loop exactly.  Verdicts,
-    /// solutions and report order are thread-count-invariant.
+    /// Worker threads of the function fan-out in [`check_program`]: whole
+    /// per-function solves run concurrently, each worker owning its own
+    /// [`FixpointSolver`].  This is the only thread pool of the checker;
+    /// every solve runs on its worker's thread.  The default is
+    /// [`default_threads`].  `1` checks the functions in source order on the
+    /// calling thread with one shared solver.  Verdicts and report order are
+    /// thread-count-invariant.
     pub fn_threads: usize,
 }
 
@@ -64,7 +84,7 @@ impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
             fixpoint: FixConfig::default(),
-            fn_threads: flux_fixpoint::default_threads(),
+            fn_threads: default_threads(),
         }
     }
 }
@@ -80,16 +100,12 @@ pub struct FnReport {
     pub time: Duration,
     /// Statistics from the fixpoint solver.
     pub fixpoint_stats: flux_fixpoint::FixStats,
-    /// SMT queries issued per worker slot of the fixpoint solve (a single
-    /// slot for sequential solves; see
-    /// [`flux_fixpoint::FixpointSolver::worker_queries`]).
-    pub worker_queries: Vec<usize>,
     /// Cumulative statistics of the underlying SMT engine (sessions, SAT
     /// rounds, theory checks).
     pub smt_stats: flux_smt::SmtStats,
     /// Reasons the solve degraded to an inconclusive result (deadline hit,
-    /// step budget exhausted, a parallel worker panicked).  Empty for
-    /// conclusive (safe or unsafe) results.
+    /// step budget exhausted, the check panicked).  Empty for conclusive
+    /// (safe or unsafe) results.
     pub unknowns: Vec<flux_fixpoint::UnknownReason>,
 }
 
@@ -113,8 +129,9 @@ impl FnReport {
 pub struct Report {
     /// Per-function results, in source order.
     pub functions: Vec<FnReport>,
-    /// Width of the function-level worker pool that produced the report
-    /// (`1` for the sequential loop); see [`CheckConfig::fn_threads`].
+    /// Width of the function fan-out that produced the report (`1` when
+    /// the calling thread checked every function); see
+    /// [`CheckConfig::fn_threads`].
     pub fn_threads: usize,
     /// Wall-clock time of the whole [`check_program`] run.  Equals (modulo
     /// scheduling noise) the sum of per-function times when sequential;
@@ -167,51 +184,29 @@ impl Report {
         }
         total
     }
-
-    /// Per-worker-slot SMT query counts summed element-wise over all
-    /// checked functions (slot `w` aggregates the queries issued by clause
-    /// worker `w` across every function's solve).  The per-function vectors
-    /// being merged are *namespaced*: each lives in its own [`FnReport`],
-    /// written by that function's own solver after its solve — so even when
-    /// per-function solves run concurrently (the [`check_program`] fan-out)
-    /// and each runs its own clause pool, slot counts from different
-    /// functions can never interleave; they only meet here, in this
-    /// deterministic source-order sum.
-    pub fn total_worker_queries(&self) -> Vec<usize> {
-        let mut total: Vec<usize> = Vec::new();
-        for f in &self.functions {
-            if total.len() < f.worker_queries.len() {
-                total.resize(f.worker_queries.len(), 0);
-            }
-            for (slot, queries) in f.worker_queries.iter().enumerate() {
-                total[slot] += queries;
-            }
-        }
-        total
-    }
 }
 
 /// Checks every (non-trusted) function of a resolved program.
 ///
-/// With [`CheckConfig::fn_threads`] `== 1` (or a single function), one
-/// fixpoint solver — and therefore one validity cache — is shared across
-/// all functions in source order: VC fragments repeated between functions
-/// (identical loop shapes, common bounds obligations) are answered from the
-/// cache, and the per-function reports record how often that cross-function
-/// sharing paid off ([`flux_fixpoint::FixStats::cross_fn_hits`]).
+/// [`CheckConfig::fn_threads`] workers claim functions from a shared queue
+/// and each owns its own solver, reused across the functions it claims.
+/// With one worker (`fn_threads == 1`, or a single function) the loop runs
+/// inline on the calling thread, so one fixpoint solver — and therefore one
+/// validity cache — is shared across all functions in source order: VC
+/// fragments repeated between functions (identical loop shapes, common
+/// bounds obligations) are answered from the cache, and the per-function
+/// reports record how often that cross-function sharing paid off
+/// ([`flux_fixpoint::FixStats::cross_fn_hits`]).  With more workers,
+/// cross-function sharing flows through the process-global sharded
+/// validity cache instead.
 ///
-/// With more threads, whole per-function solves fan out over a scoped
-/// worker pool.  Functions are claimed from a shared queue; each worker
-/// owns its own solver (reused across the functions it claims), and
-/// cross-function sharing flows through the process-global sharded validity
-/// cache instead of a shared solver.  Each result lands in a slot indexed
-/// by the function's source position and the slots are drained in order, so
-/// the report — function order, blame order, every rendered table — is
-/// bit-identical to the sequential run's.  A panicking per-function solve
-/// is contained to that function: its slot reports
-/// [`flux_fixpoint::UnknownReason::WorkerPanic`] (inconclusive, never
-/// "safe"), the worker replaces its possibly-torn solver, and every other
-/// function completes normally — the PR 8 isolation pattern, one level up.
+/// Each result lands in a slot indexed by the function's source position
+/// and the slots are drained in order, so the report — function order,
+/// blame order, every rendered table — does not depend on the width.  At
+/// every width a panicking check is contained to its function: its slot
+/// reports [`flux_fixpoint::UnknownReason::WorkerPanic`] (inconclusive,
+/// never "safe"), the worker replaces its possibly-torn solver, and every
+/// other function completes normally.
 pub fn check_program(program: &ResolvedProgram, config: &CheckConfig) -> Report {
     let start = Instant::now();
     let names: Vec<&str> = program
@@ -220,84 +215,73 @@ pub fn check_program(program: &ResolvedProgram, config: &CheckConfig) -> Report 
         .map(|func| func.def.name.as_str())
         .collect();
     let fn_threads = config.fn_threads.max(1).min(names.len().max(1));
-    let mut report = if fn_threads == 1 {
-        let mut report = Report::default();
-        let mut solver = FixpointSolver::new(config.fixpoint.clone());
-        for name in &names {
-            report
-                .functions
-                .push(check_function_with(program, name, &mut solver));
-        }
-        report
-    } else {
-        check_program_parallel(program, config, &names, fn_threads)
-    };
-    report.fn_threads = fn_threads;
-    report.wall_time = start.elapsed();
-    report
-}
-
-/// The function-level fan-out of [`check_program`]: `threads` scoped
-/// workers claim function indices from an atomic queue and write each
-/// [`FnReport`] into the slot of the function's source position.
-fn check_program_parallel(
-    program: &ResolvedProgram,
-    config: &CheckConfig,
-    names: &[&str],
-    threads: usize,
-) -> Report {
     let slots: Vec<Mutex<Option<FnReport>>> = names.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut solver = FixpointSolver::new(config.fixpoint.clone());
-                loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(name) = names.get(idx) else { break };
-                    let fn_start = Instant::now();
-                    // `AssertUnwindSafe`: on a panic the claimed function's
-                    // report is synthesized below and the solver — whose
-                    // internal state the unwind may have torn mid-solve — is
-                    // replaced before the worker claims its next function.
-                    // Nothing else crosses the unwind boundary.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        check_function_with(program, name, &mut solver)
-                    }));
-                    let fn_report = match outcome {
-                        Ok(report) => report,
-                        Err(payload) => {
-                            solver = FixpointSolver::new(config.fixpoint.clone());
-                            FnReport {
-                                name: (*name).to_owned(),
-                                errors: Vec::new(),
-                                time: fn_start.elapsed(),
-                                fixpoint_stats: flux_fixpoint::FixStats::default(),
-                                worker_queries: Vec::new(),
-                                smt_stats: flux_smt::SmtStats::default(),
-                                unknowns: vec![flux_fixpoint::UnknownReason::WorkerPanic {
-                                    component: usize::MAX,
-                                    clauses: Vec::new(),
-                                    message: flux_fixpoint::panic_message(payload.as_ref()),
-                                }],
-                            }
-                        }
-                    };
-                    *lock_recover(&slots[idx]) = Some(fn_report);
+    let worker = || {
+        let mut solver = FixpointSolver::new(config.fixpoint.clone());
+        loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            let Some(name) = names.get(idx) else { break };
+            let fn_start = Instant::now();
+            // `AssertUnwindSafe`: on a panic the claimed function's report
+            // is synthesized below and the solver — whose internal state the
+            // unwind may have torn mid-solve — is replaced before the worker
+            // claims its next function.  Nothing else crosses the unwind
+            // boundary.
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if flux_smt::testing::inject_fault("worker") == Some(Fault::Panic) {
+                    panic!("injected worker fault");
+                }
+                check_function_with(program, name, &mut solver)
+            }));
+            let fn_report = outcome.unwrap_or_else(|payload| {
+                solver = FixpointSolver::new(config.fixpoint.clone());
+                FnReport {
+                    name: (*name).to_owned(),
+                    errors: Vec::new(),
+                    time: fn_start.elapsed(),
+                    fixpoint_stats: flux_fixpoint::FixStats::default(),
+                    smt_stats: flux_smt::SmtStats::default(),
+                    unknowns: vec![flux_fixpoint::UnknownReason::WorkerPanic {
+                        message: panic_message(payload.as_ref()),
+                    }],
                 }
             });
+            *lock_recover(&slots[idx]) = Some(fn_report);
         }
-    });
+    };
+    if fn_threads == 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..fn_threads {
+                scope.spawn(worker);
+            }
+        });
+    }
     Report {
         functions: slots
             .into_iter()
             .map(|slot| {
                 lock_recover(&slot)
                     .take()
-                    .expect("every claimed slot was filled before the scope joined")
+                    .expect("every claimed slot was filled before the workers finished")
             })
             .collect(),
-        ..Report::default()
+        fn_threads,
+        wall_time: start.elapsed(),
+    }
+}
+
+/// Stringifies a `catch_unwind` payload for
+/// [`flux_fixpoint::UnknownReason::WorkerPanic`].
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -322,7 +306,6 @@ pub fn check_function_with(
             errors: vec![diag],
             time: start.elapsed(),
             fixpoint_stats: flux_fixpoint::FixStats::default(),
-            worker_queries: Vec::new(),
             smt_stats: flux_smt::SmtStats::default(),
             unknowns: Vec::new(),
         },
@@ -348,7 +331,6 @@ pub fn check_function_with(
                 errors,
                 time: start.elapsed(),
                 fixpoint_stats: solver.stats,
-                worker_queries: solver.worker_queries.clone(),
                 smt_stats: solver.smt_stats().since(smt_before),
                 unknowns,
             }

@@ -265,7 +265,7 @@ pub fn run(config: &ServerConfig, mut input: impl BufRead, output: impl Write + 
                         while workers.len() < target {
                             workers.push(spawn_worker(workers.len()));
                         }
-                        let fn_threads = flux_fixpoint::default_threads();
+                        let fn_threads = flux::default_threads();
                         let _ = resp_tx.send(format!(
                             "{{\"id\":{id},\"result\":\"reloaded\",\
                              \"hcons_memos_flushed\":{},\
@@ -618,7 +618,7 @@ fn report(id: u64, result: &str, cfg: &ServerConfig, stats: &Stats, started: Ins
         stats.generations.load(Ordering::Relaxed),
         started.elapsed().as_millis(),
         cfg.workers,
-        flux_fixpoint::default_threads(),
+        flux::default_threads(),
         flux_smt::cnf_cache_len(),
         flux_smt::cnf_cache_evictions(),
         flux_logic::hcons_memo_evictions(),

@@ -252,13 +252,20 @@ impl ValidityCache {
 
 /// Number of lock-striped shards in the process-global validity cache.
 ///
-/// Eight matches the widest thread sweep the test suite pins
-/// (`tests/parallel_equivalence.rs` and the 8-thread `cache_stress`
-/// storms): with as many shards as peak workers, two threads only convoy
-/// when they touch keys that genuinely hash together, and the per-shard
-/// mutex hold time stays the old whole-cache hold time divided by the
-/// number of active shards.  A power of two also keeps every cap the
-/// suite uses (32, 512, 8192) dividing evenly across shards.
+/// Eight stripes stay because one measured worse.  With every solve on its
+/// caller's thread, two comparisons of `VALIDITY_SHARDS = 1` against 8
+/// (interleaved 45 s perfbench pairs on 2 vCPUs) each found one workload
+/// worse in every pair and the other within noise:
+///
+/// * daemon-mixed, 4 pairs (seeds 11–14): corpus time 0.285 → 0.312 s, p90
+///   latency 115 → 126 ms, throughput 302 → 285 functions/s.  On gen-fanout,
+///   validity-lock contentions per fan-out pass rose from 422–743 to
+///   4,283–4,879.
+/// * gen-fanout, 4 pairs (seeds 11–14): corpus time 0.208 → 0.225 s, p90
+///   latency 9.96 → 10.64 ms, throughput 3469 → 3201 functions/s.
+///
+/// A power of two also keeps every cap the suite uses (32, 512, 8192)
+/// dividing evenly across shards.
 pub const VALIDITY_SHARDS: usize = 8;
 
 /// The process-global validity cache, lock-striped into

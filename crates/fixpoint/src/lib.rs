@@ -62,7 +62,6 @@ mod audit;
 mod cache;
 mod constraint;
 mod kvar;
-pub mod partition;
 mod qualifier;
 mod solve;
 
@@ -79,12 +78,9 @@ pub use cache::{
 };
 pub use constraint::{Clause, Constraint, Guard, Head, Tag};
 pub use kvar::{KVarApp, KVarDecl, KVarStore, KVid};
-pub use partition::{partition, Partition};
 pub use qualifier::{default_qualifiers, well_sorted, Qualifier};
-#[doc(hidden)]
-pub use solve::panic_message;
 pub use solve::{
-    default_threads, FixConfig, FixResult, FixStats, FixpointSolver, Solution, UnknownReason,
+    partition, FixConfig, FixResult, FixStats, FixpointSolver, Solution, UnknownReason,
 };
 
 #[cfg(test)]

@@ -9,23 +9,9 @@
 //! expressible with the qualifiers; the remaining clauses with concrete
 //! heads are then checked once, and any failure is reported with its tag.
 //!
-//! # Parallel weakening
-//!
-//! Clauses interact only through the κ variables they mention, so the
-//! clause set decomposes into κ-dependency components ([`crate::partition`])
-//! that weaken independently.  With [`FixConfig::threads`] > 1 each
-//! component runs its own weakening loop on a scoped worker thread (a
-//! hand-rolled atomic work queue — the environment has no external crates),
-//! against its own private slice of the assignment; the final concrete-head
-//! checks, which only *read* the converged assignment, are likewise spread
-//! across workers.  Verdicts and the final [`Solution`] are identical to
-//! sequential mode: within a component the visit order is exactly the
-//! sequential clause order, across components there is no interaction at
-//! all, and the weakening fixpoint is confluent besides (candidates are only
-//! ever dropped when refuted, and the greatest inductive subset of the
-//! initial candidates is unique).  `threads = 1` bypasses the partitioned
-//! scheduler entirely and reproduces the historical single-loop engine
-//! bit for bit, statistics included.
+//! A solve runs entirely on its caller's thread.  Parallelism lives one level
+//! up, in `flux-check`'s function fan-out, which runs whole solves
+//! concurrently.
 
 use crate::cache::{
     global_cache, intern_fn_ctx, next_epoch, next_owner, CacheEntry, FnCtxId, QueryKey,
@@ -33,51 +19,11 @@ use crate::cache::{
 };
 use crate::constraint::{Clause, Constraint, Guard, Head, Tag};
 use crate::kvar::{KVarApp, KVarStore, KVid};
-use crate::partition::{partition, Partition};
 use crate::qualifier::{default_qualifiers, Qualifier};
-use flux_logic::{lock_recover, Expr, ExprId, Name, Sort, SortCtx, ThreadTally};
+use flux_logic::{Expr, ExprId, Name, Sort, SortCtx};
 use flux_smt::{Model, Session, SmtConfig, SmtStats, Solver, Validity};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// The default worker-thread count of [`FixConfig`]: the `FLUX_THREADS`
-/// environment variable when set (clamped to at least 1), otherwise the
-/// machine's available parallelism.
-///
-/// A set-but-unparsable `FLUX_THREADS` falls back to **1**, not to the
-/// machine's parallelism, and warns on stderr: the variable exists to pin
-/// runs to the sequential engine (CI runs the suite under
-/// `FLUX_THREADS=1`), so a typo must never silently promote such a run to
-/// the parallel scheduler.  An empty value counts as unset.
-pub fn default_threads() -> usize {
-    // Deliberately NOT cached in a process-global `OnceLock`: long-running
-    // callers (`fluxd`'s `reload`, tests that sweep thread counts) re-read
-    // the environment and must observe changes.  The cost is one env read
-    // and possibly one parallelism syscall per `FixConfig::default()` —
-    // noise next to constructing the qualifier set in the same default.
-    match std::env::var("FLUX_THREADS") {
-        // Set (and non-empty): parse through the shared warn-and-default
-        // helper.  The fallback is **1**, not the machine's parallelism —
-        // the variable exists to pin runs to the sequential engine, so a
-        // typo must never silently promote such a run to the parallel
-        // scheduler.
-        Ok(raw) if !raw.trim().is_empty() => flux_logic::env_parse("FLUX_THREADS", 1usize).max(1),
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
-
-/// Credits the calling thread's shared-cache events since `start` (lock
-/// contentions and evictions, see [`flux_logic::ThreadTally`]) to `stats`.
-fn credit_tally(stats: &mut FixStats, start: ThreadTally) {
-    let tally = flux_logic::thread_tally().since(start);
-    stats.hcons_contentions += tally.hcons_contentions;
-    stats.cnf_contentions += tally.cnf_contentions;
-    stats.validity_contentions += tally.validity_contentions;
-    stats.evictions += tally.evictions;
-}
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 /// Configuration of the fixpoint solver.
 #[derive(Clone, Debug)]
@@ -96,11 +42,9 @@ pub struct FixConfig {
     /// has already proved; verdicts are identical either way because cached
     /// entries replay exactly what the engine would recompute.
     pub global_cache: bool,
-    /// Worker threads for the partitioned weakening scheduler (see the
-    /// module docs).  `1` reproduces the historical sequential engine
-    /// exactly; the default is [`default_threads`] (the `FLUX_THREADS`
-    /// environment variable, else the machine's parallelism).  Verdicts and
-    /// solutions are thread-count-invariant.
+    /// Ignored: every solve runs on its caller's thread.  Kept only because
+    /// the benchmark harness still assigns it; it goes at the next change to
+    /// the benchmark.
     pub threads: usize,
 }
 
@@ -110,7 +54,7 @@ impl Default for FixConfig {
             smt: SmtConfig::default(),
             qualifiers: default_qualifiers(),
             global_cache: true,
-            threads: default_threads(),
+            threads: 1,
         }
     }
 }
@@ -124,10 +68,7 @@ flux_logic::counters! {
         pub kvars: usize,
         /// Number of initial candidate conjuncts across all κ variables.
         pub initial_candidates: usize,
-        /// Number of weakening iterations performed.  In parallel mode each
-        /// component counts its own iterations and the totals are summed, so
-        /// the figure is comparable to — but not identical with — the global
-        /// iteration count of the sequential engine.
+        /// Number of weakening iterations performed.
         pub iterations: usize,
         /// Number of SMT validity queries requested (including cache hits).
         pub smt_queries: usize,
@@ -147,9 +88,6 @@ flux_logic::counters! {
         /// Candidates dropped by evaluating them under a counter-model instead
         /// of issuing a per-candidate SMT query.
         pub model_prunes: usize,
-        /// Number of independent κ-dependency components the clause set split
-        /// into (an upper bound on usable weakening parallelism).
-        pub partitions: usize,
         /// Well-formedness lint obligations checked (audit tier ≥ `lint`):
         /// concrete guards/heads, κ-application arguments and candidate bodies
         /// sort- and scope-checked before solving.
@@ -165,23 +103,22 @@ flux_logic::counters! {
         /// the program — see [`FixResult::Unknown`].  Always zero under the
         /// default unlimited budgets on the corpus.
         pub unknown_drops: usize,
-        /// Cache entries evicted by this solve's own threads (the calling
-        /// thread and the workers it spawned) across the bounded caches
-        /// (hash-cons memos, CNF cache, validity caches).  Counted per thread
-        /// where each eviction happens, so solves running concurrently never
-        /// count each other's evictions.  Zero unless a capacity cap
+        /// Cache entries evicted by the solving thread across the bounded
+        /// caches (hash-cons memos, CNF cache, validity caches).  Counted per
+        /// thread where each eviction happens, so solves running concurrently
+        /// never count each other's evictions.  Zero unless a capacity cap
         /// (`FLUX_CACHE_CAP`) is set.
         pub evictions: usize,
-        /// Times one of this solve's threads found the hash-consing table lock
-        /// held by another thread, counted per thread like `evictions`.  This
-        /// and the next two are convoying diagnostics, one per process-global
-        /// lock: zero when nothing else runs concurrently.
+        /// Times the solving thread found the hash-consing table lock held by
+        /// another thread, counted per thread like `evictions`.  This and the
+        /// next two are convoying diagnostics, one per process-global lock:
+        /// zero when nothing else runs concurrently.
         pub hcons_contentions: usize,
-        /// Times one of this solve's threads found the CNF cache lock held by
-        /// another thread.
+        /// Times the solving thread found the CNF cache lock held by another
+        /// thread.
         pub cnf_contentions: usize,
-        /// Times one of this solve's threads found a validity-cache shard lock
-        /// held by another thread.
+        /// Times the solving thread found a validity-cache shard lock held by
+        /// another thread.
         pub validity_contentions: usize,
     }
 }
@@ -241,26 +178,6 @@ impl Solution {
         let mut keep = mask.iter();
         ids.retain(|_| *keep.next().expect("mask is as long as the candidates"));
     }
-
-    /// Moves the entries of `kvids` out into their own solution — a
-    /// worker's private slice of the assignment.  The κ-sets of distinct
-    /// components are disjoint, so extraction distributes the assignment
-    /// across workers without copying or locking.
-    fn extract(&mut self, kvids: &BTreeSet<KVid>) -> Solution {
-        let mut out = Solution::default();
-        for &kvid in kvids {
-            if let Some(ids) = self.ids.remove(&kvid) {
-                out.ids.insert(kvid, ids);
-            }
-        }
-        out
-    }
-
-    /// Reabsorbs a worker's slice; the keys are disjoint from `self`'s by
-    /// the partitioning invariant.
-    fn merge(&mut self, other: Solution) {
-        self.ids.extend(other.ids);
-    }
 }
 
 /// Why a solve degraded to [`FixResult::Unknown`] instead of reaching a
@@ -274,16 +191,10 @@ pub enum UnknownReason {
     /// A step budget was exhausted; the payload names the budget kind
     /// (e.g. `"weaken-iterations"`, `"solver-limits"`).
     Budget(&'static str),
-    /// A parallel weakening or concrete-check worker panicked.  The
-    /// component's clauses were abandoned (its slice of the assignment is
-    /// dropped, never merged half-weakened) while the remaining components
-    /// completed normally.
+    /// Checking the function panicked.  `flux-check`'s function fan-out
+    /// contains the panic to that one function, whose whole result is
+    /// abandoned.
     WorkerPanic {
-        /// Index of the κ-dependency component (or, for a concrete-check
-        /// panic, `usize::MAX`).
-        component: usize,
-        /// Indices of the clauses the failed unit was responsible for.
-        clauses: Vec<usize>,
         /// The panic payload, stringified.
         message: String,
     },
@@ -302,13 +213,13 @@ pub enum FixResult {
         /// Tags of the failed constraints, deduplicated, in order.
         failed: Vec<Tag>,
     },
-    /// The solve was cut short — by a resource budget, the deadline, or a
-    /// contained worker failure — before it could soundly conclude either
-    /// way.  Never reported as verified: a degraded function is `Unknown`,
-    /// with the structured reasons attached.
+    /// The solve was cut short — by a resource budget or the deadline —
+    /// before it could soundly conclude either way.  Never reported as
+    /// verified: a degraded function is `Unknown`, with the structured
+    /// reasons attached.
     Unknown {
-        /// The (possibly non-converged, possibly incomplete) assignment
-        /// reached before the solve was cut short; diagnostic only.
+        /// The (possibly non-converged) assignment reached before the solve
+        /// was cut short; diagnostic only.
         solution: Solution,
         /// Every degradation that contributed, in detection order.
         reasons: Vec<UnknownReason>,
@@ -356,19 +267,8 @@ struct ClauseState {
     session: Option<Session>,
 }
 
-/// Per-clause weakening state lives on worker threads (and carries the live
-/// solver session with it); keep it — and everything else a worker owns or
-/// returns — `Send` by construction.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<ClauseState>();
-    assert_send::<Solution>();
-    assert_send::<FixStats>();
-    assert_send::<FixResult>();
-};
-
-/// Cross-version memos of one clause's preparation work, held per subset
-/// position for the whole weakening run (unlike [`ClauseState`], which is
+/// Cross-version memos of one clause's preparation work, held per clause
+/// for the whole weakening run (unlike [`ClauseState`], which is
 /// discarded wholesale when a κ version moves).
 ///
 /// Everything here is a pure function of inputs finer-grained than "some κ
@@ -459,20 +359,17 @@ impl Goals<'_> {
     }
 }
 
-/// The per-worker clause-solving engine: everything one weakening (or
-/// concrete-check) worker needs, owned privately so partitions solve
-/// without sharing mutable state — statistics included.  The only state
-/// workers share are the caches, which are mutex-guarded: the
-/// process-global hash-cons / CNF / verdict tables, and the owning solver's
-/// hermetic cache when the global one is disabled.
+/// The clause-solving engine of one solve: the weakening loop and the
+/// concrete-head checks, with the statistics, memos and degradations they
+/// accumulate.
 struct Engine<'a> {
     config: &'a FixConfig,
     stats: FixStats,
     /// Statistics of the engine's finished clause sessions.
     smt: SmtStats,
     /// The owning solver's hermetic cache (used when `global_cache` is
-    /// off); shared by every worker of that solver.
-    local_cache: &'a Mutex<ValidityCache>,
+    /// off).
+    local_cache: &'a mut ValidityCache,
     /// The owning solver's identity for cache-hit attribution.
     solver_id: u64,
     /// The owning solver's current solve epoch.
@@ -497,12 +394,12 @@ struct Engine<'a> {
 type InstKey = (KVid, Box<[ExprId]>);
 
 impl<'a> Engine<'a> {
-    fn new(solver: &'a FixpointSolver) -> Engine<'a> {
+    fn new(solver: &'a mut FixpointSolver) -> Engine<'a> {
         Engine {
             config: &solver.config,
             stats: FixStats::default(),
             smt: SmtStats::default(),
-            local_cache: &solver.local_cache,
+            local_cache: &mut solver.local_cache,
             solver_id: solver.solver_id,
             epoch: solver.epoch,
             fns: solver.fns,
@@ -562,17 +459,12 @@ impl<'a> Engine<'a> {
             .collect()
     }
 
-    /// Runs the weakening loop over the clauses in `subset` (indices into
-    /// `clauses`, ascending) until a fixpoint, or until the deadline or the
-    /// iteration budget cuts it short (recorded in `unknowns`).
-    /// Clauses outside `subset` are never touched, and `solution` must
-    /// contain every κ the subset's clauses mention — in sequential mode
-    /// that is the whole assignment, in parallel mode the component's
-    /// private slice.
+    /// Runs the weakening loop over `clauses` until a fixpoint, or until the
+    /// deadline or the iteration budget cuts it short (recorded in
+    /// `unknowns`).
     fn weaken(
         &mut self,
         clauses: &[Clause],
-        subset: &[usize],
         kvars: &KVarStore,
         ctx: &SortCtx,
         solution: &mut Solution,
@@ -589,10 +481,8 @@ impl<'a> Engine<'a> {
         // and re-assumed every clause every iteration — which, not the
         // theory work, dominated wall-clock on the slow benchmarks.
         let mut versions: BTreeMap<KVid, u64> = BTreeMap::new();
-        // Indexed by position in `subset` (not clause index): a worker only
-        // ever materializes state for its own component's clauses.
-        let mut states: Vec<Option<ClauseState>> = (0..subset.len()).map(|_| None).collect();
-        let mut memos: Vec<Option<ClauseMemo>> = (0..subset.len()).map(|_| None).collect();
+        let mut states: Vec<Option<ClauseState>> = (0..clauses.len()).map(|_| None).collect();
+        let mut memos: Vec<Option<ClauseMemo>> = (0..clauses.len()).map(|_| None).collect();
         // The loop needs no safety bound: every iteration that changes
         // anything drops at least one candidate from a finite set.  A cut
         // by the iteration budget or the deadline leaves the assignment too
@@ -618,14 +508,13 @@ impl<'a> Engine<'a> {
             iterations += 1;
             self.stats.iterations += 1;
             let mut changed = false;
-            for (si, &ci) in subset.iter().enumerate() {
-                let clause = &clauses[ci];
+            for (ci, clause) in clauses.iter().enumerate() {
                 let Head::KVar(app) = &clause.head else {
                     continue;
                 };
                 let head_version = versions.get(&app.kvid).copied().unwrap_or(0);
                 let guard_versions = guard_versions_of(clause, &versions);
-                let (stale_head, stale_guards) = match &states[si] {
+                let (stale_head, stale_guards) = match &states[ci] {
                     Some(state) => (
                         state.head_version != head_version,
                         state.guard_versions != guard_versions,
@@ -634,13 +523,13 @@ impl<'a> Engine<'a> {
                 };
                 if stale_head || stale_guards {
                     let memo =
-                        memos[si].get_or_insert_with(|| ClauseMemo::new(clause.guards.len()));
+                        memos[ci].get_or_insert_with(|| ClauseMemo::new(clause.guards.len()));
                     // Candidates are instantiated over the shared DAG.
                     let inst_ids: Vec<ExprId> = match solution.candidate_ids(app.kvid) {
                         Some(ids) if !ids.is_empty() => self.instantiate_at(app, kvars, ids),
                         _ => continue,
                     };
-                    match (&mut states[si], stale_guards) {
+                    match (&mut states[ci], stale_guards) {
                         (Some(state), false) => {
                             // Only this clause's own candidates changed: the
                             // hypotheses — and with them the cache keys and
@@ -711,7 +600,7 @@ impl<'a> Engine<'a> {
                 } else if solution.num_conjuncts(app.kvid) == 0 {
                     continue;
                 }
-                let state = states[si].as_mut().expect("state was just prepared");
+                let state = states[ci].as_mut().expect("state was just prepared");
                 // A clause that already converged at these versions can't
                 // weaken anything: replay the fast-path hit it recorded
                 // (identical bookkeeping, zero lookups).
@@ -843,7 +732,7 @@ impl<'a> Engine<'a> {
         solution: &Solution,
     ) -> (Tag, Validity) {
         let Head::Pred(goal, tag) = &clause.head else {
-            unreachable!("concrete subset contains only Pred heads");
+            unreachable!("`partition` lists only Pred heads");
         };
         let hyp_ids = self.hypotheses_of(clause, solution, kvars);
         let clause_ctx = clause_ctx(clause, ctx);
@@ -861,34 +750,12 @@ impl<'a> Engine<'a> {
         (*tag, verdict)
     }
 
-    /// Checks every clause in `subset` (concrete-head indices, ascending)
-    /// under the final assignment, returning `(clause index, tag, verdict)`
-    /// per clause.  The hypotheses of these clauses are unchanged since the
-    /// last weakening iteration, so on κ-free-or-converged systems these
-    /// queries hit the cache.
-    fn check_concrete(
-        &mut self,
-        clauses: &[Clause],
-        subset: &[usize],
-        kvars: &KVarStore,
-        ctx: &SortCtx,
-        solution: &Solution,
-    ) -> Vec<(usize, Tag, Validity)> {
-        subset
-            .iter()
-            .map(|&ci| {
-                let (tag, verdict) = self.check_concrete_clause(&clauses[ci], kvars, ctx, solution);
-                (ci, tag, verdict)
-            })
-            .collect()
-    }
-
     /// Looks `key` up in whichever cache this solver uses (no stats).
-    fn cache_peek(&self, key: &QueryKey) -> Option<CacheEntry> {
+    fn cache_peek(&mut self, key: &QueryKey) -> Option<CacheEntry> {
         if self.config.global_cache {
             global_cache().lookup(key)
         } else {
-            lock_recover(self.local_cache).lookup(key)
+            self.local_cache.lookup(key)
         }
     }
 
@@ -906,7 +773,8 @@ impl<'a> Engine<'a> {
                 global_cache().insert(key, verdict, self.epoch, self.solver_id);
             }
         } else {
-            lock_recover(self.local_cache).insert(key, verdict, self.epoch, self.solver_id);
+            self.local_cache
+                .insert(key, verdict, self.epoch, self.solver_id);
         }
     }
 
@@ -1010,25 +878,13 @@ impl<'a> Engine<'a> {
 pub struct FixpointSolver {
     /// Configuration.
     pub config: FixConfig,
-    /// Statistics of the most recent [`FixpointSolver::solve`] call.  In
-    /// parallel mode the per-worker statistics are merged in worker-slot
-    /// order; the *totals* are stable because [`FixStats::absorb`] is
-    /// commutative (counters only sum), but which worker processed which
-    /// component — and hence each slot's share — depends on scheduling
-    /// (see [`FixpointSolver::worker_queries`]).
+    /// Statistics of the most recent [`FixpointSolver::solve`] call.
     pub stats: FixStats,
-    /// SMT queries issued per worker slot during the most recent solve
-    /// (weakening and concrete-check phases combined).  Sequential solves
-    /// report a single slot.  Work is claimed dynamically, so the split
-    /// across slots may vary between runs; the sum always equals
-    /// `stats.smt_queries`.
-    pub worker_queries: Vec<usize>,
     /// Cumulative statistics of every clause session since creation.
     smt: SmtStats,
     /// The hermetic per-solver cache, used when `config.global_cache` is
-    /// off; otherwise verdicts live in [`global_cache`].  Mutex-guarded so
-    /// the weakening workers of one solve can share it.
-    local_cache: Mutex<ValidityCache>,
+    /// off; otherwise verdicts live in [`global_cache`].
+    local_cache: ValidityCache,
     /// This solver's identity for cache-hit attribution.
     solver_id: u64,
     /// The global epoch of the current [`FixpointSolver::solve`] call;
@@ -1045,9 +901,8 @@ impl FixpointSolver {
         FixpointSolver {
             config,
             stats: FixStats::default(),
-            worker_queries: Vec::new(),
             smt: SmtStats::default(),
-            local_cache: Mutex::new(ValidityCache::new()),
+            local_cache: ValidityCache::new(),
             solver_id: next_owner(),
             epoch: 0,
             fns: intern_fn_ctx(&SortCtx::new()),
@@ -1085,18 +940,14 @@ impl FixpointSolver {
         // at construction (their own `stamp` calls are then no-ops).
         self.config.smt.budget.deadline = None;
         self.config.smt.budget.stamp();
-        // This thread's share of the solve's shared-cache events; parallel
-        // workers credit their own shares to the statistics they return.
+        // The solve's shared-cache events are this thread's.
         let tally = flux_logic::thread_tally();
-        let threads = self.config.threads.max(1);
-        let parts = partition(&clauses, kvars);
+        let concrete = partition(&clauses, kvars);
         self.stats = FixStats {
             clauses: clauses.len(),
             kvars: kvars.len(),
-            partitions: parts.components.len(),
             ..FixStats::default()
         };
-        self.worker_queries.clear();
 
         // Initial assignment: all well-sorted qualifier instantiations.
         // Distinct qualifier templates can instantiate to the same predicate
@@ -1129,12 +980,23 @@ impl FixpointSolver {
             self.stats.lint_checks += checks;
         }
 
-        let (checks, mut reasons) = if threads == 1 {
-            self.solve_sequential(&clauses, &parts, kvars, ctx, &mut solution)
-        } else {
-            self.solve_parallel(&clauses, &parts, threads, kvars, ctx, &mut solution)
-        };
-        credit_tally(&mut self.stats, tally);
+        let mut engine = Engine::new(self);
+        engine.weaken(&clauses, kvars, ctx, &mut solution);
+        // The concrete heads' hypotheses are unchanged since the last
+        // weakening iteration, so on κ-free-or-converged systems these
+        // queries hit the cache.
+        let checks: Vec<(Tag, Validity)> = concrete
+            .iter()
+            .map(|&ci| engine.check_concrete_clause(&clauses[ci], kvars, ctx, &solution))
+            .collect();
+        let (stats, smt_stats, mut reasons) = (engine.stats, engine.smt, engine.unknowns);
+        self.stats.absorb(stats);
+        self.smt.absorb(smt_stats);
+        let tally = flux_logic::thread_tally().since(tally);
+        self.stats.hcons_contentions += tally.hcons_contentions;
+        self.stats.cnf_contentions += tally.cnf_contentions;
+        self.stats.validity_contentions += tally.validity_contentions;
+        self.stats.evictions += tally.evictions;
 
         // Assemble the blamed tags in clause order, deduplicated — the same
         // order the historical sequential pass produced.  Concrete heads the
@@ -1143,7 +1005,7 @@ impl FixpointSolver {
         let mut failed = Vec::new();
         let mut failed_tags: HashSet<Tag> = HashSet::new();
         let mut undecided_heads = false;
-        for (_, tag, verdict) in checks {
+        for (tag, verdict) in checks {
             match verdict {
                 Validity::Valid => {}
                 Validity::Invalid(_) => {
@@ -1167,15 +1029,6 @@ impl FixpointSolver {
                 // over-weakened the assignment, and these failures could be
                 // artifacts of that — the program cannot be blamed.
                 reasons.push(UnknownReason::Budget("weakened-on-unknown"));
-                return FixResult::Unknown { solution, reasons };
-            }
-            // A panicked worker leaves its component's κs unassigned, which
-            // reads as `true`, the weakest assignment of all: these failures
-            // could be artifacts of the panic too.
-            if reasons
-                .iter()
-                .any(|r| matches!(r, UnknownReason::WorkerPanic { .. }))
-            {
                 return FixResult::Unknown { solution, reasons };
             }
             // Genuine even when weakening was cut short: a non-converged
@@ -1229,223 +1082,6 @@ impl FixpointSolver {
         }
     }
 
-    /// The historical single-threaded engine: one global weakening loop
-    /// interleaving every clause in clause order, then the concrete-head
-    /// pass, all on one engine.
-    fn solve_sequential(
-        &mut self,
-        clauses: &[Clause],
-        parts: &Partition,
-        kvars: &KVarStore,
-        ctx: &SortCtx,
-        solution: &mut Solution,
-    ) -> (Vec<(usize, Tag, Validity)>, Vec<UnknownReason>) {
-        let all: Vec<usize> = (0..clauses.len()).collect();
-        let mut engine = Engine::new(self);
-        engine.weaken(clauses, &all, kvars, ctx, solution);
-        let checks = engine.check_concrete(clauses, &parts.concrete, kvars, ctx, solution);
-        let (stats, smt_stats, unknowns) = (engine.stats, engine.smt, engine.unknowns);
-        self.stats.absorb(stats);
-        self.smt.absorb(smt_stats);
-        self.worker_queries.push(stats.smt_queries);
-        (checks, unknowns)
-    }
-
-    /// The partitioned scheduler: κ-dependency components weaken on scoped
-    /// worker threads pulling from an atomic work queue, then the
-    /// concrete-head checks spread across workers the same way.  The
-    /// solution merges in component order and the verdicts in clause
-    /// order, so those outputs depend only on the inputs (not even on the
-    /// thread cap); statistics merge in worker-slot order, which makes the
-    /// *totals* stable (absorb is commutative) while each slot's share
-    /// still depends on which worker claimed which component.
-    fn solve_parallel(
-        &mut self,
-        clauses: &[Clause],
-        parts: &Partition,
-        threads: usize,
-        kvars: &KVarStore,
-        ctx: &SortCtx,
-        solution: &mut Solution,
-    ) -> (Vec<(usize, Tag, Validity)>, Vec<UnknownReason>) {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        // Each component's slice of the assignment travels to whichever
-        // worker claims the component, and back, through its task cell.
-        struct TaskCell {
-            input: Option<Solution>,
-            output: Option<Solution>,
-        }
-        let tasks: Vec<Mutex<TaskCell>> = parts
-            .kvar_sets
-            .iter()
-            .map(|kvids| {
-                Mutex::new(TaskCell {
-                    input: Some(solution.extract(kvids)),
-                    output: None,
-                })
-            })
-            .collect();
-        let mut worker_stats: Vec<(FixStats, SmtStats)> = Vec::new();
-        let mut reasons: Vec<UnknownReason> = Vec::new();
-        // Contained worker failures: a panicking component (engine bug or
-        // injected fault) degrades the solve to `Unknown`, but must not take
-        // the sibling components — or the process — down with it.
-        let failures: Mutex<Vec<UnknownReason>> = Mutex::new(Vec::new());
-        if !parts.components.is_empty() {
-            let queue = AtomicUsize::new(0);
-            let workers = threads.min(parts.components.len());
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let tally = flux_logic::thread_tally();
-                            let mut engine = Engine::new(self);
-                            let mut unknowns = Vec::new();
-                            loop {
-                                let i = queue.fetch_add(1, Ordering::Relaxed);
-                                let Some(subset) = parts.components.get(i) else {
-                                    break;
-                                };
-                                let mut slice = lock_recover(&tasks[i])
-                                    .input
-                                    .take()
-                                    .expect("each component is claimed once");
-                                // Panic isolation: on unwind the component's
-                                // half-weakened slice is abandoned (its cell
-                                // keeps no output, so the torn state is
-                                // never merged) and the worker moves on.
-                                // The engine's memo tables stay valid — they
-                                // cache pure functions, unwinding can at
-                                // worst lose entries, never corrupt them.
-                                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                    if flux_smt::testing::inject_fault("worker")
-                                        == Some(flux_smt::testing::Fault::Panic)
-                                    {
-                                        panic!("injected worker fault");
-                                    }
-                                    engine.weaken(clauses, subset, kvars, ctx, &mut slice);
-                                }));
-                                match outcome {
-                                    Ok(()) => lock_recover(&tasks[i]).output = Some(slice),
-                                    Err(payload) => {
-                                        lock_recover(&failures).push(UnknownReason::WorkerPanic {
-                                            component: i,
-                                            clauses: subset.clone(),
-                                            message: panic_message(payload.as_ref()),
-                                        })
-                                    }
-                                }
-                                unknowns.append(&mut engine.unknowns);
-                            }
-                            credit_tally(&mut engine.stats, tally);
-                            (engine.stats, engine.smt, unknowns)
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    // Defensive: the in-loop containment should make worker
-                    // threads unwind-free, but a panic outside the guarded
-                    // region still degrades to `Unknown` instead of
-                    // cascading (that worker's statistics are lost).
-                    match handle.join() {
-                        Ok((stats, smt_stats, mut unknowns)) => {
-                            reasons.append(&mut unknowns);
-                            worker_stats.push((stats, smt_stats));
-                        }
-                        Err(payload) => lock_recover(&failures).push(UnknownReason::WorkerPanic {
-                            component: usize::MAX,
-                            clauses: Vec::new(),
-                            message: panic_message(payload.as_ref()),
-                        }),
-                    }
-                }
-            });
-        }
-        for cell in tasks {
-            let cell = cell.into_inner().unwrap_or_else(|p| p.into_inner());
-            // A panicked component produced no output; its κs keep no entry
-            // in the final assignment (the solve reports `Unknown`, so the
-            // incomplete solution is diagnostic only).
-            if let Some(out) = cell.output {
-                solution.merge(out);
-            }
-        }
-
-        // Concrete-head checks: read-only over the converged assignment and
-        // mutually independent, so any worker can take any clause; the
-        // per-clause verdicts are re-ordered by clause index afterwards.
-        let mut checks: Vec<(usize, Tag, Validity)> = Vec::new();
-        if !parts.concrete.is_empty() {
-            let queue = AtomicUsize::new(0);
-            let workers = threads.min(parts.concrete.len());
-            let results: Mutex<Vec<(usize, Tag, Validity)>> = Mutex::new(Vec::new());
-            let solution = &*solution;
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let tally = flux_logic::thread_tally();
-                            let mut engine = Engine::new(self);
-                            let mut local = Vec::new();
-                            loop {
-                                let i = queue.fetch_add(1, Ordering::Relaxed);
-                                let Some(&ci) = parts.concrete.get(i) else {
-                                    break;
-                                };
-                                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                    engine.check_concrete_clause(&clauses[ci], kvars, ctx, solution)
-                                }));
-                                match outcome {
-                                    Ok((tag, verdict)) => local.push((ci, tag, verdict)),
-                                    Err(payload) => {
-                                        lock_recover(&failures).push(UnknownReason::WorkerPanic {
-                                            component: usize::MAX,
-                                            clauses: vec![ci],
-                                            message: panic_message(payload.as_ref()),
-                                        })
-                                    }
-                                }
-                            }
-                            lock_recover(&results).extend(local);
-                            credit_tally(&mut engine.stats, tally);
-                            (engine.stats, engine.smt, engine.unknowns)
-                        })
-                    })
-                    .collect();
-                for (slot, handle) in handles.into_iter().enumerate() {
-                    match handle.join() {
-                        Ok((stats, smt_stats, mut unknowns)) => {
-                            reasons.append(&mut unknowns);
-                            match worker_stats.get_mut(slot) {
-                                Some((ws, wsmt)) => {
-                                    ws.absorb(stats);
-                                    wsmt.absorb(smt_stats);
-                                }
-                                None => worker_stats.push((stats, smt_stats)),
-                            }
-                        }
-                        Err(payload) => lock_recover(&failures).push(UnknownReason::WorkerPanic {
-                            component: usize::MAX,
-                            clauses: Vec::new(),
-                            message: panic_message(payload.as_ref()),
-                        }),
-                    }
-                }
-            });
-            checks = results.into_inner().unwrap_or_else(|p| p.into_inner());
-            checks.sort_unstable_by_key(|(ci, ..)| *ci);
-        }
-
-        // Deterministic merge: worker-slot order.
-        for (stats, smt_stats) in &worker_stats {
-            self.stats.absorb(*stats);
-            self.smt.absorb(*smt_stats);
-            self.worker_queries.push(stats.smt_queries);
-        }
-        reasons.extend(failures.into_inner().unwrap_or_else(|p| p.into_inner()));
-        (checks, reasons)
-    }
-
     /// Cumulative statistics of the underlying SMT engine (every clause
     /// session) since creation; exposed for benchmarking and for the
     /// end-to-end reporting in `flux-check`.
@@ -1454,18 +1090,14 @@ impl FixpointSolver {
     }
 }
 
-/// Stringifies a `catch_unwind` payload for [`UnknownReason::WorkerPanic`].
-/// Shared with `flux-check`'s function-level fan-out (hence public, but
-/// plumbing rather than API).
-#[doc(hidden)]
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// The concrete-head clause indices of `clauses`, ascending: the
+/// obligations checked once against the converged assignment.  `kvars` is
+/// unused; the benchmark harness still passes it, and the parameter goes at
+/// the next change to the benchmark.
+pub fn partition(clauses: &[Clause], _kvars: &KVarStore) -> Vec<usize> {
+    (0..clauses.len())
+        .filter(|&ci| clauses[ci].is_concrete())
+        .collect()
 }
 
 /// Checks `clause` with `solution` substituted for its κ applications, as
@@ -1625,66 +1257,9 @@ mod tests {
         (c, kvars)
     }
 
-    /// Two independent copies of the loop-counter system over disjoint κs
-    /// and names: the canonical multi-component workload for the
-    /// partitioned scheduler (plus a κ-free concrete obligation).
-    fn two_component_system() -> (Constraint, KVarStore) {
-        let mut kvars = KVarStore::new();
-        let mut parts = Vec::new();
-        for tag_base in [0usize, 100] {
-            let k = kvars.fresh(vec![Sort::Int, Sort::Int]);
-            let n = Name::intern(&format!("pc_n{tag_base}"));
-            let i = Name::intern(&format!("pc_i{tag_base}"));
-            parts.push(Constraint::forall(
-                n,
-                Sort::Int,
-                Expr::ge(Expr::Var(n), Expr::int(0)),
-                Constraint::conj(vec![
-                    Constraint::kvar(KVarApp::new(k, vec![Expr::int(0), Expr::Var(n)])),
-                    Constraint::forall(
-                        i,
-                        Sort::Int,
-                        Expr::tt(),
-                        Constraint::conj(vec![
-                            Constraint::implies(
-                                Guard::KVar(KVarApp::new(k, vec![Expr::Var(i), Expr::Var(n)])),
-                                Constraint::implies(
-                                    Guard::Pred(Expr::lt(Expr::Var(i), Expr::Var(n))),
-                                    Constraint::kvar(KVarApp::new(
-                                        k,
-                                        vec![Expr::Var(i) + Expr::int(1), Expr::Var(n)],
-                                    )),
-                                ),
-                            ),
-                            Constraint::implies(
-                                Guard::KVar(KVarApp::new(k, vec![Expr::Var(i), Expr::Var(n)])),
-                                Constraint::implies(
-                                    Guard::Pred(Expr::not(Expr::lt(Expr::Var(i), Expr::Var(n)))),
-                                    Constraint::pred(
-                                        Expr::eq(Expr::Var(i), Expr::Var(n)),
-                                        tag_base + 42,
-                                    ),
-                                ),
-                            ),
-                        ]),
-                    ),
-                ]),
-            ));
-        }
-        let x = Name::intern("pc_free");
-        parts.push(Constraint::forall(
-            x,
-            Sort::Int,
-            Expr::ge(Expr::Var(x), Expr::int(1)),
-            Constraint::pred(Expr::gt(Expr::Var(x), Expr::int(0)), 7),
-        ));
-        (Constraint::conj(parts), kvars)
-    }
-
-    fn hermetic(threads: usize) -> FixConfig {
+    fn hermetic() -> FixConfig {
         FixConfig {
             global_cache: false,
-            threads,
             ..FixConfig::default()
         }
     }
@@ -1725,7 +1300,7 @@ mod tests {
         let (c, kvars) = loop_counter_system();
         // Hermetic cache: the statistics below must not depend on what
         // other tests have already proved.
-        let mut solver = FixpointSolver::new(hermetic(1));
+        let mut solver = FixpointSolver::new(hermetic());
         let FixResult::Safe(solution) = solver.solve(&c, &kvars, &SortCtx::new()) else {
             panic!("the loop-counter system is safe");
         };
@@ -1803,23 +1378,19 @@ mod tests {
             Constraint::pred(Expr::ge(Expr::Var(x), Expr::int(0)), 5),
         ));
         let c = Constraint::forall(x, Sort::Int, Expr::tt(), Constraint::conj(clauses));
-        for threads in [1, 2] {
-            let mut solver = FixpointSolver::new(hermetic(threads));
-            match solver.solve(&c, &kvars, &SortCtx::new()) {
-                FixResult::Unsafe { failed, .. } => assert_eq!(failed, vec![5]),
-                FixResult::Safe(_) => {
-                    panic!("threads={threads}: a too-strong κ{LINKS} verified an unsafe system")
-                }
-                FixResult::Unknown { reasons, .. } => {
-                    panic!("threads={threads}: degraded under unlimited budgets: {reasons:?}")
-                }
+        let mut solver = FixpointSolver::new(hermetic());
+        match solver.solve(&c, &kvars, &SortCtx::new()) {
+            FixResult::Unsafe { failed, .. } => assert_eq!(failed, vec![5]),
+            FixResult::Safe(_) => panic!("a too-strong κ{LINKS} verified an unsafe system"),
+            FixResult::Unknown { reasons, .. } => {
+                panic!("degraded under unlimited budgets: {reasons:?}")
             }
-            assert!(
-                solver.stats.iterations > LINKS,
-                "threads={threads}: {} iterations cannot weaken {LINKS} links one by one",
-                solver.stats.iterations
-            );
         }
+        assert!(
+            solver.stats.iterations > LINKS,
+            "{} iterations cannot weaken {LINKS} links one by one",
+            solver.stats.iterations
+        );
     }
 
     /// Cached verdicts must equal recomputed verdicts: solving the same
@@ -1973,121 +1544,5 @@ mod tests {
         );
         let mut solver = FixpointSolver::with_defaults();
         assert!(solver.solve(&c, &kvars, &SortCtx::new()).is_safe());
-    }
-
-    /// The partitioned parallel scheduler must reach exactly the fixpoint
-    /// of the sequential engine — identical `Solution`, identical verdicts,
-    /// identical blamed tags — at every thread count.
-    #[test]
-    fn parallel_and_sequential_reach_identical_fixpoints() {
-        let (c, kvars) = two_component_system();
-        let mut sequential = FixpointSolver::new(hermetic(1));
-        let reference = sequential.solve(&c, &kvars, &SortCtx::new());
-        assert!(reference.is_safe());
-        assert_eq!(sequential.stats.partitions, 2);
-        for threads in [2, 3, 8] {
-            let mut parallel = FixpointSolver::new(hermetic(threads));
-            let result = parallel.solve(&c, &kvars, &SortCtx::new());
-            assert_eq!(
-                result, reference,
-                "threads={threads} diverged from the sequential fixpoint"
-            );
-            assert_eq!(parallel.stats.partitions, 2);
-        }
-    }
-
-    /// Parallel mode must blame exactly the tags the sequential engine
-    /// blames, in the same (clause) order, on an unsafe multi-component
-    /// system.
-    #[test]
-    fn parallel_blame_order_matches_sequential() {
-        let mut kvars = KVarStore::new();
-        let k0 = kvars.fresh(vec![Sort::Int]);
-        let k1 = kvars.fresh(vec![Sort::Int]);
-        let x = Name::intern("pb_x");
-        // Both κs weaken to true, so both guarded obligations fail; an
-        // unguarded failing obligation sits between them.
-        let c = Constraint::forall(
-            x,
-            Sort::Int,
-            Expr::tt(),
-            Constraint::conj(vec![
-                Constraint::kvar(KVarApp::new(k0, vec![Expr::Var(x)])),
-                Constraint::kvar(KVarApp::new(k1, vec![Expr::Var(x)])),
-                Constraint::implies(
-                    Guard::KVar(KVarApp::new(k0, vec![Expr::Var(x)])),
-                    Constraint::pred(Expr::ge(Expr::Var(x), Expr::int(0)), 11),
-                ),
-                Constraint::pred(Expr::lt(Expr::Var(x), Expr::Var(x)), 22),
-                Constraint::implies(
-                    Guard::KVar(KVarApp::new(k1, vec![Expr::Var(x)])),
-                    Constraint::pred(Expr::le(Expr::Var(x), Expr::int(9)), 33),
-                ),
-            ]),
-        );
-        let mut sequential = FixpointSolver::new(hermetic(1));
-        let reference = sequential.solve(&c, &kvars, &SortCtx::new());
-        let FixResult::Unsafe { failed, .. } = &reference else {
-            panic!("expected unsafe");
-        };
-        assert_eq!(failed, &vec![11, 22, 33]);
-        for threads in [2, 8] {
-            let mut parallel = FixpointSolver::new(hermetic(threads));
-            assert_eq!(parallel.solve(&c, &kvars, &SortCtx::new()), reference);
-        }
-    }
-
-    /// Per-worker statistics must merge losslessly: the per-slot query
-    /// counts sum to the engine total, and hits plus misses account for
-    /// every query, at any thread count.
-    #[test]
-    fn worker_stats_merge_accounts_for_every_query() {
-        let (c, kvars) = two_component_system();
-        for threads in [1, 2, 8] {
-            let mut solver = FixpointSolver::new(hermetic(threads));
-            let result = solver.solve(&c, &kvars, &SortCtx::new());
-            assert!(result.is_safe());
-            let stats = solver.stats;
-            assert_eq!(
-                solver.worker_queries.iter().sum::<usize>(),
-                stats.smt_queries,
-                "threads={threads}: worker slots must account for every query"
-            );
-            assert!(
-                solver.worker_queries.len() <= threads.max(1),
-                "threads={threads}: more worker slots than workers"
-            );
-            assert_eq!(
-                stats.cache_hits + stats.cache_misses,
-                stats.smt_queries,
-                "threads={threads}"
-            );
-            assert!(
-                stats.cross_fn_hits + stats.xbench_hits <= stats.cache_hits,
-                "threads={threads}: hit classifications exceed total hits"
-            );
-        }
-    }
-
-    /// A single-component system takes the partitioned scheduler down a
-    /// one-worker path whose clause visits are exactly the sequential
-    /// engine's — so even the statistics must agree.
-    #[test]
-    fn single_component_parallel_stats_match_sequential() {
-        let (c, kvars) = loop_counter_system();
-        let mut sequential = FixpointSolver::new(hermetic(1));
-        let seq_result = sequential.solve(&c, &kvars, &SortCtx::new());
-        let mut parallel = FixpointSolver::new(hermetic(4));
-        let par_result = parallel.solve(&c, &kvars, &SortCtx::new());
-        assert_eq!(seq_result, par_result);
-        let (mut seq, mut par) = (sequential.stats, parallel.stats);
-        // Lock contention depends on whatever else runs concurrently, not
-        // on the work; equalise it before comparing the work counters.
-        for stats in [&mut seq, &mut par] {
-            stats.hcons_contentions = 0;
-            stats.cnf_contentions = 0;
-            stats.validity_contentions = 0;
-        }
-        assert_eq!(seq, par);
     }
 }

@@ -27,7 +27,7 @@
 use flux_syntax::SourceMetrics;
 use std::time::Duration;
 
-pub use flux_check::{CheckConfig, Report as FluxReport};
+pub use flux_check::{default_threads, CheckConfig, Report as FluxReport};
 pub use flux_fixpoint::{FixConfig, FixStats};
 pub use flux_smt::SmtStats;
 pub use flux_suite::{benchmark, benchmarks, library, Benchmark};
@@ -64,27 +64,16 @@ pub struct QueryStats {
     pub fix: FixStats,
     /// SMT-engine counters summed over every function.
     pub smt: SmtStats,
-    /// Worker-thread cap of the *clause-level* fixpoint scheduler
-    /// ([`flux_fixpoint::FixConfig::threads`]; Flux mode only — the
-    /// baseline verifier is single-threaded and reports 1).  The
-    /// function-level pool is reported separately in
-    /// [`QueryStats::fn_threads`]: the two widths compose (total potential
-    /// parallelism is their product), so collapsing them into one figure
-    /// would misreport both.
-    pub threads: usize,
-    /// Worker-thread width of the *function-level* fan-out in
-    /// `check_program` ([`flux_check::CheckConfig::fn_threads`], clamped to
-    /// the function count; Flux mode only — the baseline reports 1).
+    /// Worker-thread width of the function fan-out in `check_program`
+    /// ([`flux_check::CheckConfig::fn_threads`], clamped to the function
+    /// count; Flux mode only — the baseline reports 1).
     pub fn_threads: usize,
     /// Per-function wall-clock check times in milliseconds, in source order
     /// (the `fn_parallel` column: where the wall-clock went under the
     /// function-level fan-out; Flux mode only, empty for the baseline).
     pub fn_times_ms: Vec<usize>,
-    /// SMT queries issued per worker slot, summed across all fixpoint
-    /// solves of the run (Flux mode only; empty for the baseline).
-    pub worker_queries: Vec<usize>,
     /// Functions whose verification was inconclusive: no obligation failed,
-    /// but a deadline or step budget ran out or a worker panicked before
+    /// but a deadline or step budget ran out or the check panicked before
     /// every obligation was decided.  Zero under the default unlimited
     /// budgets.
     pub unknowns: usize,
@@ -157,14 +146,12 @@ pub fn verify_source(
                 stats: QueryStats {
                     fix: report.total_fixpoint_stats(),
                     smt: report.total_smt_stats(),
-                    threads: config.check.fixpoint.threads.max(1),
                     fn_threads: report.fn_threads,
                     fn_times_ms: report
                         .fn_times()
                         .iter()
                         .map(|t| t.as_millis() as usize)
                         .collect(),
-                    worker_queries: report.total_worker_queries(),
                     unknowns: report.functions.iter().filter(|f| f.is_unknown()).count(),
                 },
             })
@@ -196,10 +183,8 @@ pub fn verify_source(
                         ..FixStats::default()
                     },
                     smt,
-                    threads: 1,
                     fn_threads: 1,
                     fn_times_ms: Vec::new(),
-                    worker_queries: Vec::new(),
                     unknowns: report.functions.iter().filter(|f| f.is_unknown()).count(),
                 },
             })
@@ -456,7 +441,7 @@ pub fn render_query_stats(rows: &[TableRow]) -> String {
             fix.hcons_contentions, fix.cnf_contentions, fix.validity_contentions
         );
         format!(
-            "{name:<10} | {:>8} {:>9} {:>8} {:>8} {:>8} {:>7}% {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>8} {:>7} {:>4} {:>6} {:>6} {:>13} | {:>8} {:>10}\n",
+            "{name:<10} | {:>8} {:>9} {:>8} {:>8} {:>8} {:>7}% {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>8} {:>7} {:>6} {:>13} | {:>8} {:>10}\n",
             fix.smt_queries,
             fix.cache_hits,
             fix.cross_fn_hits,
@@ -472,9 +457,7 @@ pub fn render_query_stats(rows: &[TableRow]) -> String {
             smt.db_reductions,
             smt.col_scans,
             smt.conjunct_retractions,
-            s.threads,
             s.fn_threads,
-            fix.partitions,
             contend,
             baseline.fix.smt_queries,
             baseline.smt.quant_instances,
@@ -482,7 +465,7 @@ pub fn render_query_stats(rows: &[TableRow]) -> String {
     }
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<10} | {:>8} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>8} {:>7} {:>4} {:>6} {:>6} {:>13} | {:>8} {:>10}\n",
+        "{:<10} | {:>8} {:>9} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>8} {:>7} {:>6} {:>13} | {:>8} {:>10}\n",
         "benchmark",
         "queries",
         "hits",
@@ -499,14 +482,12 @@ pub fn render_query_stats(rows: &[TableRow]) -> String {
         "db-red",
         "colscan",
         "retract",
-        "thr",
         "fn-thr",
-        "parts",
         "contend",
         "bl-qrys",
         "bl-quants"
     ));
-    let rule = format!("{}\n", "-".repeat(212));
+    let rule = format!("{}\n", "-".repeat(200));
     out.push_str(&rule);
     let mut flux = QueryStats::default();
     let mut baseline = QueryStats::default();
@@ -519,10 +500,8 @@ pub fn render_query_stats(rows: &[TableRow]) -> String {
             total.fix.absorb(s.fix);
             total.smt.absorb(s.smt);
             total.unknowns += s.unknowns;
-            // Pool *widths* are configuration, not work: aggregate each by
-            // maximum, separately — max-merging a single combined figure
-            // would misreport effective parallelism once both pools coexist.
-            total.threads = total.threads.max(s.threads);
+            // The fan-out width is configuration, not work: aggregate it by
+            // maximum.
             total.fn_threads = total.fn_threads.max(s.fn_threads);
         }
     }
@@ -593,11 +572,9 @@ pub fn render_table1_json(rows: &[TableRow], gate: &GateTolerances) -> String {
             ("safe", out.safe.to_string()),
             ("time_s", format!("{:.6}", out.time.as_secs_f64())),
             ("functions", out.functions.to_string()),
-            ("threads", s.threads.to_string()),
             ("fn_threads", s.fn_threads.to_string()),
             ("unknowns", s.unknowns.to_string()),
             ("fn_times_ms", list(&s.fn_times_ms)),
-            ("worker_queries", list(&s.worker_queries)),
         ];
         fields.extend(s.fix.counters().map(|(name, n)| (name, n.to_string())));
         let smt: Vec<_> = s

@@ -117,7 +117,7 @@ static MEMO_HIGH_WATERMARK: AtomicUsize = AtomicUsize::new(0);
 /// Times a thread found the interner's table lock held by another thread
 /// (monotone; callers read deltas).  The interner is a single global mutex
 /// by design — id stability requires one `nodes` vector — so this counter
-/// is the convoying audit for the parallel schedulers: if it climbs under
+/// is the convoying audit for concurrent solves: if it climbs under
 /// the 8-thread cache-stress storms, interning (not solving) is the
 /// bottleneck and the table is the next sharding candidate.
 static TABLE_CONTENTIONS: AtomicU64 = AtomicU64::new(0);

@@ -98,7 +98,7 @@ crate::counters! {
     /// each process-global cache lock, and entries evicted from a bounded
     /// cache.  Every event is also counted in its cache's process-global
     /// counter; the per-thread copy lets a solve attribute to itself exactly
-    /// the events of the threads it ran on, which differencing the global
+    /// the events of the thread it ran on, which differencing the global
     /// counters cannot do while other solves overlap.
     pub struct ThreadTally {
         /// Acquisitions of the hash-consing table lock that found it held

@@ -43,11 +43,10 @@ pub struct ResourceBudget {
     /// Cap on instances per quantifier (tightens the existing
     /// `max_instances_per_quantifier`).
     pub quant_instances: Option<u64>,
-    /// Cap on fixpoint weakening iterations per solve (per κ-dependency
-    /// component in parallel mode).  The only iteration bound: weakening
-    /// terminates on its own (every changing iteration drops a candidate
-    /// from a finite set), and a solve cut short by this cap reports
-    /// `Unknown`, never a verdict.
+    /// Cap on fixpoint weakening iterations per solve.  The only iteration
+    /// bound: weakening terminates on its own (every changing iteration
+    /// drops a candidate from a finite set), and a solve cut short by this
+    /// cap reports `Unknown`, never a verdict.
     pub weaken_iterations: Option<u64>,
 }
 

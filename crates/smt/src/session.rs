@@ -1215,13 +1215,14 @@ impl Session {
     }
 }
 
-/// Sessions (and the counter-models and verdicts they produce) travel to
-/// worker threads in the parallel weakening scheduler of `flux-fixpoint`,
-/// so they must stay [`Send`]: per-session state is exclusively owned —
-/// the CDCL core, the simplex tableau and the statistics live in the
-/// session itself — and everything shared across sessions (the atom
-/// table, the CNF memos, the prepared-constraint cache) is reached only
-/// through the process-global mutex in [`cnf_cache`], never through
+/// Solves run on the worker threads of `flux-check`'s function fan-out and
+/// of `fluxd`, and their results travel back to the caller, so sessions
+/// (and the counter-models and verdicts they produce) must stay [`Send`]:
+/// per-session state is exclusively owned — the CDCL core, the simplex
+/// tableau and the statistics live in the session itself — and
+/// everything shared across sessions (the atom table, the CNF memos, the
+/// prepared-constraint cache) is reached only through the process-global
+/// mutex in [`cnf_cache`], never through
 /// `Rc`/`RefCell` aliasing, so moving a session across threads moves no
 /// cache state at all.
 /// These assertions turn any future hidden-sharing regression into a

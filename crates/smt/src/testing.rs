@@ -282,9 +282,10 @@ pub enum Fault {
 /// the instrumented sites draw from a shared [`Rng`], so a given seed
 /// reproduces the same fault sequence for a deterministic workload.
 ///
-/// Instrumented sites as of PR 9: `sat`, `simplex`, `session`, `worker`
-/// and `cnf-cache` inside the solving stack, plus `daemon` (worker
-/// dispatch in `fluxd`) and `queue` (request admission in `fluxd`).
+/// Instrumented sites: `sat`, `simplex`, `session` and `cnf-cache` inside
+/// the solving stack, `worker` (the start of each function check in
+/// `flux-check`'s fan-out, at every width), plus `daemon` (worker dispatch
+/// in `fluxd`) and `queue` (request admission in `fluxd`).
 #[derive(Clone, Copy, Debug)]
 pub struct FaultPlan {
     /// RNG seed (shifted to nonzero internally).

@@ -1,15 +1,16 @@
-//! Concurrency stress tests for the process-global shared state the
-//! parallel weakening scheduler leans on: the hash-cons table in
-//! `flux-logic`, the CNF/preprocessing cache inside `flux-smt` sessions,
-//! and the global verdict cache in `flux-fixpoint`.
+//! Concurrency stress tests for the process-global shared state that
+//! concurrent solves (the function fan-out, `fluxd`'s request workers) lean
+//! on: the hash-cons table in `flux-logic`, the CNF/preprocessing cache
+//! inside `flux-smt` sessions, and the global verdict cache in
+//! `flux-fixpoint`.
 //!
 //! Every phase runs under a watchdog (`mpsc::recv_timeout`): a deadlock —
 //! e.g. a lock-ordering mistake between the hcons table and the CNF cache —
 //! fails the test in bounded time instead of hanging the suite.
 
 use flux_fixpoint::{
-    global_cache, intern_fn_ctx, next_epoch, next_owner, Constraint, FixConfig, FixpointSolver,
-    Guard, KVarApp, KVarStore, QueryKey,
+    global_cache, intern_fn_ctx, next_epoch, next_owner, Constraint, FixpointSolver, Guard,
+    KVarApp, KVarStore, QueryKey,
 };
 use flux_logic::{Expr, ExprId, Name, Sort, SortCtx};
 use flux_smt::{Session, SmtConfig, Validity};
@@ -256,11 +257,7 @@ fn racing_solvers_agree_and_seed_xbench_replays() {
             .map(|_| {
                 thread::spawn(|| {
                     let (c, kvars) = system();
-                    let mut solver = FixpointSolver::new(FixConfig {
-                        threads: 2,
-                        ..FixConfig::default()
-                    });
-                    solver.solve(&c, &kvars, &SortCtx::new())
+                    FixpointSolver::with_defaults().solve(&c, &kvars, &SortCtx::new())
                 })
             })
             .collect();

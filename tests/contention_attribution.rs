@@ -1,8 +1,7 @@
 //! Per-solve attribution of shared-cache lock contention and evictions.
 //! Solves that run concurrently must each report only the events of their
-//! own threads (the solving thread and the workers it spawns), so for each
-//! lock the per-solve figures sum to at most the movement of that lock's
-//! process-global counter over the same window.  A delay-only fault plan
+//! own thread, so for each lock the per-solve figures sum to at most the
+//! movement of that lock's process-global counter over the same window.  A delay-only fault plan
 //! makes every CNF cache holder sleep, so CNF contention is certain; small
 //! cache caps make evictions certain.
 //!
@@ -10,8 +9,8 @@
 //! a single test.
 
 use flux_fixpoint::{
-    global_cache, set_global_cache_capacity, validity_shard_contentions, Constraint, FixConfig,
-    FixStats, FixpointSolver, Guard, KVarApp, KVarStore,
+    global_cache, set_global_cache_capacity, validity_shard_contentions, Constraint, FixStats,
+    FixpointSolver, Guard, KVarApp, KVarStore,
 };
 use flux_logic::{hcons_contentions, hcons_memo_evictions, set_hcons_memo_capacity};
 use flux_logic::{Expr, Name, Sort, SortCtx};
@@ -22,8 +21,7 @@ use std::sync::{Arc, Barrier};
 const SOLVING_THREADS: usize = 4;
 const ROUNDS: usize = 3;
 
-/// Two independent counting loops (two κ components, so a solve at
-/// `threads: 2` spawns weakening workers), over names unique to `salt`.
+/// Two independent counting loops over names unique to `salt`.
 fn system(salt: usize) -> (Constraint, KVarStore) {
     let mut kvars = KVarStore::new();
     let mut loops = Vec::new();
@@ -120,10 +118,7 @@ fn concurrent_solves_report_only_their_own_contention_and_evictions() {
                     let mut total = FixStats::default();
                     for round in 0..ROUNDS {
                         let (c, kvars) = system(t * ROUNDS + round);
-                        let mut solver = FixpointSolver::new(FixConfig {
-                            threads: 2,
-                            ..FixConfig::default()
-                        });
+                        let mut solver = FixpointSolver::with_defaults();
                         assert!(solver.solve(&c, &kvars, &SortCtx::new()).is_safe());
                         total.absorb(solver.stats);
                     }

@@ -1,24 +1,28 @@
 //! Deterministic fault-injection fuzz (PR 8): seeded fault plans inject
 //! spurious solver `Unknown`s, worker panics and lock-hold delays at the
-//! engine's choke points while full fixpoint solves run on two worker
-//! threads.  Three properties, checked across every seed:
+//! engine's choke points, in two legs: whole fixpoint solves, and whole
+//! programs checked through `flux_check::check_source` at function fan-out
+//! widths 1 and 2.  Three properties, checked across every seed:
 //!
 //! 1. **No panic escapes** — injected worker panics are contained by the
-//!    scheduler; the solve returns a structured result.
+//!    fan-out at every width; the check returns a structured report.
 //! 2. **No hang** — the whole fuzz loop runs under a watchdog.
-//! 3. **No false verification** — a faulted run may report a system safe
-//!    only when the fault-free run does too.
+//! 3. **No false verdict** — a faulted run may report a system or function
+//!    safe only when the fault-free run does too, and may blame one only
+//!    when the fault-free run blames it too.
 //!
 //! The fault plan is process-global, so this file holds a single test; the
 //! seed count is `FLUX_FAULT_SEEDS` (default 100).
 
-use flux_fixpoint::{Constraint, FixConfig, FixpointSolver, Guard, KVarApp, KVarStore};
+use flux_check::{check_source, CheckConfig, Report};
+use flux_fixpoint::{
+    Constraint, FixConfig, FixpointSolver, Guard, KVarApp, KVarStore, UnknownReason,
+};
 use flux_logic::{env_parse, Expr, Name, Sort, SortCtx};
 use flux_smt::testing::{clear_fault_plan, install_fault_plan, with_watchdog, FaultPlan};
 
-/// Two independent κ components (so the parallel scheduler actually spawns
-/// workers at `threads: 2`) with a shared entry bound.  `safe` selects
-/// whether the concrete head is provable.
+/// Two κs with a shared entry bound.  `safe` selects whether the concrete
+/// heads are provable.
 fn system(salt: &str, safe: bool) -> (Constraint, KVarStore) {
     let mut kvars = KVarStore::new();
     let k1 = kvars.fresh(vec![Sort::Int]);
@@ -46,40 +50,45 @@ fn system(salt: &str, safe: bool) -> (Constraint, KVarStore) {
     (c, kvars)
 }
 
-/// A κ established only under a binder hypothesis (`x ≥ 5`) and needed by
-/// a concrete head in another binder's scope, which holds only under the
-/// κ's inferred assignment.
-fn escaping_system(salt: &str) -> (Constraint, KVarStore) {
-    let mut kvars = KVarStore::new();
-    let k = kvars.fresh(vec![Sort::Int]);
-    let x = Name::intern(&format!("fe_{salt}_x"));
-    let y = Name::intern(&format!("fe_{salt}_y"));
-    let c = Constraint::conj(vec![
-        Constraint::forall(
-            x,
-            Sort::Int,
-            Expr::ge(Expr::var(x), Expr::int(5)),
-            Constraint::kvar(KVarApp::new(k, vec![Expr::var(x)])),
-        ),
-        Constraint::forall(
-            y,
-            Sort::Int,
-            Expr::tt(),
-            Constraint::implies(
-                Guard::KVar(KVarApp::new(k, vec![Expr::var(y)])),
-                Constraint::pred(Expr::gt(Expr::var(y), Expr::int(0)), 0),
-            ),
-        ),
-    ]);
-    (c, kvars)
+/// Two safe functions (one with a loop invariant to infer) and one whose
+/// postcondition is wrong.
+const PROGRAM: &str = r#"
+    #[flux::sig(fn(usize[@n]) -> usize[n])]
+    fn count_up(n: usize) -> usize {
+        let mut i = 0;
+        while i < n {
+            i += 1;
+        }
+        i
+    }
+
+    #[flux::sig(fn(i32[@x]) -> i32{v: v >= x && v >= 0})]
+    fn abs(x: i32) -> i32 {
+        if x < 0 { -x } else { x }
+    }
+
+    #[flux::sig(fn(i32[@a], i32[@b]) -> i32[a + b + 1])]
+    fn add_wrong(a: i32, b: i32) -> i32 {
+        a + b
+    }
+"#;
+
+/// Checks [`PROGRAM`] at fan-out width `fn_threads` with a hermetic cache,
+/// so every run drives the engine (and its fault sites) instead of
+/// replaying verdicts from an earlier run.
+fn check(fn_threads: usize) -> Report {
+    let config = CheckConfig {
+        fixpoint: FixConfig {
+            global_cache: false,
+            ..FixConfig::default()
+        },
+        fn_threads,
+    };
+    check_source(PROGRAM, &config).expect("the program parses and resolves")
 }
 
 fn solve(c: &Constraint, kvars: &KVarStore) -> flux_fixpoint::FixResult {
-    let mut solver = FixpointSolver::new(FixConfig {
-        threads: 2,
-        ..FixConfig::default()
-    });
-    solver.solve(c, kvars, &SortCtx::new())
+    FixpointSolver::with_defaults().solve(c, kvars, &SortCtx::new())
 }
 
 #[test]
@@ -112,6 +121,17 @@ fn faulted_solves_never_panic_hang_or_falsely_verify() {
                 "fault-free reference {i} has the wrong polarity: {reference:?}"
             );
         }
+        let program_reference = check(1);
+        let polarity: Vec<(&str, bool)> = program_reference
+            .functions
+            .iter()
+            .map(|f| (f.name.as_str(), f.is_safe()))
+            .collect();
+        assert_eq!(
+            polarity,
+            [("count_up", true), ("abs", true), ("add_wrong", false)],
+            "fault-free program reference: {program_reference:?}"
+        );
 
         let seeds = env_parse("FLUX_FAULT_SEEDS", 100u64);
         for seed in 1..=seeds {
@@ -123,9 +143,9 @@ fn faulted_solves_never_panic_hang_or_falsely_verify() {
                 ..FaultPlan::default()
             });
             // Fresh per-seed vocabularies: every solve misses the global
-            // verdict cache and drives the engine (and so the SAT/session/
-            // worker fault sites) for real, instead of replaying cached
-            // verdicts from the previous seed.
+            // verdict cache and drives the engine (and so the SAT/session
+            // fault sites) for real, instead of replaying cached verdicts
+            // from the previous seed.
             for (i, safe) in [(0usize, true), (1usize, false)] {
                 let (c, kvars) = system(&format!("s{seed}v{i}"), safe);
                 // Any panic escaping `solve` fails the test right here —
@@ -144,6 +164,27 @@ fn faulted_solves_never_panic_hang_or_falsely_verify() {
                     );
                 }
             }
+            // Any panic escaping the fan-out fails the test right here, at
+            // either width.
+            for fn_threads in [1, 2] {
+                let report = check(fn_threads);
+                assert_eq!(report.functions.len(), polarity.len());
+                for (f, &(name, safe)) in report.functions.iter().zip(&polarity) {
+                    assert_eq!(f.name, name, "seed {seed}: function order changed");
+                    assert!(
+                        !f.is_safe() || safe,
+                        "seed {seed} at fn_threads={fn_threads}: faults made {} verify",
+                        f.name
+                    );
+                    assert!(
+                        f.errors.is_empty() || !safe,
+                        "seed {seed} at fn_threads={fn_threads}: faults fabricated an \
+                         error in {}: {:?}",
+                        f.name,
+                        f.errors
+                    );
+                }
+            }
             clear_fault_plan();
         }
 
@@ -158,24 +199,25 @@ fn faulted_solves_never_panic_hang_or_falsely_verify() {
             );
         }
 
-        // A panicked weakening worker leaves its κs unassigned, which reads
-        // as `true`, so the concrete head that needs them fails.  That
-        // failure is the panic's, not the program's: `Unknown`, never
-        // `Unsafe`.
-        let (c, kvars) = escaping_system("ref");
-        let reference = solve(&c, &kvars);
-        assert!(reference.is_safe(), "fault-free: {reference:?}");
+        // A check that panics on every function, at either width: each is
+        // inconclusive with a contained `WorkerPanic` and blamed for nothing.
         install_fault_plan(FaultPlan {
             seed: 1,
             panic_permille: 1000,
             ..FaultPlan::default()
         });
-        let (c, kvars) = escaping_system("panicked");
-        let result = solve(&c, &kvars);
+        let panicked = [check(1), check(2)];
         clear_fault_plan();
-        assert!(
-            matches!(result, flux_fixpoint::FixResult::Unknown { .. }),
-            "a worker panic was blamed on the program: {result:?}"
-        );
+        for (report, fn_threads) in panicked.iter().zip([1, 2]) {
+            assert_eq!(report.functions.len(), polarity.len());
+            for f in &report.functions {
+                assert!(
+                    f.is_unknown()
+                        && matches!(f.unknowns.as_slice(), [UnknownReason::WorkerPanic { .. }]),
+                    "fn_threads={fn_threads}: {} was not contained as a worker panic: {f:?}",
+                    f.name
+                );
+            }
+        }
     });
 }

@@ -28,7 +28,6 @@ fn a_flushed_generation_verifies_like_a_fresh_process() {
     flux_smt::set_cnf_cache_capacity(None);
     flux_logic::set_hcons_memo_capacity(None);
     let mut config = VerifyConfig::default();
-    config.check.fixpoint.threads = 1;
     config.check.fn_threads = 1;
     let benchmarks = flux::benchmarks();
     let pass = || -> Vec<VerifyOutcome> {
@@ -50,7 +49,7 @@ fn a_flushed_generation_verifies_like_a_fresh_process() {
     );
 
     // The pass after the flush is the first pass again, counter for
-    // counter: both pools are pinned to one thread, so the run is
+    // counter: the fan-out is pinned to one thread, so the run is
     // deterministic.
     let cold = pass();
     for ((b, first), cold) in benchmarks.iter().zip(&first).zip(&cold) {

@@ -24,7 +24,6 @@ fn second_verification_of_the_corpus_hits_the_cache_and_grows_nothing() {
     flux_smt::set_cnf_cache_capacity(None);
     flux_logic::set_hcons_memo_capacity(None);
     let mut config = VerifyConfig::default();
-    config.check.fixpoint.threads = 1;
     config.check.fn_threads = 1;
     let verify = |src: &str| -> VerifyOutcome {
         verify_source(src, Mode::Flux, &config).expect("the corpus parses and resolves")

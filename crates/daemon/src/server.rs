@@ -568,8 +568,8 @@ fn render_outcome(id: u64, verdict: &str, outcome: &VerifyOutcome) -> String {
          \"time_ms\":{},\"functions\":{},\
          \"loc\":{},\"spec_lines\":{},\"annot_lines\":{},\
          \"stats\":{{\"smt_queries\":{},\"cache_hits\":{},\"xbench_hits\":{},\
-         \"cache_misses\":{},\"sessions\":{},\"unknowns\":{},\"evictions\":{},\
-         \"budget_exhausted\":{}}}}}",
+         \"cache_misses\":{},\"sessions\":{},\"escalations\":{},\"unknowns\":{},\
+         \"evictions\":{},\"budget_exhausted\":{}}}}}",
         errors.join(","),
         outcome.time.as_millis(),
         outcome.functions,
@@ -581,6 +581,7 @@ fn render_outcome(id: u64, verdict: &str, outcome: &VerifyOutcome) -> String {
         s.fix.xbench_hits,
         s.fix.cache_misses,
         s.fix.sessions,
+        s.fix.escalations,
         s.unknowns,
         s.fix.evictions,
         s.smt.budget_exhausted,

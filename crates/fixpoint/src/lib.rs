@@ -8,11 +8,13 @@
 //! algorithm (§4.2 of the paper):
 //!
 //! 1. every κ starts as the conjunction of all well-sorted instantiations of
-//!    a fixed set of [`Qualifier`] templates,
+//!    the [`Qualifier`] templates with at most two parameters,
 //! 2. candidates not implied by a clause's hypotheses are removed until a
-//!    fixpoint is reached (iterative weakening), and
+//!    fixpoint is reached (iterative weakening),
 //! 3. the remaining concrete obligations are checked; failures are reported
-//!    with their [`Tag`]s for precise blame.
+//!    with their [`Tag`]s for precise blame, and
+//! 4. unless that verdict is Safe, steps 1–3 run again from the instances of
+//!    every template, and their verdict is the one reported.
 //!
 //! # Example
 //!
@@ -202,34 +204,44 @@ mod randtests {
 
     /// Solving under the full audit tier — clause/candidate lint up front,
     /// certified SMT theory steps, independent re-validation of the
-    /// converged solution — yields exactly the same solution as solving
+    /// converged solution, the full-template cross-check of a stage-1 Safe
+    /// — yields exactly the same solution and work counters as solving
     /// unaudited, and the audit counters actually move.  (The tier is set
-    /// through the config, not the process-global `FLUX_AUDIT`, so the test
-    /// is hermetic.)
+    /// through the config, not the process-global `FLUX_AUDIT`, and both
+    /// solvers cache hermetically, so the test is hermetic.)
     #[test]
     fn full_audit_tier_solves_identically() {
         let mut kvars = KVarStore::new();
-        let k = kvars.fresh(vec![Sort::Int, Sort::Int]);
+        // The third argument gives the full template set instances that
+        // stage 1 lacks, so the audited solve runs the cross-check.
+        let k = kvars.fresh(vec![Sort::Int, Sort::Int, Sort::Int]);
         let i = Name::intern("ri");
         let n = Name::intern("rn");
-        let constraint = Constraint::forall(
+        let m = Name::intern("rm");
+        let body = Constraint::forall(
             n,
             Sort::Int,
             Expr::gt(Expr::var(n), Expr::int(0)),
             Constraint::conj(vec![
-                Constraint::kvar(KVarApp::new(k, vec![Expr::int(0), Expr::var(n)])),
+                Constraint::kvar(KVarApp::new(
+                    k,
+                    vec![Expr::int(0), Expr::var(n), Expr::var(m)],
+                )),
                 Constraint::forall(
                     i,
                     Sort::Int,
                     Expr::tt(),
                     Constraint::implies(
-                        Guard::KVar(KVarApp::new(k, vec![Expr::var(i), Expr::var(n)])),
+                        Guard::KVar(KVarApp::new(
+                            k,
+                            vec![Expr::var(i), Expr::var(n), Expr::var(m)],
+                        )),
                         Constraint::implies(
                             Guard::Pred(Expr::lt(Expr::var(i), Expr::var(n))),
                             Constraint::conj(vec![
                                 Constraint::kvar(KVarApp::new(
                                     k,
-                                    vec![Expr::var(i) + Expr::int(1), Expr::var(n)],
+                                    vec![Expr::var(i) + Expr::int(1), Expr::var(n), Expr::var(m)],
                                 )),
                                 Constraint::pred(Expr::le(Expr::int(0), Expr::var(i)), 11),
                             ]),
@@ -238,11 +250,13 @@ mod randtests {
                 ),
             ]),
         );
+        let constraint = Constraint::forall(m, Sort::Int, Expr::tt(), body);
         let audited_config = FixConfig {
             smt: flux_smt::SmtConfig {
                 audit: flux_logic::AuditTier::Full,
                 ..flux_smt::SmtConfig::default()
             },
+            global_cache: false,
             ..FixConfig::default()
         };
         let plain_config = FixConfig {
@@ -250,6 +264,7 @@ mod randtests {
                 audit: flux_logic::AuditTier::Off,
                 ..flux_smt::SmtConfig::default()
             },
+            global_cache: false,
             ..FixConfig::default()
         };
         let ctx = SortCtx::new();
@@ -274,5 +289,19 @@ mod randtests {
         );
         assert_eq!(plain.stats.lint_checks, 0);
         assert_eq!(plain.stats.revalidations, 0);
+        // Lock contentions are left out: other tests run alongside.
+        let work = |s: FixStats| {
+            (
+                s.initial_candidates,
+                s.iterations,
+                s.escalations,
+                s.smt_queries,
+                s.cache_hits,
+                s.cache_misses,
+                s.sessions,
+                s.model_prunes,
+            )
+        };
+        assert_eq!(work(audited.stats), work(plain.stats));
     }
 }

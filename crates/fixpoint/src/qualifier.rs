@@ -8,7 +8,7 @@
 //! first argument and the placeholders by other arguments of matching sort.
 
 use crate::kvar::KVarDecl;
-use flux_logic::{Expr, Name, Sort, SortCtx};
+use flux_logic::{BinOp, Expr, Name, Sort, SortCtx};
 
 /// A qualifier template.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,7 +34,10 @@ impl Qualifier {
     /// Instantiates the qualifier against a κ declaration, producing every
     /// well-sorted instantiation of the template's parameters by the κ's
     /// formal arguments.  The value parameter ν is always mapped to the
-    /// first argument.
+    /// first argument.  When swapping `A` and `B` leaves the body unchanged
+    /// up to the order of `+` operands (`ν = A + B`, not `ν = A − B`), the
+    /// two orders of a pair of arguments give one predicate, and only the
+    /// order where `A`'s argument comes first is kept.
     pub fn instantiate(&self, decl: &KVarDecl) -> Vec<Expr> {
         if self.params.is_empty() || decl.sorts.is_empty() {
             return Vec::new();
@@ -47,17 +50,50 @@ impl Qualifier {
         let formals = decl.formals();
         let mut assignment: Vec<Option<usize>> = vec![None; self.params.len()];
         assignment[0] = Some(0);
-        instantiate_rec(self, decl, formals, 1, &mut assignment, &mut out);
+        let ordered = self.symmetric_in_a_b();
+        instantiate_rec(self, decl, formals, 1, &mut assignment, ordered, &mut out);
         out
+    }
+
+    /// True when the body is unchanged, up to the order of `+` operands, by
+    /// swapping the placeholders `A` and `B` (the second and third
+    /// parameters).
+    fn symmetric_in_a_b(&self) -> bool {
+        let [_, (a, a_sort), (b, b_sort), ..] = self.params[..] else {
+            return false;
+        };
+        let swap: flux_logic::Subst = [(a, Expr::Var(b)), (b, Expr::Var(a))].into_iter().collect();
+        a_sort == b_sort && sort_sums(&swap.apply(&self.body)) == sort_sums(&self.body)
     }
 }
 
+/// `expr` with the two operands of every `+` in ascending order, so the two
+/// orders of a sum compare equal.
+fn sort_sums(expr: &Expr) -> Expr {
+    match expr {
+        Expr::BinOp(op, l, r) => {
+            let (l, r) = (sort_sums(l), sort_sums(r));
+            if *op == BinOp::Add && r < l {
+                Expr::binop(*op, r, l)
+            } else {
+                Expr::binop(*op, l, r)
+            }
+        }
+        Expr::UnOp(op, e) => Expr::unop(*op, sort_sums(e)),
+        _ => expr.clone(),
+    }
+}
+
+/// Extends `assignment` from parameter `index` on, pushing the instance of
+/// every complete one.  `ordered` skips the assignments whose `B` argument
+/// comes before the `A` argument.
 fn instantiate_rec(
     qualifier: &Qualifier,
     decl: &KVarDecl,
     formals: &[Name],
     index: usize,
     assignment: &mut Vec<Option<usize>>,
+    ordered: bool,
     out: &mut Vec<Expr>,
 ) {
     if index == qualifier.params.len() {
@@ -80,8 +116,19 @@ fn instantiate_rec(
         if *sort != wanted || arg_idx == 0 || assignment.contains(&Some(arg_idx)) {
             continue;
         }
+        if ordered && index == 2 && assignment[1].is_some_and(|a| arg_idx < a) {
+            continue;
+        }
         assignment[index] = Some(arg_idx);
-        instantiate_rec(qualifier, decl, formals, index + 1, assignment, out);
+        instantiate_rec(
+            qualifier,
+            decl,
+            formals,
+            index + 1,
+            assignment,
+            ordered,
+            out,
+        );
         assignment[index] = None;
     }
 }
@@ -224,13 +271,24 @@ mod tests {
         let mut store = KVarStore::new();
         let k = store.fresh(vec![Sort::Int, Sort::Int, Sort::Int]);
         let decl = store.get(k);
-        let eq_sum = default_qualifiers()
-            .into_iter()
-            .find(|q| q.name == "eq-sum")
-            .unwrap();
-        let instances = eq_sum.instantiate(decl);
-        // (arg1, arg2) and (arg2, arg1).
-        assert_eq!(instances.len(), 2);
+        let instances = |name: &str| {
+            default_qualifiers()
+                .into_iter()
+                .find(|q| q.name == name)
+                .unwrap()
+                .instantiate(decl)
+        };
+        // ν = arg1 − arg2 and ν = arg2 − arg1.
+        assert_eq!(instances("eq-diff").len(), 2);
+        // ν = arg1 + arg2 only: ν = arg2 + arg1 is the same predicate.
+        assert_eq!(
+            instances("eq-sum"),
+            vec![Expr::eq(
+                Expr::Var(decl.formal(0)),
+                Expr::Var(decl.formal(1)) + Expr::Var(decl.formal(2))
+            )]
+        );
+        assert_eq!(instances("le-sum").len(), 1);
     }
 
     #[test]

@@ -25,22 +25,22 @@
 //!
 //! A long-running daemon must not grow without bound across requests, and
 //! must not evict the warm set that makes a repeated request free.  Every
-//! process-global cache runs uncapped: the verdict cache, the CNF memo and
-//! its atom table, and the hash-consing memos.  They all hold `ExprId`s,
-//! which are indices into the hash-consing arena, so they all grow with
-//! it; the arena is the one thing the daemon bounds.
+//! process-global cache runs uncapped: the verdict cache, the solve memo,
+//! the CNF memo and its atom table, and the hash-consing memos.  They all
+//! hold `ExprId`s, which are indices into the hash-consing arena, so they
+//! all grow with it; the arena is the one thing the daemon bounds.
 //!
 //! When a job leaves the arena above `hcons_node_watermark` and no other
 //! verify job is in flight, the worker flushes the whole *generation* in
 //! one hold of the generation lock ([`flush_generation`]): the verdict
-//! cache, the CNF memo and atom table, and the arena with its index and
-//! memos.  Dropping only some of them would be unsound — a surviving
-//! verdict keyed on a recycled id would answer for a different formula —
-//! so they go together.  Each verify job holds the lock's read side for its
-//! whole run, so a flush never pulls ids out from under a solve; a busy
-//! daemon skips the flush, and the next job to finish retries it.  An idle
-//! daemon is therefore never above its watermark.  `reload` runs the same
-//! flush, waiting for the jobs in flight.
+//! cache, the solve memo, the CNF memo and atom table, and the arena with
+//! its index and memos.  Dropping only some of them would be unsound — a
+//! surviving verdict keyed on a recycled id would answer for a different
+//! formula — so they go together.  Each verify job holds the lock's read
+//! side for its whole run, so a flush never pulls ids out from under a
+//! solve; a busy daemon skips the flush, and the next job to finish retries
+//! it.  An idle daemon is therefore never above its watermark.  `reload`
+//! runs the same flush, waiting for the jobs in flight.
 //!
 //! # Live reconfiguration
 //!
@@ -271,8 +271,12 @@ pub fn run(config: &ServerConfig, mut input: impl BufRead, output: impl Write + 
                              \"hcons_memos_flushed\":{},\
                              \"cnf_entries_flushed\":{},\
                              \"validity_entries_dropped\":{},\
+                             \"solve_memo_entries_dropped\":{},\
                              \"workers\":{target},\"fn_threads\":{fn_threads}}}",
-                            flushed.hcons_memos, flushed.cnf_entries, flushed.validity_entries,
+                            flushed.hcons_memos,
+                            flushed.cnf_entries,
+                            flushed.validity_entries,
+                            flushed.solve_memo_entries,
                         ));
                     }
                     Ok(Request::Shutdown { id }) => {
@@ -397,6 +401,8 @@ fn worker_loop(
 pub struct Flushed {
     /// Verdicts dropped from the validity cache.
     pub validity_entries: usize,
+    /// Results dropped from the solve memo.
+    pub solve_memo_entries: usize,
     /// CNF memo entries flushed (the atom table goes too).
     pub cnf_entries: usize,
     /// Hash-consing memo entries flushed (the node arena goes too).
@@ -404,8 +410,9 @@ pub struct Flushed {
 }
 
 /// Flushes the whole generation: every process-global holder of `ExprId`s
-/// or `AtomId`s, together — the validity cache, the CNF memo and its atom
-/// table, and the hash-consing arena with its index and memos.  Afterwards
+/// or `AtomId`s, together — the validity cache, the solve memo, the CNF
+/// memo and its atom table, and the hash-consing arena with its index and
+/// memos.  Afterwards
 /// the process is as cold as a fresh one.  The name interner and the
 /// function-context table stay: they hold no ids, so `Name`s and
 /// `FnCtxId`s remain valid.  The holders go first and the arena last, so
@@ -414,10 +421,12 @@ pub fn flush_generation(generation: &GenerationGuard) -> Flushed {
     let cache = flux_fixpoint::global_cache();
     let validity_entries = cache.len();
     cache.clear();
+    let solve_memo_entries = flux_fixpoint::clear_solve_memo();
     let cnf_entries = flux_smt::reset_cnf_cache(generation);
     let hcons_memos = flux_logic::reset_hcons(generation);
     Flushed {
         validity_entries,
+        solve_memo_entries,
         cnf_entries,
         hcons_memos,
     }
@@ -568,8 +577,8 @@ fn render_outcome(id: u64, verdict: &str, outcome: &VerifyOutcome) -> String {
          \"time_ms\":{},\"functions\":{},\
          \"loc\":{},\"spec_lines\":{},\"annot_lines\":{},\
          \"stats\":{{\"smt_queries\":{},\"cache_hits\":{},\"xbench_hits\":{},\
-         \"cache_misses\":{},\"sessions\":{},\"escalations\":{},\"unknowns\":{},\
-         \"evictions\":{},\"budget_exhausted\":{}}}}}",
+         \"cache_misses\":{},\"sessions\":{},\"escalations\":{},\"replays\":{},\
+         \"unknowns\":{},\"evictions\":{},\"budget_exhausted\":{}}}}}",
         errors.join(","),
         outcome.time.as_millis(),
         outcome.functions,
@@ -582,6 +591,7 @@ fn render_outcome(id: u64, verdict: &str, outcome: &VerifyOutcome) -> String {
         s.fix.cache_misses,
         s.fix.sessions,
         s.fix.escalations,
+        s.fix.replays,
         s.unknowns,
         s.fix.evictions,
         s.smt.budget_exhausted,
@@ -605,6 +615,7 @@ fn report(id: u64, result: &str, cfg: &ServerConfig, stats: &Stats, started: Ins
          \"uptime_ms\":{},\"workers\":{},\"fn_threads\":{},\
          \"caches\":{{\"validity_len\":{validity_len},\
          \"validity_evictions\":{validity_evictions},\
+         \"solve_memo_len\":{},\
          \"cnf_len\":{},\"cnf_evictions\":{},\
          \"hcons_memo_evictions\":{},\
          \"cnf_atoms\":{},\"hcons_nodes\":{nodes},\"hcons_node_watermark\":{},\
@@ -620,6 +631,7 @@ fn report(id: u64, result: &str, cfg: &ServerConfig, stats: &Stats, started: Ins
         started.elapsed().as_millis(),
         cfg.workers,
         flux::default_threads(),
+        flux_fixpoint::solve_memo_len(),
         flux_smt::cnf_cache_len(),
         flux_smt::cnf_cache_evictions(),
         flux_logic::hcons_memo_evictions(),

@@ -1,7 +1,7 @@
 //! End-to-end exercise of the real `fluxd` binary over a pipe: the full
-//! Table-1 matrix cold, then warm (asserting every warm Flux query is a
-//! cache hit and nothing new is interned), wire-level garbage mid-session,
-//! and a clean drain.
+//! Table-1 matrix cold, then warm (asserting every warm Flux function
+//! replays its solve and nothing new is interned), wire-level garbage
+//! mid-session, and a clean drain.
 //!
 //! Cargo builds the binary before running integration tests and exposes
 //! its path as `CARGO_BIN_EXE_fluxd`.
@@ -10,6 +10,7 @@ use flux_bench::daemon_client::DaemonClient;
 use flux_bench::json::Value;
 use flux_smt::testing::with_watchdog;
 use flux_suite::{benchmarks, expect_verifies, Mode};
+use std::collections::HashMap;
 
 fn spawn_daemon() -> DaemonClient {
     // Debug builds verify slowly; lift the server deadline ceiling so a
@@ -64,6 +65,7 @@ fn full_matrix_cold_then_warm_with_cross_request_hits() {
 
         // Cold pass: every verdict must match the Table-1 expectation
         // matrix (no faults are injected, so no degradation is allowed).
+        let mut cold_errors = HashMap::new();
         for (name, mode, wire_mode) in &cells {
             let response = daemon
                 .verify_program(name, wire_mode)
@@ -73,15 +75,17 @@ fn full_matrix_cold_then_warm_with_cross_request_hits() {
                 expected_verdict(name, *mode),
                 "cold {name}/{wire_mode}: {response:?}"
             );
+            cold_errors.insert((*name, *wire_mode), response.get("errors").cloned());
         }
 
         // Warm pass: identical requests again, the Flux cells first.  The
         // verdicts must not drift.  Binder names are deterministic, so a
-        // re-run asks the same queries, and the daemon keeps its caches
-        // uncapped below the node watermark: every warm Flux query is a
-        // cross-request (`xbench`) hit, no solver session opens, and the
-        // Flux half interns nothing.  (The baseline verifier names its
-        // binders afresh on every run, so its half always interns.)
+        // re-run generates the same constraints, and the daemon keeps its
+        // caches uncapped below the node watermark: every warm Flux
+        // function replays its solve from the solve memo, asks no query,
+        // opens no solver session, and the Flux half interns nothing.  (The
+        // baseline verifier names its binders afresh on every run, so its
+        // half always interns.)
         let (flux_cells, baseline_cells): (Vec<_>, Vec<_>) =
             cells.iter().partition(|(_, mode, _)| *mode == Mode::Flux);
         let warm = |daemon: &mut DaemonClient, name: &str, mode: Mode, wire_mode: &str| {
@@ -96,7 +100,6 @@ fn full_matrix_cold_then_warm_with_cross_request_hits() {
             response
         };
         let nodes_before = hcons_nodes(&mut daemon);
-        let mut warm_xbench = 0;
         for (name, mode, wire_mode) in &flux_cells {
             let response = warm(&mut daemon, name, *mode, wire_mode);
             let stat = |field: &str| {
@@ -106,14 +109,21 @@ fn full_matrix_cold_then_warm_with_cross_request_hits() {
                     .and_then(Value::as_u64)
                     .expect("verify responses carry stats")
             };
-            warm_xbench += stat("xbench_hits");
+            let functions = response.get("functions").and_then(Value::as_u64);
+            assert_eq!(
+                Some(stat("replays")),
+                functions,
+                "warm {name}/flux: every function must replay its solve"
+            );
+            assert_eq!(stat("smt_queries"), 0, "warm {name}/flux asked a query");
             assert_eq!(stat("cache_misses"), 0, "warm {name}/flux missed");
             assert_eq!(stat("sessions"), 0, "warm {name}/flux opened a session");
+            assert_eq!(
+                response.get("errors").cloned(),
+                cold_errors[&(*name, *wire_mode)],
+                "warm {name}/flux: the errors changed"
+            );
         }
-        assert!(
-            warm_xbench > 0,
-            "the warm pass must hit the cross-request verdict cache"
-        );
         assert_eq!(
             hcons_nodes(&mut daemon),
             nodes_before,

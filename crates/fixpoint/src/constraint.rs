@@ -111,10 +111,32 @@ impl Constraint {
 
     /// Flattens the tree into clauses.
     pub fn flatten(&self) -> Vec<Clause> {
+        self.flatten_with(Guard::clone, |binders, guards, head| Clause {
+            binders: binders.to_vec(),
+            guards: guards.to_vec(),
+            head: head.clone(),
+        })
+    }
+
+    /// The walk behind [`Constraint::flatten`], generic in what it builds:
+    /// `guard` converts each guard once for all the clauses under it (a
+    /// binder's non-trivial predicate arrives as a [`Guard::Pred`]), and
+    /// `clause` builds one item per head, in flattening order, from the
+    /// binders and converted guards in scope.
+    pub(crate) fn flatten_with<G, T>(
+        &self,
+        mut guard: impl FnMut(&Guard) -> G,
+        mut clause: impl FnMut(&[(Name, Sort)], &[G], &Head) -> T,
+    ) -> Vec<T> {
         let mut out = Vec::new();
-        let mut binders = Vec::new();
-        let mut guards = Vec::new();
-        flatten_rec(self, &mut binders, &mut guards, &mut out);
+        flatten_rec(
+            self,
+            &mut guard,
+            &mut clause,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            &mut out,
+        );
         out
     }
 }
@@ -137,22 +159,20 @@ impl Clause {
     }
 }
 
-fn flatten_rec(
+fn flatten_rec<G, T>(
     constraint: &Constraint,
+    guard: &mut impl FnMut(&Guard) -> G,
+    clause: &mut impl FnMut(&[(Name, Sort)], &[G], &Head) -> T,
     binders: &mut Vec<(Name, Sort)>,
-    guards: &mut Vec<Guard>,
-    out: &mut Vec<Clause>,
+    guards: &mut Vec<G>,
+    out: &mut Vec<T>,
 ) {
     match constraint {
         Constraint::True => {}
-        Constraint::Head(head) => out.push(Clause {
-            binders: binders.clone(),
-            guards: guards.clone(),
-            head: head.clone(),
-        }),
+        Constraint::Head(head) => out.push(clause(binders, guards, head)),
         Constraint::Conj(children) => {
             for child in children {
-                flatten_rec(child, binders, guards, out);
+                flatten_rec(child, guard, clause, binders, guards, out);
             }
         }
         Constraint::ForAll(name, sort, pred, inner) => {
@@ -160,18 +180,18 @@ fn flatten_rec(
             let pushed_guard = if pred.is_trivially_true() {
                 false
             } else {
-                guards.push(Guard::Pred(pred.clone()));
+                guards.push(guard(&Guard::Pred(pred.clone())));
                 true
             };
-            flatten_rec(inner, binders, guards, out);
+            flatten_rec(inner, guard, clause, binders, guards, out);
             if pushed_guard {
                 guards.pop();
             }
             binders.pop();
         }
-        Constraint::Implies(guard, inner) => {
-            guards.push(guard.clone());
-            flatten_rec(inner, binders, guards, out);
+        Constraint::Implies(implied, inner) => {
+            guards.push(guard(implied));
+            flatten_rec(inner, guard, clause, binders, guards, out);
             guards.pop();
         }
     }

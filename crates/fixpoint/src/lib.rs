@@ -12,9 +12,12 @@
 //! 2. candidates not implied by a clause's hypotheses are removed until a
 //!    fixpoint is reached (iterative weakening),
 //! 3. the remaining concrete obligations are checked; failures are reported
-//!    with their [`Tag`]s for precise blame, and
+//!    with their [`Tag`]s for precise blame,
 //! 4. unless that verdict is Safe, steps 1–3 run again from the instances of
-//!    every template, and their verdict is the one reported.
+//!    every template, and their verdict is the one reported, and
+//! 5. a result that no `Unknown` verdict touched is stored in the solve
+//!    memo: a later solve of the same system under the same configuration
+//!    returns it without steps 1–4 ([`FixStats::replays`]).
 //!
 //! # Example
 //!
@@ -64,6 +67,7 @@ mod audit;
 mod cache;
 mod constraint;
 mod kvar;
+mod memo;
 mod qualifier;
 mod solve;
 
@@ -80,6 +84,7 @@ pub use cache::{
 };
 pub use constraint::{Clause, Constraint, Guard, Head, Tag};
 pub use kvar::{KVarApp, KVarDecl, KVarStore, KVid};
+pub use memo::{clear_solve_memo, solve_memo_len};
 pub use qualifier::{default_qualifiers, well_sorted, Qualifier};
 pub use solve::{
     partition, FixConfig, FixResult, FixStats, FixpointSolver, Solution, UnknownReason,

@@ -11,7 +11,7 @@ use crate::kvar::KVarDecl;
 use flux_logic::{BinOp, Expr, Name, Sort, SortCtx};
 
 /// A qualifier template.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Qualifier {
     /// Human-readable name, for diagnostics.
     pub name: String,

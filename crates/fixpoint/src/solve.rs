@@ -15,6 +15,10 @@
 //! larger seed set can only keep more candidates.  Any other result re-solves
 //! from a fresh seed of every template, and that result is reported.
 //!
+//! A clean result (no `Unknown` verdict anywhere in the solve) is stored in
+//! the solve memo (see the `memo` module), and a later solve with the same
+//! key replays it without seeding, weakening or checking a clause.
+//!
 //! A solve runs entirely on its caller's thread.  Parallelism lives one level
 //! up, in `flux-check`'s function fan-out, which runs whole solves
 //! concurrently.
@@ -25,8 +29,9 @@ use crate::cache::{
 };
 use crate::constraint::{Clause, Constraint, Guard, Head, Tag};
 use crate::kvar::{KVarApp, KVarStore, KVid};
+use crate::memo::{global_memo, SolveKey, SolveMemo};
 use crate::qualifier::{default_qualifiers, Qualifier};
-use flux_logic::{Expr, ExprId, Name, Sort, SortCtx};
+use flux_logic::{lock_recover, Expr, ExprId, Name, Sort, SortCtx};
 use flux_smt::{Model, Session, SmtConfig, SmtStats, Solver, Validity};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
@@ -47,11 +52,13 @@ pub struct FixConfig {
     pub qualifiers: Vec<Qualifier>,
     /// Share verdicts through the process-global validity cache, so
     /// identical obligations are proved once per *process* rather than once
-    /// per program (`xbench_hits` counts the cross-benchmark replays).
-    /// Disable for hermetic per-solver caching — equivalence tests that pin
-    /// session/miss counts need isolation from whatever else the process
-    /// has already proved; verdicts are identical either way because cached
-    /// entries replay exactly what the engine would recompute.
+    /// per program (`xbench_hits` counts the cross-benchmark replays), and
+    /// clean results through the process-global solve memo.  Disable for
+    /// hermetic per-solver caching: the solver then keeps its own cache and
+    /// memo — equivalence tests that pin session/miss counts need isolation
+    /// from whatever else the process has already proved; verdicts are
+    /// identical either way because cached entries replay exactly what the
+    /// engine would recompute.
     pub global_cache: bool,
     /// Ignored: every solve runs on its caller's thread.  Kept only because
     /// the benchmark harness still assigns it; it goes at the next change to
@@ -86,6 +93,12 @@ flux_logic::counters! {
         /// Solves whose first qualifier stage (the templates of at most two
         /// parameters) was not Safe and that re-solved with every template.
         pub escalations: usize,
+        /// Solves answered from the solve memo: an earlier solve with the
+        /// same key (flattened clauses, κ sorts, context, qualifiers and SMT
+        /// configuration) reached a clean result, which is returned without
+        /// seeding, weakening or checking a clause.  Every work counter of
+        /// a replayed solve is 0.
+        pub replays: usize,
         /// Number of SMT validity queries requested (including cache hits).
         pub smt_queries: usize,
         /// Queries answered from the validity cache.
@@ -930,6 +943,9 @@ pub struct FixpointSolver {
     /// The hermetic per-solver cache, used when `config.global_cache` is
     /// off; otherwise verdicts live in [`global_cache`].
     local_cache: ValidityCache,
+    /// The hermetic per-solver solve memo, used when `config.global_cache`
+    /// is off; otherwise results live in the process-global memo.
+    local_memo: SolveMemo,
     /// This solver's identity for cache-hit attribution.
     solver_id: u64,
     /// The global epoch of the current [`FixpointSolver::solve`] call;
@@ -948,6 +964,7 @@ impl FixpointSolver {
             stats: FixStats::default(),
             smt: SmtStats::default(),
             local_cache: ValidityCache::new(),
+            local_memo: SolveMemo::new(),
             solver_id: next_owner(),
             epoch: 0,
             fns: intern_fn_ctx(&SortCtx::new()),
@@ -964,27 +981,46 @@ impl FixpointSolver {
     /// `ctx` provides sorts for any free names not bound inside the
     /// constraint itself (and declarations of uninterpreted functions).
     ///
-    /// The qualifier templates are tried in two stages (see the module
-    /// docs): first those of at most two parameters, then, unless that stage
-    /// was Safe, every template.  Each stage runs every check of a solve
-    /// (audit lints, weakening, concrete heads, re-validation); one deadline
-    /// covers both.
+    /// A solve whose key is in the solve memo (see the module docs) returns
+    /// the stored result.  Otherwise the qualifier templates are tried in
+    /// two stages: first those of at most two parameters, then, unless that
+    /// stage was Safe, every template.  Each stage runs every check of a
+    /// solve (audit lints, weakening, concrete heads, re-validation); one
+    /// deadline covers both.  A result that no `Unknown` verdict touched is
+    /// then stored in the memo.
     pub fn solve(
         &mut self,
         constraint: &Constraint,
         kvars: &KVarStore,
         ctx: &SortCtx,
     ) -> FixResult {
+        // The solve's shared-cache events are this thread's.
+        let tally = flux_logic::thread_tally();
+        // The interned function-declaration context goes into every key,
+        // the memo's and the validity cache's, so results never leak
+        // between incompatible interpretation contexts.
+        self.fns = intern_fn_ctx(ctx);
+        let key = SolveKey::new(constraint, kvars, ctx, self.fns, &self.config);
+        self.stats = FixStats {
+            clauses: key.clauses(),
+            kvars: kvars.len(),
+            ..FixStats::default()
+        };
+        if let Some(stored) = self.with_memo(|memo| memo.get(&key).cloned()) {
+            self.stats.replays = 1;
+            self.add_tally(tally);
+            if self.config.smt.audit.certifies() {
+                self.audit_replay(constraint, kvars, ctx, &stored);
+            }
+            return stored;
+        }
+
         let clauses = constraint.flatten();
+
         // Verdicts survive across solve calls — and, through the global
         // cache, across solvers and benchmarks.  The epoch stamp attributes
-        // each later hit to the solve that created the entry, and the
-        // interned function-declaration context in every key keeps verdicts
-        // from leaking between incompatible interpretation contexts (the
-        // historical design cleared the cache on context change instead,
-        // which forfeited exactly this sharing).
+        // each later hit to the solve that created the entry.
         self.epoch = next_epoch();
-        self.fns = intern_fn_ctx(ctx);
         // Per-solve deadline: re-stamped from the relative timeout on every
         // call, so a solver reused across functions gives each solve its
         // full allowance, shared by both qualifier stages.  Sessions and
@@ -992,14 +1028,7 @@ impl FixpointSolver {
         // `stamp` calls are then no-ops).
         self.config.smt.budget.deadline = None;
         self.config.smt.budget.stamp();
-        // The solve's shared-cache events are this thread's.
-        let tally = flux_logic::thread_tally();
         let concrete = partition(&clauses, kvars);
-        self.stats = FixStats {
-            clauses: clauses.len(),
-            kvars: kvars.len(),
-            ..FixStats::default()
-        };
 
         // Stage 1: the templates of at most two parameters.  Weakening keeps
         // the greatest inductive subset of its seed, and that subset grows
@@ -1012,7 +1041,7 @@ impl FixpointSolver {
                 .filter(|q| q.params.len() <= STAGE_ONE_PARAMS),
         );
         let small_candidates = small.candidates();
-        let mut result = self.solve_stage(&clauses, &concrete, kvars, ctx, small);
+        let (mut result, mut clean) = self.solve_stage(&clauses, &concrete, kvars, ctx, small);
         let escalate = !result.is_safe();
         // A full seed with no instance stage 1 lacked (every κ has fewer
         // than three int arguments) would repeat stage 1: skip it.
@@ -1022,25 +1051,49 @@ impl FixpointSolver {
         if escalate {
             if let Some(full) = full.take() {
                 self.stats.escalations += 1;
-                result = self.solve_stage(&clauses, &concrete, kvars, ctx, full);
+                let (stage_two, stage_two_clean) =
+                    self.solve_stage(&clauses, &concrete, kvars, ctx, full);
+                result = stage_two;
+                clean &= stage_two_clean;
             }
         }
+        self.add_tally(tally);
+        // Only a stage-1 Safe under audit tier `full` leaves a seed here.
+        if let Some(full) = full {
+            self.cross_check(&clauses, &concrete, kvars, ctx, full);
+        }
+        // Stored only now that the result is final: a solve that panicked
+        // above leaves no entry.
+        if clean {
+            self.with_memo(|memo| memo.insert(key, result.clone()));
+        }
+        result
+    }
+
+    /// Runs `f` on whichever solve memo this solver uses.
+    fn with_memo<R>(&mut self, f: impl FnOnce(&mut SolveMemo) -> R) -> R {
+        if self.config.global_cache {
+            f(&mut lock_recover(global_memo()))
+        } else {
+            f(&mut self.local_memo)
+        }
+    }
+
+    /// Adds this thread's shared-cache events since `tally` to the stats.
+    fn add_tally(&mut self, tally: flux_logic::ThreadTally) {
         let tally = flux_logic::thread_tally().since(tally);
         self.stats.hcons_contentions += tally.hcons_contentions;
         self.stats.cnf_contentions += tally.cnf_contentions;
         self.stats.validity_contentions += tally.validity_contentions;
         self.stats.evictions += tally.evictions;
-        // Only a stage-1 Safe under audit tier `full` leaves a seed here.
-        if let Some(full) = full {
-            self.cross_check(&clauses, &concrete, kvars, ctx, full);
-        }
-        result
     }
 
     /// One qualifier stage of [`FixpointSolver::solve`], from the seed
     /// `solution`: audit lints, weakening, the concrete heads and, on a
     /// Safe result, re-validation.  Its statistics add to `self.stats`, but
     /// only its own `Unknown` drops decide whether a failure is blamed.
+    /// The flag is true when the stage was clean: it recorded no
+    /// [`UnknownReason`] and dropped no candidate on an `Unknown`.
     fn solve_stage(
         &mut self,
         clauses: &[Clause],
@@ -1048,7 +1101,7 @@ impl FixpointSolver {
         kvars: &KVarStore,
         ctx: &SortCtx,
         mut solution: Solution,
-    ) -> FixResult {
+    ) -> (FixResult, bool) {
         self.stats.initial_candidates += solution.candidates();
 
         // Audit lint: reject ill-sorted or ill-scoped constraint systems
@@ -1100,27 +1153,28 @@ impl FixpointSolver {
                 UnknownReason::Budget("concrete-head")
             });
         }
+        let clean = reasons.is_empty() && stats.unknown_drops == 0;
         if !failed.is_empty() {
             if stats.unknown_drops > 0 {
                 // A candidate dropped on an `Unknown` verdict may have
                 // over-weakened the assignment, and these failures could be
                 // artifacts of that — the program cannot be blamed.
                 reasons.push(UnknownReason::Budget("weakened-on-unknown"));
-                return FixResult::Unknown { solution, reasons };
+                return (FixResult::Unknown { solution, reasons }, false);
             }
             // Genuine even when weakening was cut short: a non-converged
             // assignment only *strengthens* the hypotheses, so any
             // counterexample found under it also refutes the implication
             // under the converged (weaker) assignment.
-            return FixResult::Unsafe { solution, failed };
+            return (FixResult::Unsafe { solution, failed }, clean);
         }
         if !reasons.is_empty() {
-            return FixResult::Unknown { solution, reasons };
+            return (FixResult::Unknown { solution, reasons }, false);
         }
         if self.config.smt.audit.certifies() {
             self.revalidate(clauses, kvars, ctx, &solution);
         }
-        FixResult::Safe(solution)
+        (FixResult::Safe(solution), clean)
     }
 
     /// Audit cross-check of the staging argument (tier `full`): re-solves a
@@ -1144,13 +1198,40 @@ impl FixpointSolver {
             ..self.config.clone()
         });
         audit.fns = self.fns;
-        if let FixResult::Unsafe { failed, .. } =
+        if let (FixResult::Unsafe { failed, .. }, _) =
             audit.solve_stage(clauses, concrete, kvars, ctx, full)
         {
             panic!(
                 "FLUX_AUDIT: the qualifier templates of at most {STAGE_ONE_PARAMS} \
                  parameters proved a system that the full template set refutes \
                  (tags {failed:?})"
+            );
+        }
+    }
+
+    /// Audit cross-check of a replay (tier `full`): re-solves the system on
+    /// a throwaway solver with its own validity cache and memo, and panics
+    /// unless it reaches the stored result — verdict, solution and blamed
+    /// tags.  Weakening is confluent, so a clean result is a function of
+    /// the memo key; a difference means the key misses an input the result
+    /// depends on.  An `Unknown` re-solve proves nothing either way and is
+    /// tolerated, as in [`FixpointSolver::revalidate`].
+    fn audit_replay(
+        &self,
+        constraint: &Constraint,
+        kvars: &KVarStore,
+        ctx: &SortCtx,
+        stored: &FixResult,
+    ) {
+        let mut audit = FixpointSolver::new(FixConfig {
+            global_cache: false,
+            ..self.config.clone()
+        });
+        let fresh = audit.solve(constraint, kvars, ctx);
+        if !matches!(fresh, FixResult::Unknown { .. }) && fresh != *stored {
+            panic!(
+                "FLUX_AUDIT: a replayed solve result differs from a fresh solve \
+                 of the same system (replayed {stored:?}, fresh {fresh:?})"
             );
         }
     }
@@ -1571,10 +1652,10 @@ mod tests {
         );
     }
 
-    /// Cached verdicts must equal recomputed verdicts: solving the same
-    /// system twice with the same solver and with a fresh solver must agree
-    /// everywhere (the fresh solver replays the first solver's verdicts
-    /// through the global cache).
+    /// Cached results must equal recomputed results: solving the same
+    /// system again with the same solver and with a fresh solver (both
+    /// replay the first result from the solve memo) and with a hermetic
+    /// solver (which recomputes every verdict) must agree everywhere.
     #[test]
     fn cached_verdicts_equal_recomputed_verdicts() {
         let (c, kvars) = loop_counter_system();
@@ -1585,46 +1666,70 @@ mod tests {
 
         let mut fresh = FixpointSolver::with_defaults();
         assert_eq!(fresh.solve(&c, &kvars, &SortCtx::new()), first);
+
+        let mut recomputed = FixpointSolver::new(hermetic());
+        assert_eq!(recomputed.solve(&c, &kvars, &SortCtx::new()), first);
+        assert_eq!(recomputed.stats.replays, 0);
     }
 
     /// The process-global cache must replay verdicts across solver
     /// *instances* — the cross-benchmark sharing — and attribute those hits
-    /// to `xbench_hits`.  The system uses names no other test touches so
-    /// the first solver's misses are genuinely cold.
+    /// to `xbench_hits`.  A fresh solver re-solving the very same system
+    /// replays the whole result from the solve memo instead; one more
+    /// concrete clause changes the memo key, so that system runs the
+    /// weakening loop again and the validity cache answers the queries it
+    /// shares with the first.  The systems use names no other test touches
+    /// so the first solver's misses are genuinely cold.
     #[test]
     fn global_cache_shares_verdicts_across_solver_instances() {
         let mut kvars = KVarStore::new();
         let k = kvars.fresh(vec![Sort::Int]);
         let x = Name::intern("xbench_x");
-        let c = Constraint::forall(
-            x,
-            Sort::Int,
-            Expr::ge(Expr::Var(x), Expr::int(3)),
-            Constraint::conj(vec![
+        let system = |extra: Option<Constraint>| {
+            let mut clauses = vec![
                 Constraint::kvar(KVarApp::new(k, vec![Expr::Var(x)])),
                 Constraint::implies(
                     Guard::KVar(KVarApp::new(k, vec![Expr::Var(x)])),
                     Constraint::pred(Expr::gt(Expr::Var(x), Expr::int(0)), 0),
                 ),
-            ]),
-        );
+            ];
+            clauses.extend(extra);
+            Constraint::forall(
+                x,
+                Sort::Int,
+                Expr::ge(Expr::Var(x), Expr::int(3)),
+                Constraint::conj(clauses),
+            )
+        };
+        let c = system(None);
 
         let mut first = FixpointSolver::with_defaults();
         let first_result = first.solve(&c, &kvars, &SortCtx::new());
         assert!(first_result.is_safe());
+        assert_eq!(first.stats.replays, 0);
 
         let mut second = FixpointSolver::with_defaults();
         let second_result = second.solve(&c, &kvars, &SortCtx::new());
         assert_eq!(first_result, second_result);
-        assert!(
-            second.stats.xbench_hits > 0,
-            "a fresh solver re-proving the same system must replay verdicts \
-             from the global cache, stats: {:?}",
-            second.stats
-        );
+        let s = second.stats;
         assert_eq!(
-            second.stats.cache_misses, 0,
-            "every query of the replayed solve should be cached"
+            (s.replays, s.smt_queries, s.cache_misses, s.sessions),
+            (1, 0, 0, 0),
+            "a fresh solver re-solving the same system must replay it, stats: {s:?}"
+        );
+
+        let wider = system(Some(Constraint::pred(
+            Expr::ge(Expr::Var(x) + Expr::Var(x), Expr::int(6)),
+            1,
+        )));
+        let mut third = FixpointSolver::with_defaults();
+        assert!(third.solve(&wider, &kvars, &SortCtx::new()).is_safe());
+        assert_eq!(third.stats.replays, 0);
+        assert!(
+            third.stats.xbench_hits > 0,
+            "a fresh solver proving an overlapping system must replay verdicts \
+             from the global cache, stats: {:?}",
+            third.stats
         );
 
         // A hermetic solver must not see any of it.
@@ -1634,6 +1739,7 @@ mod tests {
         });
         let isolated_result = isolated.solve(&c, &kvars, &SortCtx::new());
         assert_eq!(isolated_result, second_result);
+        assert_eq!(isolated.stats.replays, 0);
         assert_eq!(isolated.stats.xbench_hits, 0);
         assert!(isolated.stats.cache_misses > 0);
     }

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 /// Step and wall-clock limits for one solve.  The default is unlimited
 /// (every field `None`) except that [`SmtConfig::default`](crate::SmtConfig)
 /// reads `FLUX_DEADLINE_MS` into `timeout`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct ResourceBudget {
     /// Relative wall-clock limit per top-level solve; converted to an
     /// absolute [`ResourceBudget::deadline`] by [`ResourceBudget::stamp`].

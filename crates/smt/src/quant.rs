@@ -26,7 +26,7 @@ use flux_logic::{BinOp, Constant, Expr, Name, Sort, SortCtx, UnOp};
 use std::collections::BTreeSet;
 
 /// Configuration for quantifier elimination.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct QuantConfig {
     /// Number of instantiation rounds.
     pub rounds: usize,

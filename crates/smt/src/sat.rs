@@ -95,7 +95,7 @@ pub enum SatResult {
 }
 
 /// Configuration for the SAT solver.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SatConfig {
     /// Maximum number of conflicts before giving up.
     pub max_conflicts: usize,

@@ -44,7 +44,7 @@ pub enum LiaResult {
 }
 
 /// Configuration limits for the LIA solver.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct LiaConfig {
     /// Maximum number of branch-and-bound nodes explored per check.
     pub max_branch_nodes: usize,

@@ -27,7 +27,7 @@ use flux_logic::{evaluate, simplify, AuditTier, Expr, ExprId, Name, SortCtx, Val
 use std::collections::BTreeMap;
 
 /// Configuration of the SMT solver.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SmtConfig {
     /// SAT-core limits.
     pub sat: SatConfig,
@@ -68,7 +68,7 @@ impl Default for SmtConfig {
 }
 
 /// Newtype for the theory-round limit so `SmtConfig` can derive `Default`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MaxTheoryRounds(pub usize);
 
 impl Default for MaxTheoryRounds {

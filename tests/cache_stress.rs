@@ -230,33 +230,38 @@ fn cnf_cache_sessions_agree_under_contention() {
 }
 
 /// N full fixpoint solvers racing on the *same* constraint system: all
-/// reach the same result, and afterwards the global cache replays the whole
-/// solve for a fresh solver with the hits classified as cross-benchmark.
+/// reach the same result.  Afterwards a fresh solver replays the whole
+/// result from the solve memo, and a fresh solver of the system with one
+/// more concrete clause (a different memo key) runs the weakening loop
+/// again, its shared queries answered by the global cache as
+/// cross-benchmark hits.
 #[test]
 fn racing_solvers_agree_and_seed_xbench_replays() {
     with_deadline("racing solvers", || {
-        fn system() -> (Constraint, KVarStore) {
+        fn system(extra: Option<Constraint>) -> (Constraint, KVarStore) {
             let mut kvars = KVarStore::new();
             let k = kvars.fresh(vec![Sort::Int]);
             let x = Name::intern("cs_race_x");
+            let mut clauses = vec![
+                Constraint::kvar(KVarApp::new(k, vec![Expr::var(x)])),
+                Constraint::implies(
+                    Guard::KVar(KVarApp::new(k, vec![Expr::var(x)])),
+                    Constraint::pred(Expr::gt(Expr::var(x), Expr::int(0)), 0),
+                ),
+            ];
+            clauses.extend(extra);
             let c = Constraint::forall(
                 x,
                 Sort::Int,
                 Expr::ge(Expr::var(x), Expr::int(5)),
-                Constraint::conj(vec![
-                    Constraint::kvar(KVarApp::new(k, vec![Expr::var(x)])),
-                    Constraint::implies(
-                        Guard::KVar(KVarApp::new(k, vec![Expr::var(x)])),
-                        Constraint::pred(Expr::gt(Expr::var(x), Expr::int(0)), 0),
-                    ),
-                ]),
+                Constraint::conj(clauses),
             );
             (c, kvars)
         }
         let handles: Vec<_> = (0..WORKERS)
             .map(|_| {
                 thread::spawn(|| {
-                    let (c, kvars) = system();
+                    let (c, kvars) = system(None);
                     FixpointSolver::with_defaults().solve(&c, &kvars, &SortCtx::new())
                 })
             })
@@ -269,21 +274,33 @@ fn racing_solvers_agree_and_seed_xbench_replays() {
             assert_eq!(r, &results[0], "racing solvers disagreed");
         }
         assert!(results[0].is_safe());
-        // The storm left every verdict in the global cache: a fresh solver
-        // replays the entire solve, and — its owner id being distinct from
-        // all the racers' — classifies the hits as cross-benchmark.
-        let (c, kvars) = system();
+        // The storm left its result in the solve memo: a fresh solver
+        // replays it without a query.
+        let (c, kvars) = system(None);
         let mut fresh = FixpointSolver::with_defaults();
         assert_eq!(fresh.solve(&c, &kvars, &SortCtx::new()), results[0]);
+        let s = fresh.stats;
         assert_eq!(
-            fresh.stats.cache_misses, 0,
-            "every query of the replayed solve should be cached, stats: {:?}",
-            fresh.stats
+            (s.replays, s.smt_queries, s.cache_misses, s.sessions),
+            (1, 0, 0, 0),
+            "the fresh solve must replay the stored result, stats: {s:?}"
         );
+        // The storm also left every verdict in the global cache: a fresh
+        // solver of an overlapping system asks the same queries and — its
+        // owner id being distinct from all the racers' — classifies the
+        // hits as cross-benchmark.
+        let x = Expr::var(Name::intern("cs_race_x"));
+        let (wider, kvars) = system(Some(Constraint::pred(
+            Expr::ge(x.clone() + x, Expr::int(10)),
+            1,
+        )));
+        let mut overlapping = FixpointSolver::with_defaults();
+        assert!(overlapping.solve(&wider, &kvars, &SortCtx::new()).is_safe());
+        assert_eq!(overlapping.stats.replays, 0);
         assert!(
-            fresh.stats.xbench_hits > 0,
+            overlapping.stats.xbench_hits > 0,
             "replayed hits must classify as cross-benchmark, stats: {:?}",
-            fresh.stats
+            overlapping.stats
         );
     });
 }

@@ -142,8 +142,8 @@ fn serves_verify_status_reload_shutdown_with_warm_second_pass() {
         assert_eq!(cold[&3].get("verified").and_then(Value::as_u64), Some(1));
 
         // A second session verifying the same program: binder names are
-        // deterministic, so every query is answered from the warm
-        // process-global verdict cache and nothing new is interned.
+        // deterministic, so every function replays its solve from the warm
+        // process-global solve memo, and nothing new is interned.
         let (warm, _) = serve(
             &config,
             script(&[
@@ -154,13 +154,25 @@ fn serves_verify_status_reload_shutdown_with_warm_second_pass() {
         assert_eq!(result_of(&warm[&1]), "verified");
         let stats = warm[&1].get("stats").expect("verify responses carry stats");
         let stat = |field: &str| stats.get(field).and_then(Value::as_u64).expect(field);
+        assert_eq!(
+            Some(stat("replays")),
+            warm[&1].get("functions").and_then(Value::as_u64),
+            "every function of the second pass must replay its solve"
+        );
+        assert_eq!(stat("smt_queries"), 0, "the second pass must not query");
         assert_eq!(stat("cache_misses"), 0, "the second pass must not miss");
-        assert!(
-            stat("xbench_hits") > 0,
-            "the second pass hits the warm cache"
+        assert_eq!(stat("sessions"), 0, "the second pass must open no session");
+        assert_eq!(
+            warm[&1].get("errors"),
+            cold[&1].get("errors"),
+            "the second pass changed the errors"
         );
         let warm_caches = caches_of(&warm[&2]);
-        for field in ["hcons_nodes", "cnf_len", "cnf_atoms"] {
+        assert!(
+            cache_size(cold_caches, "solve_memo_len") > 0,
+            "the first session stored its results"
+        );
+        for field in ["hcons_nodes", "cnf_len", "cnf_atoms", "solve_memo_len"] {
             assert_eq!(
                 cache_size(warm_caches, field),
                 cache_size(cold_caches, field),
@@ -188,6 +200,14 @@ fn serves_verify_status_reload_shutdown_with_warm_second_pass() {
                 .expect("reload reports what it dropped")
                 > 0,
             "the warm verdict cache from the first session should be flushed"
+        );
+        assert!(
+            responses[&1]
+                .get("solve_memo_entries_dropped")
+                .and_then(Value::as_u64)
+                .expect("reload reports the solve results it dropped")
+                > 0,
+            "the first session's solve results should be flushed too"
         );
         assert!(
             responses[&1]

@@ -1,8 +1,8 @@
 //! A generation flush is a clean restart.  `flux_daemon::flush_generation`
 //! drops every process-global holder of hash-consed ids at once — the
-//! verdict cache, the CNF memo and its atom table, and the hash-consing
-//! arena — so the next verification runs exactly as in a fresh process,
-//! and the one after it is warm again.
+//! verdict cache, the solve memo, the CNF memo and its atom table, and the
+//! hash-consing arena — so the next verification runs exactly as in a fresh
+//! process, and the one after it is warm again.
 //!
 //! This is its own test binary with a single test: it resets the
 //! process-global tables, which would pull ids out from under any
@@ -13,12 +13,13 @@ use flux_bench::json::{parse, Value};
 use flux_daemon::{flush_generation, proto, run, ServerConfig};
 use std::io::Cursor;
 
-fn cache_sizes() -> (usize, usize, usize, usize) {
+fn cache_sizes() -> (usize, usize, usize, usize, usize) {
     (
         flux_logic::interned_nodes(),
         flux_smt::cnf_atoms(),
         flux_smt::cnf_cache_len(),
         flux_fixpoint::global_cache().len(),
+        flux_fixpoint::solve_memo_len(),
     )
 }
 
@@ -44,8 +45,9 @@ fn a_flushed_generation_verifies_like_a_fresh_process() {
     flush_generation(&flux_logic::write_generation());
     assert_eq!(
         cache_sizes(),
-        (0, 0, 0, 0),
-        "the flush left state behind (hcons nodes, CNF atoms, CNF entries, verdicts)"
+        (0, 0, 0, 0, 0),
+        "the flush left state behind \
+         (hcons nodes, CNF atoms, CNF entries, verdicts, solve results)"
     );
 
     // The pass after the flush is the first pass again, counter for
@@ -63,10 +65,30 @@ fn a_flushed_generation_verifies_like_a_fresh_process() {
         assert_eq!(cold.stats.smt, first.stats.smt, "{}: SMT counters", b.name);
     }
 
+    // Warm again: every function replays its solve from the memo.
     let before = cache_sizes();
+    let replayed = pass();
+    for ((b, cold), warm) in benchmarks.iter().zip(&cold).zip(&replayed) {
+        assert_eq!(warm.safe, cold.safe, "{}: the verdict changed", b.name);
+        assert_eq!(warm.errors, cold.errors, "{}: the errors changed", b.name);
+        assert_eq!(
+            warm.stats.fix.replays, warm.functions,
+            "{}: every function must replay its solve",
+            b.name
+        );
+        assert_eq!(warm.stats.fix.smt_queries, 0, "{}: a warm query", b.name);
+        assert_eq!(warm.stats.fix.cache_misses, 0, "{}: a warm miss", b.name);
+        assert_eq!(warm.stats.fix.sessions, 0, "{}: a warm session", b.name);
+    }
+    assert_eq!(cache_sizes(), before, "the replaying pass grew a cache");
+
+    // Without the memo, the warm validity cache answers every query.
+    flux_fixpoint::clear_solve_memo();
     let warm = pass();
     for ((b, cold), warm) in benchmarks.iter().zip(&cold).zip(&warm) {
         assert_eq!(warm.safe, cold.safe, "{}: the verdict changed", b.name);
+        assert_eq!(warm.errors, cold.errors, "{}: the errors changed", b.name);
+        assert_eq!(warm.stats.fix.replays, 0, "{}: a replay", b.name);
         assert_eq!(
             warm.stats.fix.smt_queries, cold.stats.fix.smt_queries,
             "{}: the warm pass must ask the same queries",

@@ -8,10 +8,14 @@
 use flux::{verify_source, Mode, VerifyConfig};
 
 /// The shipped configuration with the function fan-out pinned to
-/// `fn_threads`.
+/// `fn_threads`.  Above one thread the workers cache hermetically: each
+/// owns its own validity cache and solve memo, so the fan-out legs solve
+/// every function themselves instead of replaying what another leg (or
+/// another test of this binary) stored in the process-global memo.
 fn with_fn_threads(fn_threads: usize) -> VerifyConfig {
     let mut config = VerifyConfig::default();
     config.check.fn_threads = fn_threads;
+    config.check.fixpoint.global_cache = fn_threads == 1;
     config
 }
 
@@ -26,6 +30,9 @@ fn parallel_stats_merge_is_lossless_on_the_corpus() {
             let outcome = verify_source(b.flux_src, Mode::Flux, &config)
                 .unwrap_or_else(|e| panic!("{}: frontend error {e}", b.name));
             let s = &outcome.stats;
+            if fn_threads > 1 {
+                assert_eq!(s.fix.replays, 0, "{} at fn={fn_threads}: a replay", b.name);
+            }
             assert_eq!(
                 s.fix.cache_hits + s.fix.cache_misses,
                 s.fix.smt_queries,
@@ -77,6 +84,11 @@ fn corpus_verdicts_are_identical_across_function_fanout_widths() {
                 "{} at fn={fn_threads}: verdicts agree but blamed obligations differ \
                  or are reordered (the merge must follow program order, not \
                  completion order)",
+                b.name
+            );
+            assert_eq!(
+                parallel.stats.fix.replays, 0,
+                "{} at fn={fn_threads}: a fan-out leg replayed a stored result",
                 b.name
             );
             assert_eq!(

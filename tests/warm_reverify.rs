@@ -1,11 +1,14 @@
 //! Re-verifying an unchanged program is free.  The checker names binders
 //! from deterministic per-function and per-signature supplies, so a second
-//! verification generates the same hash-consed obligations, answers every
-//! query from the validity cache, replays the cached counter-models as they
-//! are, and interns nothing new.
+//! verification generates the same constraints: every function replays its
+//! result from the solve memo, asks no query and interns nothing new.  With
+//! the memo cleared, a third verification still answers every query from
+//! the validity cache, replays the cached counter-models as they are, and
+//! interns nothing.
 //!
 //! This is its own test binary with a single test: it reads process-global
-//! cache sizes, which any concurrent verification would move.
+//! cache sizes and clears the process-global solve memo, which any
+//! concurrent verification would move.
 
 use flux::{verify_source, Mode, VerifyConfig, VerifyOutcome};
 
@@ -32,10 +35,44 @@ fn second_verification_of_the_corpus_hits_the_cache_and_grows_nothing() {
     let benchmarks = flux::benchmarks();
     let cold: Vec<VerifyOutcome> = benchmarks.iter().map(|b| verify(b.flux_src)).collect();
     let before = cache_sizes();
+    let memo_len = flux_fixpoint::solve_memo_len();
+    for (b, cold) in benchmarks.iter().zip(&cold) {
+        assert_eq!(cold.stats.fix.replays, 0, "{}: a cold replay", b.name);
+        let warm = verify(b.flux_src);
+        assert_eq!(warm.safe, cold.safe, "{}: the verdict changed", b.name);
+        assert_eq!(warm.errors, cold.errors, "{}: the errors changed", b.name);
+        assert_eq!(
+            warm.stats.fix.replays, warm.functions,
+            "{}: every function must replay its solve",
+            b.name
+        );
+        assert_eq!(warm.stats.fix.smt_queries, 0, "{}: a warm query", b.name);
+        assert_eq!(warm.stats.fix.cache_misses, 0, "{}: a warm miss", b.name);
+        assert_eq!(warm.stats.fix.sessions, 0, "{}: a warm session", b.name);
+    }
+    assert_eq!(
+        cache_sizes(),
+        before,
+        "the replaying pass grew (hcons nodes, CNF entries, CNF atoms)"
+    );
+    assert_eq!(
+        flux_fixpoint::solve_memo_len(),
+        memo_len,
+        "the replaying pass stored a result"
+    );
+
+    // Without the memo, every solve runs the weakening loop again, through
+    // the warm validity cache.
+    flux_fixpoint::clear_solve_memo();
     for (b, cold) in benchmarks.iter().zip(&cold) {
         let warm = verify(b.flux_src);
         assert_eq!(warm.safe, cold.safe, "{}: the verdict changed", b.name);
         assert_eq!(warm.errors, cold.errors, "{}: the errors changed", b.name);
+        assert_eq!(
+            warm.stats.fix.replays, 0,
+            "{}: replayed a cleared memo",
+            b.name
+        );
         assert_eq!(
             warm.stats.fix.smt_queries, cold.stats.fix.smt_queries,
             "{}: the warm pass must ask the same queries",

@@ -33,7 +33,7 @@ pub mod proto;
 pub mod server;
 
 pub use proto::{parse_request, read_frame, write_frame, Frame, Request, VerifyRequest};
-pub use server::{flush_generation, run, Flushed, ServerConfig};
+pub use server::{run, ServerConfig};
 
 /// Installs a panic hook that suppresses the default backtrace spam for
 /// *injected* worker faults while forwarding every other panic unchanged.

@@ -1,7 +1,8 @@
 //! End-to-end exercise of the real `fluxd` binary over a pipe: the full
 //! Table-1 matrix cold, then warm (asserting every warm Flux function
-//! replays its solve and nothing new is interned), wire-level garbage
-//! mid-session, and a clean drain.
+//! replays its solve, every warm baseline obligation replays its verdict,
+//! and nothing new is interned), wire-level garbage mid-session, and a
+//! clean drain.
 //!
 //! Cargo builds the binary before running integration tests and exposes
 //! its path as `CARGO_BIN_EXE_fluxd`.
@@ -78,30 +79,24 @@ fn full_matrix_cold_then_warm_with_cross_request_hits() {
             cold_errors.insert((*name, *wire_mode), response.get("errors").cloned());
         }
 
-        // Warm pass: identical requests again, the Flux cells first.  The
-        // verdicts must not drift.  Binder names are deterministic, so a
-        // re-run generates the same constraints, and the daemon keeps its
-        // caches uncapped below the node watermark: every warm Flux
-        // function replays its solve from the solve memo, asks no query,
-        // opens no solver session, and the Flux half interns nothing.  (The
-        // baseline verifier names its binders afresh on every run, so its
-        // half always interns.)
-        let (flux_cells, baseline_cells): (Vec<_>, Vec<_>) =
-            cells.iter().partition(|(_, mode, _)| *mode == Mode::Flux);
-        let warm = |daemon: &mut DaemonClient, name: &str, mode: Mode, wire_mode: &str| {
+        // Warm pass: identical requests again.  The verdicts must not
+        // drift.  Both verifiers name binders deterministically, so a re-run
+        // generates the same constraints and obligations, and the daemon
+        // keeps its caches uncapped below the node watermark: every warm
+        // Flux function replays its solve from the solve memo and asks no
+        // query, every warm baseline obligation replays its verdict from the
+        // obligation memo, no cell opens a solver session, and the whole
+        // pass interns nothing.
+        let nodes_before = hcons_nodes(&mut daemon);
+        for (name, mode, wire_mode) in &cells {
             let response = daemon
                 .verify_program(name, wire_mode)
                 .expect("warm verify round-trip");
             assert_eq!(
                 result_of(&response),
-                expected_verdict(name, mode),
+                expected_verdict(name, *mode),
                 "warm {name}/{wire_mode}: {response:?}"
             );
-            response
-        };
-        let nodes_before = hcons_nodes(&mut daemon);
-        for (name, mode, wire_mode) in &flux_cells {
-            let response = warm(&mut daemon, name, *mode, wire_mode);
             let stat = |field: &str| {
                 response
                     .get("stats")
@@ -109,29 +104,38 @@ fn full_matrix_cold_then_warm_with_cross_request_hits() {
                     .and_then(Value::as_u64)
                     .expect("verify responses carry stats")
             };
-            let functions = response.get("functions").and_then(Value::as_u64);
+            if *mode == Mode::Flux {
+                let functions = response.get("functions").and_then(Value::as_u64);
+                assert_eq!(
+                    Some(stat("replays")),
+                    functions,
+                    "warm {name}/flux: every function must replay its solve"
+                );
+                assert_eq!(stat("smt_queries"), 0, "warm {name}/flux asked a query");
+            } else {
+                assert_eq!(
+                    stat("cache_hits"),
+                    stat("smt_queries"),
+                    "warm {name}/baseline: every obligation must replay its verdict"
+                );
+            }
+            assert_eq!(stat("cache_misses"), 0, "warm {name}/{wire_mode} missed");
             assert_eq!(
-                Some(stat("replays")),
-                functions,
-                "warm {name}/flux: every function must replay its solve"
+                stat("sessions"),
+                0,
+                "warm {name}/{wire_mode} opened a session"
             );
-            assert_eq!(stat("smt_queries"), 0, "warm {name}/flux asked a query");
-            assert_eq!(stat("cache_misses"), 0, "warm {name}/flux missed");
-            assert_eq!(stat("sessions"), 0, "warm {name}/flux opened a session");
             assert_eq!(
                 response.get("errors").cloned(),
                 cold_errors[&(*name, *wire_mode)],
-                "warm {name}/flux: the errors changed"
+                "warm {name}/{wire_mode}: the errors changed"
             );
         }
         assert_eq!(
             hcons_nodes(&mut daemon),
             nodes_before,
-            "the warm Flux cells interned new nodes"
+            "the warm pass interned new nodes"
         );
-        for (name, mode, wire_mode) in &baseline_cells {
-            warm(&mut daemon, name, *mode, wire_mode);
-        }
 
         // Wire-level garbage mid-session: a structured error comes back
         // and the daemon keeps serving.

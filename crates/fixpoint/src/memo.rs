@@ -13,7 +13,7 @@
 //!
 //! Keys hold [`ExprId`]s, which mean the same expression only until a
 //! generation flush, so the process-global memo is cleared together with
-//! the hash-consing arena (`flux_daemon::flush_generation`).  Nothing else
+//! the hash-consing arena (`flux::flush_generation`).  Nothing else
 //! bounds it: a replay interns nothing and inserts nothing, so re-serving
 //! old programs grows neither the arena nor the memo.  Re-verifying an old
 //! program under a budget no earlier solve used stores a new entry per

@@ -24,6 +24,7 @@
 
 #![warn(missing_docs)]
 
+use flux_logic::GenerationGuard;
 use flux_syntax::SourceMetrics;
 use std::time::Duration;
 
@@ -58,9 +59,11 @@ pub struct VerifyConfig {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueryStats {
     /// Fixpoint-layer counters summed over every function's solve.  The
-    /// baseline verifier has no fixpoint layer; it reports its validity
-    /// queries as `smt_queries` and `cache_misses` (it caches nothing), its
-    /// SMT sessions as `sessions` and its audit lint as `lint_checks`.
+    /// baseline verifier has no fixpoint layer; it reports every obligation
+    /// as one of `smt_queries`, those answered from its obligation memo as
+    /// `cache_hits` and those it solved as `cache_misses` (so
+    /// `smt_queries == cache_hits + cache_misses`, as for Flux), its SMT
+    /// sessions as `sessions` and its audit lint as `lint_checks`.
     pub fix: FixStats,
     /// SMT-engine counters summed over every function.
     pub smt: SmtStats,
@@ -161,6 +164,7 @@ pub fn verify_source(
                 messages: vec![d.render(source)],
             })?;
             let smt = report.total_smt_stats();
+            let memo_hits: usize = report.functions.iter().map(|f| f.memo_hits).sum();
             Ok(VerifyOutcome {
                 mode,
                 safe: report.is_safe(),
@@ -176,7 +180,8 @@ pub fn verify_source(
                 annot_lines: metrics.annot_lines,
                 stats: QueryStats {
                     fix: FixStats {
-                        smt_queries: smt.queries,
+                        smt_queries: memo_hits + smt.queries,
+                        cache_hits: memo_hits,
                         cache_misses: smt.queries,
                         sessions: smt.sessions,
                         lint_checks: report.functions.iter().map(|f| f.lint_checks).sum(),
@@ -189,6 +194,48 @@ pub fn verify_source(
                 },
             })
         }
+    }
+}
+
+/// What one generation flush dropped.
+#[derive(Debug)]
+pub struct Flushed {
+    /// Verdicts dropped from the validity cache.
+    pub validity_entries: usize,
+    /// Results dropped from the solve memo.
+    pub solve_memo_entries: usize,
+    /// Verdicts dropped from the baseline's obligation memo.
+    pub obligation_memo_entries: usize,
+    /// CNF memo entries flushed (the atom table goes too).
+    pub cnf_entries: usize,
+    /// Hash-consing memo entries flushed (the node arena goes too).
+    pub hcons_memos: usize,
+}
+
+/// Flushes the whole generation: every process-global holder of `ExprId`s
+/// or `AtomId`s, together — the validity cache, the solve memo, the
+/// baseline's obligation memo, the CNF memo and its atom table, and the
+/// hash-consing arena with its index and memos.  Afterwards the process is
+/// as cold as a fresh one, so a caller that runs this whenever
+/// [`flux_logic::interned_nodes`] passes a bound keeps memory bounded.
+/// The name interner and the function-context table stay: they hold no
+/// ids, so `Name`s and `FnCtxId`s remain valid.  The holders go first and
+/// the arena last, so a flush cut short by a panic leaves no holder with a
+/// recycled id.
+pub fn flush_generation(generation: &GenerationGuard) -> Flushed {
+    let cache = flux_fixpoint::global_cache();
+    let validity_entries = cache.len();
+    cache.clear();
+    let solve_memo_entries = flux_fixpoint::clear_solve_memo();
+    let obligation_memo_entries = flux_wp::clear_obligation_memo();
+    let cnf_entries = flux_smt::reset_cnf_cache(generation);
+    let hcons_memos = flux_logic::reset_hcons(generation);
+    Flushed {
+        validity_entries,
+        solve_memo_entries,
+        obligation_memo_entries,
+        cnf_entries,
+        hcons_memos,
     }
 }
 

@@ -58,10 +58,10 @@ impl Name {
     /// captured by user-written programs.
     ///
     /// The name depends on a process-global counter, so it differs between
-    /// otherwise identical runs.  Names that reach the validity cache's keys
-    /// come from a [`NameSupply`] instead; the remaining callers are the
-    /// solver's preprocessing (`$div`, `$mod`, `${f}`), quantifier
-    /// instantiation (`$sk_`, `$quant`) and the program-logic baseline.
+    /// otherwise identical runs.  Names that reach the validity cache's or
+    /// the obligation memo's keys come from a [`NameSupply`] instead; the
+    /// remaining callers are the solver's preprocessing (`$div`, `$mod`,
+    /// `${f}`) and quantifier instantiation (`$sk_`, `$quant`).
     pub fn fresh(prefix: &str) -> Name {
         loop {
             let n = FRESH_COUNTER.fetch_add(1, Ordering::Relaxed);
@@ -86,7 +86,8 @@ impl Name {
 }
 
 /// A deterministic supply of binder names, owned by value by whatever
-/// generates one function body's constraint or desugars one signature.
+/// generates one function body's constraint or obligations, or desugars one
+/// signature.
 ///
 /// [`NameSupply::fresh`] returns `{base}%{tag}{k}`: `base` is the hint up to
 /// its first `%`, `tag` is `b` for body names and `s` for signature names,
@@ -105,7 +106,8 @@ pub struct NameSupply {
 }
 
 impl NameSupply {
-    /// The supply for the binders opened while checking one function body.
+    /// The supply for the binders opened while checking one function body
+    /// (by the checker or the program-logic baseline).
     pub fn body() -> NameSupply {
         NameSupply { tag: 'b', next: 0 }
     }

@@ -15,13 +15,23 @@
 //! instantiation heuristics, which is precisely why this style of
 //! verification is slower and needs more annotations than liquid typing —
 //! the effect Table 1 of the paper measures.
+//!
+//! Binder names come from one [`NameSupply`] per function, so the same
+//! function asks the same obligations in every run, and a decided
+//! obligation is stored in a process-global memo (see the `memo` module):
+//! asking it again replays the verdict without solving.
 
 #![warn(missing_docs)]
 
-use flux_logic::{AuditTier, Expr, ExprId, Name, Sort, SortCtx};
+mod memo;
+
+pub use memo::{clear_obligation_memo, obligation_memo_len};
+
+use flux_logic::{AuditTier, Expr, ExprId, Name, NameSupply, Sort, SortCtx};
 use flux_smt::{SmtConfig, Solver, Validity};
 use flux_syntax::ast::{self, BinOpKind, RustTy, UnOpKind};
 use flux_syntax::span::{Diagnostic, Span};
+use memo::ObligationKey;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -49,6 +59,10 @@ pub struct WpFnReport {
     /// Obligations and hypotheses sort-/scope-checked by the audit lint
     /// (zero unless the audit tier is at least `lint`).
     pub lint_checks: usize,
+    /// Obligations answered from the obligation memo: an earlier
+    /// obligation with the same key was decided, so this one opened no
+    /// session and asked no query.
+    pub memo_hits: usize,
     /// Full statistics of the underlying SMT engine, including the
     /// validity queries issued and the quantifier instances generated.
     pub smt_stats: flux_smt::SmtStats,
@@ -127,10 +141,14 @@ pub struct WpVerifier<'a> {
     program: &'a ast::Program,
     solver: Solver,
     ctx: SortCtx,
+    /// Binder names: they depend only on this function's body, so the same
+    /// function asks the same obligations in every run.
+    names: NameSupply,
     errors: Vec<Diagnostic>,
     unknowns: usize,
     audit: AuditTier,
     lint_checks: usize,
+    memo_hits: usize,
 }
 
 /// Verifies every non-trusted function of `program`.
@@ -148,17 +166,16 @@ pub fn verify_program(program: &ast::Program, config: &WpConfig) -> WpReport {
 /// Verifies a single function.
 pub fn verify_function(program: &ast::Program, def: &ast::FnDef, config: &WpConfig) -> WpFnReport {
     let start = Instant::now();
-    let mut ctx = SortCtx::new();
-    ctx.declare_fn(Name::intern("vlen"), vec![Sort::Array], Sort::Int);
-    ctx.declare_fn(Name::intern("sel"), vec![Sort::Array, Sort::Int], Sort::Int);
     let mut verifier = WpVerifier {
         program,
         solver: Solver::new(config.smt),
-        ctx,
+        ctx: SortCtx::new(),
+        names: NameSupply::body(),
         errors: Vec::new(),
         unknowns: 0,
         audit: config.smt.audit,
         lint_checks: 0,
+        memo_hits: 0,
     };
     verifier.run(def);
     WpFnReport {
@@ -167,6 +184,7 @@ pub fn verify_function(program: &ast::Program, def: &ast::FnDef, config: &WpConf
         unknowns: verifier.unknowns,
         time: start.elapsed(),
         lint_checks: verifier.lint_checks,
+        memo_hits: verifier.memo_hits,
         smt_stats: verifier.solver.stats,
     }
 }
@@ -179,19 +197,19 @@ pub fn verify_source(source: &str, config: &WpConfig) -> Result<WpReport, Diagno
 
 impl<'a> WpVerifier<'a> {
     fn fresh_int(&mut self, hint: &str) -> Name {
-        let name = Name::fresh(hint);
+        let name = self.names.fresh(hint);
         self.ctx.push(name, Sort::Int);
         name
     }
 
     fn fresh_bool(&mut self, hint: &str) -> Name {
-        let name = Name::fresh(hint);
+        let name = self.names.fresh(hint);
         self.ctx.push(name, Sort::Bool);
         name
     }
 
     fn fresh_array(&mut self, hint: &str) -> Name {
-        let name = Name::fresh(hint);
+        let name = self.names.fresh(hint);
         self.ctx.push(name, Sort::Array);
         name
     }
@@ -217,15 +235,50 @@ impl<'a> WpVerifier<'a> {
                 self.lint_checks += 1;
             }
         }
-        match self.solver.check_valid_imp(&self.ctx, &facts, &goal) {
-            Validity::Valid => {}
+        let key = ObligationKey::new(&facts, &goal, &self.ctx, &self.solver.config);
+        let valid = match key.lookup() {
+            Some(valid) => {
+                self.memo_hits += 1;
+                if self.audit.certifies() {
+                    self.audit_hit(&facts, &goal, valid);
+                }
+                Some(valid)
+            }
+            None => {
+                let valid = decided(&self.solver.check_valid_imp(&self.ctx, &facts, &goal));
+                // Stored only once decided: an `Unknown` is relative to the
+                // search, and a solve that panicked leaves no entry.
+                if let Some(valid) = valid {
+                    key.store(valid);
+                }
+                valid
+            }
+        };
+        match valid {
+            Some(true) => {}
             // Inconclusive is not refuted: a budget cut (or an injected
             // fault) must degrade the verdict to unknown, never fabricate
             // a "might not hold" rejection.
-            Validity::Unknown => self.unknowns += 1,
-            Validity::Invalid(_) => self
+            None => self.unknowns += 1,
+            Some(false) => self
                 .errors
                 .push(Diagnostic::error(format!("{what} might not hold"), span)),
+        }
+    }
+
+    /// Audit cross-check of a memo hit (tier `full`): re-solves the
+    /// obligation on a fresh solver, whose work no counter of this verifier
+    /// sees, and panics when it decides the other way.  A decided verdict
+    /// is a function of the memo key, so a difference means the key misses
+    /// an input the solver reads.  An `Unknown` re-solve proves nothing
+    /// either way and is tolerated.
+    fn audit_hit(&self, facts: &[Expr], goal: &Expr, stored: bool) {
+        let fresh = Solver::new(self.solver.config).check_valid_imp(&self.ctx, facts, goal);
+        if decided(&fresh).is_some_and(|valid| valid != stored) {
+            panic!(
+                "FLUX_AUDIT: a replayed baseline verdict differs from a fresh solve \
+                 of the same obligation (replayed valid = {stored}, fresh {fresh:?})"
+            );
         }
     }
 
@@ -521,7 +574,7 @@ impl<'a> WpVerifier<'a> {
             "store index in bounds",
         );
         let new_array = self.fresh_array(&format!("{name}_upd"));
-        let j = Name::fresh("j");
+        let j = self.names.fresh("j");
         state.facts.push(Expr::forall(
             vec![(j, Sort::Int)],
             Expr::imp(
@@ -806,7 +859,7 @@ impl<'a> WpVerifier<'a> {
                     // merged array is connected to each branch's array by a
                     // universally quantified frame axiom over its contents
                     // (alongside the length equation).
-                    let j = Name::fresh("j");
+                    let j = self.names.fresh("j");
                     let frame = |source: Name| {
                         Expr::forall(
                             vec![(j, Sort::Int)],
@@ -880,7 +933,7 @@ impl<'a> WpVerifier<'a> {
                 let value = self.eval(&args[0], state);
                 if let Some((name, array, len)) = self.vec_of(recv, state) {
                     let new_array = self.fresh_array(&format!("{name}_push"));
-                    let j = Name::fresh("j");
+                    let j = self.names.fresh("j");
                     state.facts.push(Expr::forall(
                         vec![(j, Sort::Int)],
                         Expr::imp(
@@ -1038,6 +1091,16 @@ impl<'a> WpVerifier<'a> {
             SymValue::Scalar(e) => e,
             _ => Expr::Var(self.fresh_int("opaque")),
         }
+    }
+}
+
+/// A decided verdict: `Some(true)` for valid, `Some(false)` for invalid,
+/// `None` for unknown.
+fn decided(validity: &Validity) -> Option<bool> {
+    match validity {
+        Validity::Valid => Some(true),
+        Validity::Invalid(_) => Some(false),
+        Validity::Unknown => None,
     }
 }
 

@@ -117,10 +117,12 @@ fn serves_verify_status_reload_shutdown_with_warm_second_pass() {
             script(&[
                 r#"{"id":1,"method":"verify","program":"bsearch"}"#.to_string(),
                 r#"{"id":2,"method":"status"}"#.to_string(),
+                r#"{"id":4,"method":"verify","program":"bsearch","mode":"baseline"}"#.to_string(),
                 r#"{"id":3,"method":"shutdown"}"#.to_string(),
             ]),
         );
         assert_eq!(result_of(&cold[&1]), "verified");
+        assert_eq!(result_of(&cold[&4]), "verified");
         // `status` may be answered before the worker finishes verifying,
         // so the cache sizes are read from the drained `final` frames.
         assert_eq!(result_of(&cold[&2]), "status");
@@ -138,16 +140,18 @@ fn serves_verify_status_reload_shutdown_with_warm_second_pass() {
             cache_size(cold_caches, "cnf_atoms") > 0,
             "the final frame reports the CNF atom table the verify filled"
         );
-        assert_eq!(cold[&3].get("admitted").and_then(Value::as_u64), Some(1));
-        assert_eq!(cold[&3].get("verified").and_then(Value::as_u64), Some(1));
+        assert_eq!(cold[&3].get("admitted").and_then(Value::as_u64), Some(2));
+        assert_eq!(cold[&3].get("verified").and_then(Value::as_u64), Some(2));
 
         // A second session verifying the same program: binder names are
         // deterministic, so every function replays its solve from the warm
-        // process-global solve memo, and nothing new is interned.
+        // process-global solve memo, every baseline obligation replays its
+        // verdict from the obligation memo, and nothing new is interned.
         let (warm, _) = serve(
             &config,
             script(&[
                 r#"{"id":1,"method":"verify","program":"bsearch","mode":"flux"}"#.to_string(),
+                r#"{"id":3,"method":"verify","program":"bsearch","mode":"baseline"}"#.to_string(),
                 r#"{"id":2,"method":"shutdown"}"#.to_string(),
             ]),
         );
@@ -167,12 +171,28 @@ fn serves_verify_status_reload_shutdown_with_warm_second_pass() {
             cold[&1].get("errors"),
             "the second pass changed the errors"
         );
+        assert_eq!(result_of(&warm[&3]), "verified");
+        let stats = warm[&3].get("stats").expect("verify responses carry stats");
+        let stat = |field: &str| stats.get(field).and_then(Value::as_u64).expect(field);
+        assert_eq!(stat("cache_hits"), stat("smt_queries"), "a baseline solve");
+        assert_eq!(stat("cache_misses"), 0, "the baseline must not miss");
+        assert_eq!(stat("sessions"), 0, "the baseline must open no session");
         let warm_caches = caches_of(&warm[&2]);
         assert!(
             cache_size(cold_caches, "solve_memo_len") > 0,
             "the first session stored its results"
         );
-        for field in ["hcons_nodes", "cnf_len", "cnf_atoms", "solve_memo_len"] {
+        assert!(
+            cache_size(cold_caches, "obligation_memo_len") > 0,
+            "the first session stored its baseline verdicts"
+        );
+        for field in [
+            "hcons_nodes",
+            "cnf_len",
+            "cnf_atoms",
+            "solve_memo_len",
+            "obligation_memo_len",
+        ] {
             assert_eq!(
                 cache_size(warm_caches, field),
                 cache_size(cold_caches, field),
@@ -208,6 +228,14 @@ fn serves_verify_status_reload_shutdown_with_warm_second_pass() {
                 .expect("reload reports the solve results it dropped")
                 > 0,
             "the first session's solve results should be flushed too"
+        );
+        assert!(
+            responses[&1]
+                .get("obligation_memo_entries_dropped")
+                .and_then(Value::as_u64)
+                .expect("reload reports the baseline verdicts it dropped")
+                > 0,
+            "the first session's baseline verdicts should be flushed too"
         );
         assert!(
             responses[&1]

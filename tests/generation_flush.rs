@@ -1,25 +1,26 @@
-//! A generation flush is a clean restart.  `flux_daemon::flush_generation`
-//! drops every process-global holder of hash-consed ids at once — the
-//! verdict cache, the solve memo, the CNF memo and its atom table, and the
-//! hash-consing arena — so the next verification runs exactly as in a fresh
-//! process, and the one after it is warm again.
+//! A generation flush is a clean restart.  `flux::flush_generation` drops
+//! every process-global holder of hash-consed ids at once — the verdict
+//! cache, the solve memo, the obligation memo, the CNF memo and its atom
+//! table, and the hash-consing arena — so the next verification runs
+//! exactly as in a fresh process, and the one after it is warm again.
 //!
 //! This is its own test binary with a single test: it resets the
 //! process-global tables, which would pull ids out from under any
 //! concurrent verification.
 
-use flux::{verify_source, Mode, VerifyConfig, VerifyOutcome};
+use flux::{flush_generation, verify_source, Mode, VerifyConfig, VerifyOutcome};
 use flux_bench::json::{parse, Value};
-use flux_daemon::{flush_generation, proto, run, ServerConfig};
+use flux_daemon::{proto, run, ServerConfig};
 use std::io::Cursor;
 
-fn cache_sizes() -> (usize, usize, usize, usize, usize) {
+fn cache_sizes() -> (usize, usize, usize, usize, usize, usize) {
     (
         flux_logic::interned_nodes(),
         flux_smt::cnf_atoms(),
         flux_smt::cnf_cache_len(),
         flux_fixpoint::global_cache().len(),
         flux_fixpoint::solve_memo_len(),
+        flux_wp::obligation_memo_len(),
     )
 }
 
@@ -41,13 +42,23 @@ fn a_flushed_generation_verifies_like_a_fresh_process() {
             .collect()
     };
 
+    let baseline_pass = || -> Vec<VerifyOutcome> {
+        benchmarks
+            .iter()
+            .map(|b| {
+                verify_source(b.baseline_src, Mode::Baseline, &config).expect("the corpus parses")
+            })
+            .collect()
+    };
+
     let first = pass();
+    let first_baseline = baseline_pass();
     flush_generation(&flux_logic::write_generation());
     assert_eq!(
         cache_sizes(),
-        (0, 0, 0, 0, 0),
-        "the flush left state behind \
-         (hcons nodes, CNF atoms, CNF entries, verdicts, solve results)"
+        (0, 0, 0, 0, 0, 0),
+        "the flush left state behind (hcons nodes, CNF atoms, CNF entries, \
+         verdicts, solve results, obligation verdicts)"
     );
 
     // The pass after the flush is the first pass again, counter for
@@ -63,6 +74,20 @@ fn a_flushed_generation_verifies_like_a_fresh_process() {
             b.name
         );
         assert_eq!(cold.stats.smt, first.stats.smt, "{}: SMT counters", b.name);
+    }
+    // The baseline too: the same obligations repeat within a pass, and none
+    // is answered from an earlier generation.
+    let cold_baseline = baseline_pass();
+    for ((b, first), cold) in benchmarks.iter().zip(&first_baseline).zip(&cold_baseline) {
+        assert_eq!(cold.safe, first.safe, "{}: the verdict changed", b.name);
+        assert_eq!(cold.errors, first.errors, "{}: the errors changed", b.name);
+        let (c, f) = (&cold.stats.fix, &first.stats.fix);
+        assert_eq!(c.cache_hits, f.cache_hits, "{}: baseline hits", b.name);
+        assert_eq!(
+            c.cache_misses, f.cache_misses,
+            "{}: baseline misses",
+            b.name
+        );
     }
 
     // Warm again: every function replays its solve from the memo.

@@ -4,7 +4,9 @@
 //! result from the solve memo, asks no query and interns nothing new.  With
 //! the memo cleared, a third verification still answers every query from
 //! the validity cache, replays the cached counter-models as they are, and
-//! interns nothing.
+//! interns nothing.  The baseline names its binders per function too, so
+//! its second verification answers every obligation from the obligation
+//! memo and interns nothing.
 //!
 //! This is its own test binary with a single test: it reads process-global
 //! cache sizes and clears the process-global solve memo, which any
@@ -93,5 +95,33 @@ fn second_verification_of_the_corpus_hits_the_cache_and_grows_nothing() {
         cache_sizes(),
         before,
         "the warm pass grew (hcons nodes, CNF entries, CNF atoms)"
+    );
+
+    // The baseline asks the same obligations again and solves none.
+    let baseline = |src: &str| -> VerifyOutcome {
+        verify_source(src, Mode::Baseline, &config).expect("the corpus parses")
+    };
+    let cold: Vec<VerifyOutcome> = benchmarks
+        .iter()
+        .map(|b| baseline(b.baseline_src))
+        .collect();
+    let before = cache_sizes();
+    let memo_len = flux_wp::obligation_memo_len();
+    for (b, cold) in benchmarks.iter().zip(&cold) {
+        let warm = baseline(b.baseline_src);
+        assert_eq!(warm.safe, cold.safe, "{}: the verdict changed", b.name);
+        assert_eq!(warm.errors, cold.errors, "{}: the errors changed", b.name);
+        assert_eq!(warm.stats.fix.cache_misses, 0, "{}: a warm miss", b.name);
+        assert_eq!(warm.stats.fix.sessions, 0, "{}: a warm session", b.name);
+    }
+    assert_eq!(
+        cache_sizes(),
+        before,
+        "the warm baseline pass grew (hcons nodes, CNF entries, CNF atoms)"
+    );
+    assert_eq!(
+        flux_wp::obligation_memo_len(),
+        memo_len,
+        "the warm baseline pass stored a verdict"
     );
 }

@@ -12,7 +12,7 @@
 //!    [`flux_smt::ResourceBudget`] clamped by a server-side ceiling, and
 //!    `catch_unwind` containment: a panicking request yields a structured
 //!    `error` response and a fresh worker, never a dead daemon.
-//! 2. **Generational cache reclaim** — every cache stays uncapped and warm;
+//! 2. **Generational cache reclaim** — no cache has a cap, so all stay warm;
 //!    the hash-consing node arena is held to a watermark.  When a job leaves
 //!    the arena above it and no job is in flight, the daemon flushes the
 //!    whole generation — every holder of `ExprId`s together, so no id is

@@ -24,8 +24,8 @@
 //! # Generational reclaim
 //!
 //! A long-running daemon must not grow without bound across requests, and
-//! must not evict the warm set that makes a repeated request free.  Every
-//! process-global cache runs uncapped: the verdict cache, the solve memo,
+//! must not evict the warm set that makes a repeated request free.  No
+//! process-global cache has a cap: the verdict cache, the solve memo,
 //! the baseline's obligation memo, the CNF memo and its atom table, and the
 //! hash-consing memos.  They all hold `ExprId`s, which are indices into the
 //! hash-consing arena, so they all grow with it; the arena is the one thing
@@ -97,15 +97,13 @@ pub struct ServerConfig {
     /// Suggested client back-off carried in `busy` responses
     /// (`FLUXD_RETRY_AFTER_MS`).
     pub retry_after_ms: u64,
-    /// Not applied by the daemon, which runs every cache uncapped.  The
-    /// three cap fields are read only by `perfbench`'s in-process replay of
-    /// the daemon's cache policy (it caps the validity cache at twice this
-    /// value and trims back to it after each request); their values mean
-    /// "uncapped" there.  Nothing reads them from the environment.
+    /// Ignored: no cache has a capacity.  The three cap fields are kept only
+    /// because the benchmark harness still reads them; they go at the next
+    /// change to the benchmark.
     pub validity_cache_cap: usize,
-    /// See `validity_cache_cap`; 0 means uncapped.
+    /// See `validity_cache_cap`.
     pub cnf_cache_cap: usize,
-    /// See `validity_cache_cap`; 0 means uncapped.
+    /// See `validity_cache_cap`.
     pub hcons_memo_cap: usize,
     /// Enforced bound on the hash-consing node arena
     /// (`FLUXD_HCONS_WATERMARK`): once a job leaves more nodes than this and
@@ -171,12 +169,6 @@ impl Stats {
 /// `shutdown` request, then drains and flushes a final statistics frame.
 /// The binary passes stdin/stdout; in-process tests pass buffers.
 pub fn run(config: &ServerConfig, mut input: impl BufRead, output: impl Write + Send) {
-    // The caches stay warm: neither `FLUX_CACHE_CAP` nor an earlier
-    // in-process caller caps them; the node watermark bounds them instead.
-    flux_fixpoint::set_global_cache_capacity(None);
-    flux_smt::set_cnf_cache_capacity(None);
-    flux_logic::set_hcons_memo_capacity(None);
-
     // The configuration is shared mutable state: `reload` swaps in a fresh
     // `from_env` snapshot mid-run, and workers re-read it per job so new
     // deadline ceilings and watermarks apply to every later admission.
@@ -546,7 +538,7 @@ fn render_outcome(id: u64, verdict: &str, outcome: &VerifyOutcome) -> String {
          \"loc\":{},\"spec_lines\":{},\"annot_lines\":{},\
          \"stats\":{{\"smt_queries\":{},\"cache_hits\":{},\"xbench_hits\":{},\
          \"cache_misses\":{},\"sessions\":{},\"escalations\":{},\"replays\":{},\
-         \"unknowns\":{},\"evictions\":{},\"budget_exhausted\":{}}}}}",
+         \"unknowns\":{},\"budget_exhausted\":{}}}}}",
         errors.join(","),
         outcome.time.as_millis(),
         outcome.functions,
@@ -561,7 +553,6 @@ fn render_outcome(id: u64, verdict: &str, outcome: &VerifyOutcome) -> String {
         s.fix.escalations,
         s.fix.replays,
         s.unknowns,
-        s.fix.evictions,
         s.smt.budget_exhausted,
     )
 }
@@ -572,21 +563,14 @@ fn render_outcome(id: u64, verdict: &str, outcome: &VerifyOutcome) -> String {
 /// arena and its watermark.
 fn report(id: u64, result: &str, cfg: &ServerConfig, stats: &Stats, started: Instant) -> String {
     let nodes = flux_logic::interned_nodes();
-    let (validity_len, validity_evictions) = {
-        let cache = flux_fixpoint::global_cache();
-        (cache.len(), cache.evictions())
-    };
     format!(
         "{{\"id\":{id},\"result\":\"{result}\",\
          \"admitted\":{},\"verified\":{},\"rejected\":{},\"unknown\":{},\
          \"errors\":{},\"busy\":{},\"worker_respawns\":{},\"generations\":{},\
          \"uptime_ms\":{},\"workers\":{},\"fn_threads\":{},\
-         \"caches\":{{\"validity_len\":{validity_len},\
-         \"validity_evictions\":{validity_evictions},\
+         \"caches\":{{\"validity_len\":{},\
          \"solve_memo_len\":{},\"obligation_memo_len\":{},\
-         \"cnf_len\":{},\"cnf_evictions\":{},\
-         \"hcons_memo_evictions\":{},\
-         \"cnf_atoms\":{},\"hcons_nodes\":{nodes},\"hcons_node_watermark\":{},\
+         \"cnf_len\":{},\"cnf_atoms\":{},\"hcons_nodes\":{nodes},\"hcons_node_watermark\":{},\
          \"hcons_watermark_exceeded\":{}}}}}",
         stats.admitted.load(Ordering::Relaxed),
         stats.verified.load(Ordering::Relaxed),
@@ -599,11 +583,10 @@ fn report(id: u64, result: &str, cfg: &ServerConfig, stats: &Stats, started: Ins
         started.elapsed().as_millis(),
         cfg.workers,
         flux::default_threads(),
+        flux_fixpoint::global_cache().len(),
         flux_fixpoint::solve_memo_len(),
         flux_wp::obligation_memo_len(),
         flux_smt::cnf_cache_len(),
-        flux_smt::cnf_cache_evictions(),
-        flux_logic::hcons_memo_evictions(),
         flux_smt::cnf_atoms(),
         cfg.hcons_node_watermark,
         nodes > cfg.hcons_node_watermark,

@@ -21,20 +21,16 @@
 //! or long-lived caller in the same process (see [`global_cache`]).  Keys
 //! additionally carry an interned fingerprint of the uninterpreted-function
 //! declaration context ([`FnCtxId`]), because the same expression can be
-//! interpreted differently under different function signatures; the
-//! historical design instead cleared a per-solver cache whenever the base
-//! context changed, which is exactly the sharing this cache exists to keep.
+//! interpreted differently under different function signatures.
 //!
 //! Entries are stamped with the global solve *epoch* and the *owner*
 //! (solver instance) that created them, so a hit can be attributed: a
 //! replay within one solve, a cross-function replay (same solver, earlier
 //! solve), or a cross-benchmark replay (different solver entirely).
 
-use flux_logic::{
-    env_parse, lock_counted, lock_recover, tally_evictions, ExprId, Name, Sort, SortCtx,
-};
+use flux_logic::{lock_counted, lock_recover, ExprId, Name, Sort, SortCtx};
 use flux_smt::Validity;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -109,147 +105,6 @@ pub struct CacheEntry {
     pub owner: u64,
 }
 
-/// The memoized validity cache, optionally capacity-bounded with LRU
-/// eviction: a lookup hit refreshes the entry's recency, so a verdict that
-/// keeps paying for itself — a library obligation re-proved by every request
-/// of a long-running service — survives arbitrarily many cold insertions at
-/// the same cap, where the historical FIFO policy would age it out purely by
-/// insertion order.  Evicting is always *safe*: a dropped verdict is merely
-/// recomputed on the next miss.
-#[derive(Debug, Default)]
-pub struct ValidityCache {
-    map: HashMap<QueryKey, Slot>,
-    /// Keys ordered by recency stamp (oldest first); each key appears
-    /// exactly once, at its slot's current stamp.
-    order: BTreeMap<u64, QueryKey>,
-    /// Monotone recency clock; bumped on every insert *and* every hit.
-    tick: u64,
-    /// Maximum number of entries (`None` = unlimited).
-    cap: Option<usize>,
-    /// Entries evicted so far.
-    evictions: u64,
-}
-
-/// One resident entry plus its position in the recency order.
-#[derive(Debug)]
-struct Slot {
-    entry: CacheEntry,
-    stamp: u64,
-}
-
-impl ValidityCache {
-    /// Creates an empty, unbounded cache.
-    pub fn new() -> ValidityCache {
-        ValidityCache::default()
-    }
-
-    /// Creates an empty cache holding at most `cap` entries.
-    pub fn with_capacity_limit(cap: usize) -> ValidityCache {
-        ValidityCache {
-            cap: Some(cap),
-            ..ValidityCache::default()
-        }
-    }
-
-    /// Re-caps the cache (`None` = unlimited), evicting immediately if the
-    /// current contents exceed the new cap.
-    pub fn set_capacity(&mut self, cap: Option<usize>) {
-        self.cap = cap;
-        self.evict_over_cap();
-    }
-
-    /// The current capacity limit, if any.
-    pub fn capacity(&self) -> Option<usize> {
-        self.cap
-    }
-
-    /// Number of entries evicted over the cache's lifetime.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Returns the cached entry for `key`, if any, refreshing its recency:
-    /// a hit moves the entry to the young end of the eviction order.
-    pub fn lookup(&mut self, key: &QueryKey) -> Option<CacheEntry> {
-        let tick = &mut self.tick;
-        let order = &mut self.order;
-        self.map.get_mut(key).map(|slot| {
-            *tick += 1;
-            order.remove(&slot.stamp);
-            slot.stamp = *tick;
-            order.insert(*tick, key.clone());
-            slot.entry.clone()
-        })
-    }
-
-    /// Returns the cached entry for `key` without touching the recency
-    /// order (diagnostics; production paths use [`ValidityCache::lookup`]).
-    pub fn peek(&self, key: &QueryKey) -> Option<CacheEntry> {
-        self.map.get(key).map(|slot| slot.entry.clone())
-    }
-
-    /// Records the verdict for `key`, stamped with `epoch` and `owner`,
-    /// evicting least-recently-used-first if the cap is exceeded.
-    /// Overwriting an existing key also counts as a use.
-    pub fn insert(&mut self, key: QueryKey, verdict: Validity, epoch: u64, owner: u64) {
-        let entry = CacheEntry {
-            verdict,
-            epoch,
-            owner,
-        };
-        self.tick += 1;
-        let slot = Slot {
-            entry,
-            stamp: self.tick,
-        };
-        if let Some(old) = self.map.insert(key.clone(), slot) {
-            self.order.remove(&old.stamp);
-        }
-        self.order.insert(self.tick, key);
-        self.evict_over_cap();
-    }
-
-    fn evict_over_cap(&mut self) {
-        let Some(cap) = self.cap else { return };
-        self.trim(cap);
-    }
-
-    /// Evicts least-recently-used entries until at most `target` remain —
-    /// the generational reclaim hook a long-running service calls between
-    /// requests: per-request garbage (entries touched only by one request)
-    /// is the coldest tail, while cross-request entries were refreshed by
-    /// hits and survive.
-    pub fn trim(&mut self, target: usize) {
-        while self.map.len() > target {
-            let Some((&oldest, _)) = self.order.iter().next() else {
-                break;
-            };
-            let key = self.order.remove(&oldest).expect("stamp was just observed");
-            if self.map.remove(&key).is_some() {
-                self.evictions += 1;
-                tally_evictions(1);
-            }
-        }
-    }
-
-    /// Number of cached verdicts.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if nothing has been cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Drops all cached verdicts and frees their memory (the eviction
-    /// counter survives).
-    pub fn clear(&mut self) {
-        self.map = HashMap::new();
-        self.order.clear();
-    }
-}
-
 /// Number of lock-striped shards in the process-global validity cache.
 ///
 /// Eight stripes stay because one measured worse.  With every solve on its
@@ -263,105 +118,63 @@ impl ValidityCache {
 ///   4,283–4,879.
 /// * gen-fanout, 4 pairs (seeds 11–14): corpus time 0.208 → 0.225 s, p90
 ///   latency 9.96 → 10.64 ms, throughput 3469 → 3201 functions/s.
-///
-/// A power of two also keeps every cap the suite uses (32, 512, 8192)
-/// dividing evenly across shards.
 pub const VALIDITY_SHARDS: usize = 8;
 
+/// One shard of the validity cache, and the whole of a hermetic solver's
+/// cache.  Nothing evicts from it: a generation flush empties it.
+pub(crate) type VerdictMap = HashMap<QueryKey, CacheEntry>;
+
 /// The process-global validity cache, lock-striped into
-/// [`VALIDITY_SHARDS`] independent [`ValidityCache`] shards selected by
-/// key hash.  Each shard has its own mutex, recency order, and slice of
-/// the global cap, so concurrent per-function solvers miss each other's
+/// [`VALIDITY_SHARDS`] independent maps selected by key hash.  Each shard
+/// has its own mutex, so concurrent per-function solvers miss each other's
 /// locks unless their keys actually collide.  All methods take `&self`;
-/// aggregate figures (`len`, `evictions`) are sums over shards and thus
-/// only approximate instantaneous global state under concurrency — fine
-/// for the diagnostics they feed.
+/// `len` sums over shards and thus only approximates instantaneous global
+/// state under concurrency — fine for the diagnostics it feeds.
 pub struct ShardedValidityCache {
-    shards: Box<[Mutex<ValidityCache>]>,
+    shards: Box<[Mutex<VerdictMap>]>,
     /// Times a shard lock was observed held by another thread (the caller
     /// then blocked).  A convoying diagnostic, not a correctness signal.
     contentions: AtomicU64,
 }
 
 impl ShardedValidityCache {
-    /// A fresh sharded cache whose *summed* per-shard capacity realises
-    /// `cap` (each shard gets `cap / VALIDITY_SHARDS`, rounded up).  Public
-    /// so the workspace-level storm tests can exercise a private instance
-    /// without racing the process-global one.
-    pub fn with_global_capacity(cap: Option<usize>) -> ShardedValidityCache {
-        let per_shard = cap.map(|c| c.div_ceil(VALIDITY_SHARDS));
-        let shards = (0..VALIDITY_SHARDS)
-            .map(|_| {
-                Mutex::new(match per_shard {
-                    None => ValidityCache::new(),
-                    Some(c) => ValidityCache::with_capacity_limit(c),
-                })
-            })
-            .collect();
+    fn new() -> ShardedValidityCache {
         ShardedValidityCache {
-            shards,
+            shards: (0..VALIDITY_SHARDS)
+                .map(|_| Mutex::new(VerdictMap::new()))
+                .collect(),
             contentions: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: &QueryKey) -> &Mutex<ValidityCache> {
+    fn shard(&self, key: &QueryKey) -> MutexGuard<'_, VerdictMap> {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % VALIDITY_SHARDS]
+        self.acquire(&self.shards[(hasher.finish() as usize) % VALIDITY_SHARDS])
     }
 
     /// Locks `mutex`, counting the acquisition as contended if another
     /// thread already held it.  Poisoning recovers as in [`lock_recover`]:
     /// the cache memoizes deterministic verdicts, so no torn state is
     /// observable through its API.
-    fn acquire<'a>(&self, mutex: &'a Mutex<ValidityCache>) -> MutexGuard<'a, ValidityCache> {
+    fn acquire<'a>(&self, mutex: &'a Mutex<VerdictMap>) -> MutexGuard<'a, VerdictMap> {
         lock_counted(mutex, &self.contentions, |t| &mut t.validity_contentions)
     }
 
-    /// Returns the cached entry for `key`, refreshing its recency within
-    /// its shard.
+    /// Returns the cached entry for `key`, if any.
     pub fn lookup(&self, key: &QueryKey) -> Option<CacheEntry> {
-        self.acquire(self.shard(key)).lookup(key)
+        self.shard(key).get(key).cloned()
     }
 
-    /// Returns the cached entry for `key` without touching recency.
-    pub fn peek(&self, key: &QueryKey) -> Option<CacheEntry> {
-        self.acquire(self.shard(key)).peek(key)
-    }
-
-    /// Records the verdict for `key` in its shard, evicting LRU-first if
-    /// that shard's cap is exceeded.
+    /// Records the verdict for `key` in its shard, stamped with `epoch` and
+    /// `owner`.
     pub fn insert(&self, key: QueryKey, verdict: Validity, epoch: u64, owner: u64) {
-        self.acquire(self.shard(&key))
-            .insert(key, verdict, epoch, owner);
-    }
-
-    /// Re-caps the cache: each shard gets `cap / VALIDITY_SHARDS` rounded
-    /// up, so the *global* cap — the sum of shard caps — is the smallest
-    /// shardable value ≥ `cap` (equal to `cap` whenever it divides evenly,
-    /// as every cap in the suite does).
-    pub fn set_capacity(&self, cap: Option<usize>) {
-        let per_shard = cap.map(|c| c.div_ceil(VALIDITY_SHARDS));
-        for shard in self.shards.iter() {
-            self.acquire(shard).set_capacity(per_shard);
-        }
-    }
-
-    /// The effective global cap: the sum of per-shard caps.
-    pub fn capacity(&self) -> Option<usize> {
-        let mut total = 0usize;
-        for shard in self.shards.iter() {
-            total += self.acquire(shard).capacity()?;
-        }
-        Some(total)
-    }
-
-    /// Total entries evicted across all shards over the cache's lifetime.
-    pub fn evictions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|shard| self.acquire(shard).evictions())
-            .sum()
+        let entry = CacheEntry {
+            verdict,
+            epoch,
+            owner,
+        };
+        self.shard(&key).insert(key, entry);
     }
 
     /// Times a caller found a shard lock held by another thread.
@@ -384,21 +197,19 @@ impl ShardedValidityCache {
             .all(|shard| self.acquire(shard).is_empty())
     }
 
-    /// Drops all cached verdicts (eviction counters survive).
+    /// Drops all cached verdicts and frees their memory.
     pub fn clear(&self) {
         for shard in self.shards.iter() {
-            self.acquire(shard).clear();
+            *self.acquire(shard) = VerdictMap::new();
         }
     }
 
-    /// Evicts LRU-first until at most `target` entries remain globally;
-    /// each shard trims to its proportional slice (`target / VALIDITY_SHARDS`
-    /// rounded up), so a shard that happens to hold more than its share of
-    /// the resident set sheds the excess while cold shards are untouched.
+    /// Clears the cache when more than `target` verdicts remain.  Kept only
+    /// because the benchmark harness still calls it; it goes at the next
+    /// change to the benchmark.
     pub fn trim(&self, target: usize) {
-        let per_shard = target.div_ceil(VALIDITY_SHARDS);
-        for shard in self.shards.iter() {
-            self.acquire(shard).trim(per_shard);
+        if self.len() > target {
+            self.clear();
         }
     }
 }
@@ -407,25 +218,17 @@ impl ShardedValidityCache {
 /// [`crate::FixpointSolver`] with `global_cache` enabled, so the `table1`
 /// harness (and any long-running service) stops re-proving obligations that
 /// an earlier benchmark already discharged — and so concurrent per-function
-/// solvers don't convoy on a single cache mutex.
+/// solvers don't convoy on a single cache mutex.  Only a generation flush
+/// (`flux::flush_generation`) empties it.
 pub fn global_cache() -> &'static ShardedValidityCache {
     static CACHE: OnceLock<ShardedValidityCache> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        let cap = env_parse("FLUX_CACHE_CAP", 0usize);
-        ShardedValidityCache::with_global_capacity(match cap {
-            0 => None,
-            cap => Some(cap),
-        })
-    })
+    CACHE.get_or_init(ShardedValidityCache::new)
 }
 
-/// Re-caps the process-global validity cache (`None` = unlimited).  The
-/// default comes from `FLUX_CACHE_CAP` (unset or 0 = unlimited).  The cap
-/// is divided across [`VALIDITY_SHARDS`] shards; the effective global cap
-/// is the sum of per-shard caps.
-pub fn set_global_cache_capacity(cap: Option<usize>) {
-    global_cache().set_capacity(cap);
-}
+/// Does nothing: the validity cache has no capacity.  Kept only because the
+/// benchmark harness still calls it; it goes at the next change to the
+/// benchmark.
+pub fn set_global_cache_capacity(_cap: Option<usize>) {}
 
 /// Times any caller found a process-global validity-cache shard lock held
 /// by another thread, over the process lifetime.  Monotone; callers read
@@ -515,7 +318,7 @@ mod tests {
         let ctx = [(x, Sort::Int)];
         let goal = Expr::ge(Expr::var(x), Expr::var(x));
         let k = key(&ctx, &[], &goal);
-        let mut cache = ValidityCache::new();
+        let cache = ShardedValidityCache::new();
         assert!(cache.lookup(&k).is_none());
         cache.insert(k.clone(), Validity::Valid, 3, 7);
         let entry = cache.lookup(&k).expect("entry was just inserted");
@@ -528,151 +331,11 @@ mod tests {
     }
 
     #[test]
-    fn capacity_cap_holds_size_and_evicts_oldest_first() {
-        let x = Name::intern("ex");
-        let ctx = [(x, Sort::Int)];
-        let goal_n = |n: i128| Expr::ge(Expr::var(x), Expr::int(n));
-        let mut cache = ValidityCache::with_capacity_limit(3);
-        for n in 0..10 {
-            cache.insert(key(&ctx, &[], &goal_n(n)), Validity::Valid, 1, 1);
-            assert!(cache.len() <= 3, "cache exceeded its cap at insert {n}");
-        }
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.evictions(), 7);
-        // Newest entries survive, oldest are gone.
-        assert!(cache.lookup(&key(&ctx, &[], &goal_n(9))).is_some());
-        assert!(cache.lookup(&key(&ctx, &[], &goal_n(0))).is_none());
-        // An evicted key can simply be re-inserted (recompute-on-miss).
-        cache.insert(key(&ctx, &[], &goal_n(0)), Validity::Valid, 2, 1);
-        assert_eq!(
-            cache
-                .lookup(&key(&ctx, &[], &goal_n(0)))
-                .expect("re-inserted")
-                .epoch,
-            2
-        );
-        // Overwriting an existing key neither grows the queue nor evicts.
-        let before = cache.evictions();
-        cache.insert(key(&ctx, &[], &goal_n(0)), Validity::Unknown, 3, 1);
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.evictions(), before);
-        // Tightening the cap evicts immediately.
-        cache.set_capacity(Some(1));
-        assert_eq!(cache.len(), 1);
-        // Lifting it stops eviction entirely.
-        cache.set_capacity(None);
-        for n in 20..30 {
-            cache.insert(key(&ctx, &[], &goal_n(n)), Validity::Valid, 4, 1);
-        }
-        assert_eq!(cache.len(), 11);
-    }
-
-    #[test]
-    fn lru_hit_refreshes_recency() {
-        let x = Name::intern("lx");
-        let ctx = [(x, Sort::Int)];
-        let goal_n = |n: i128| Expr::ge(Expr::var(x), Expr::int(n));
-        let mut cache = ValidityCache::with_capacity_limit(3);
-        for n in 0..3 {
-            cache.insert(key(&ctx, &[], &goal_n(n)), Validity::Valid, 1, 1);
-        }
-        // A storm of cold insertions, with the "hot" entry 0 touched before
-        // each one: under LRU the hot entry survives every round, while the
-        // untouched entries 1 and 2 age out almost immediately.
-        for n in 100..120 {
-            assert!(
-                cache.lookup(&key(&ctx, &[], &goal_n(0))).is_some(),
-                "hot entry evicted at cold insert {n} despite constant hits"
-            );
-            cache.insert(key(&ctx, &[], &goal_n(n)), Validity::Valid, 1, 1);
-        }
-        assert!(cache.lookup(&key(&ctx, &[], &goal_n(0))).is_some());
-        assert!(cache.lookup(&key(&ctx, &[], &goal_n(1))).is_none());
-        assert!(cache.lookup(&key(&ctx, &[], &goal_n(2))).is_none());
-        // Tightening the cap evicts the cold tail; the hot entry (refreshed
-        // by the lookups above) and the newest insertion survive.
-        cache.set_capacity(Some(2));
-        assert_eq!(cache.len(), 2);
-        assert!(cache.peek(&key(&ctx, &[], &goal_n(0))).is_some());
-        assert!(cache.peek(&key(&ctx, &[], &goal_n(119))).is_some());
-    }
-
-    #[test]
-    fn trim_evicts_cold_tail_only() {
-        let x = Name::intern("tx");
-        let ctx = [(x, Sort::Int)];
-        let goal_n = |n: i128| Expr::ge(Expr::var(x), Expr::int(n));
-        let mut cache = ValidityCache::new();
-        for n in 0..8 {
-            cache.insert(key(&ctx, &[], &goal_n(n)), Validity::Valid, 1, 1);
-        }
-        // Touch 0 and 5: they become the youngest.
-        cache.lookup(&key(&ctx, &[], &goal_n(0)));
-        cache.lookup(&key(&ctx, &[], &goal_n(5)));
-        cache.trim(3);
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.evictions(), 5);
-        assert!(cache.peek(&key(&ctx, &[], &goal_n(0))).is_some());
-        assert!(cache.peek(&key(&ctx, &[], &goal_n(5))).is_some());
-        assert!(cache.peek(&key(&ctx, &[], &goal_n(7))).is_some());
-        assert!(cache.peek(&key(&ctx, &[], &goal_n(1))).is_none());
-    }
-
-    #[test]
-    fn sharded_cache_honors_the_summed_shard_cap() {
-        let x = Name::intern("shx");
-        let ctx = [(x, Sort::Int)];
-        let goal_n = |n: i128| Expr::ge(Expr::var(x), Expr::int(n));
-        let cache = ShardedValidityCache::with_global_capacity(Some(32));
-        assert_eq!(
-            cache.capacity(),
-            Some(32),
-            "32 divides evenly over 8 shards"
-        );
-        for n in 0..200 {
-            cache.insert(key(&ctx, &[], &goal_n(n)), Validity::Valid, 1, 1);
-            assert!(
-                cache.len() <= 32,
-                "global len {} exceeded the summed shard cap at insert {n}",
-                cache.len()
-            );
-        }
-        assert!(
-            cache.evictions() > 0,
-            "a 200-key storm must evict at cap 32"
-        );
-        // An evicted key recomputes and re-inserts verdict-identically.
-        let k = key(&ctx, &[], &goal_n(0));
-        assert!(
-            cache.lookup(&k).is_none(),
-            "key 0 is the coldest; it was evicted"
-        );
-        cache.insert(k.clone(), Validity::Valid, 2, 1);
-        assert_eq!(
-            cache.lookup(&k).expect("re-inserted").verdict,
-            Validity::Valid
-        );
-        // trim() reclaims down to (at most shard-rounded) the target.
-        cache.trim(8);
-        assert!(cache.len() <= 8, "trim(8) left {} entries", cache.len());
-        // Re-capping to unlimited stops eviction.
-        cache.set_capacity(None);
-        assert_eq!(cache.capacity(), None);
-        let before = cache.evictions();
-        for n in 1000..1100 {
-            cache.insert(key(&ctx, &[], &goal_n(n)), Validity::Valid, 3, 1);
-        }
-        assert_eq!(cache.evictions(), before);
-        cache.clear();
-        assert!(cache.is_empty());
-    }
-
-    #[test]
     fn sharded_cache_spreads_keys_across_shards() {
         let x = Name::intern("spx");
         let ctx = [(x, Sort::Int)];
         let goal_n = |n: i128| Expr::ge(Expr::var(x), Expr::int(n));
-        let cache = ShardedValidityCache::with_global_capacity(None);
+        let cache = ShardedValidityCache::new();
         for n in 0..256 {
             cache.insert(key(&ctx, &[], &goal_n(n)), Validity::Valid, 1, 1);
         }

@@ -72,7 +72,7 @@ mod qualifier;
 mod solve;
 
 pub use audit::{lint_clauses, lint_solution};
-pub use cache::{QueryKey, ShardedValidityCache, ValidityCache, VALIDITY_SHARDS};
+pub use cache::{QueryKey, ShardedValidityCache, VALIDITY_SHARDS};
 // Cache internals (the global map, epoch/owner stamping, function-context
 // interning) are exposed only so the workspace-level concurrency stress
 // tests can hammer them directly; they are test plumbing, not API — hidden

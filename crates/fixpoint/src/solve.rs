@@ -24,8 +24,7 @@
 //! concurrently.
 
 use crate::cache::{
-    global_cache, intern_fn_ctx, next_epoch, next_owner, CacheEntry, FnCtxId, QueryKey,
-    ValidityCache,
+    global_cache, intern_fn_ctx, next_epoch, next_owner, CacheEntry, FnCtxId, QueryKey, VerdictMap,
 };
 use crate::constraint::{Clause, Constraint, Guard, Head, Tag};
 use crate::kvar::{KVarApp, KVarStore, KVid};
@@ -133,16 +132,11 @@ flux_logic::counters! {
         /// the program — see [`FixResult::Unknown`].  Always zero under the
         /// default unlimited budgets on the corpus.
         pub unknown_drops: usize,
-        /// Cache entries evicted by the solving thread across the bounded
-        /// caches (hash-cons memos, CNF cache, validity caches).  Counted per
-        /// thread where each eviction happens, so solves running concurrently
-        /// never count each other's evictions.  Zero unless a capacity cap
-        /// (`FLUX_CACHE_CAP`) is set.
-        pub evictions: usize,
         /// Times the solving thread found the hash-consing table lock held by
-        /// another thread, counted per thread like `evictions`.  This and the
-        /// next two are convoying diagnostics, one per process-global lock:
-        /// zero when nothing else runs concurrently.
+        /// another thread.  Counted per thread where each contention happens,
+        /// so solves running concurrently never count each other's.  This and
+        /// the next two are convoying diagnostics, one per process-global
+        /// lock: zero when nothing else runs concurrently.
         pub hcons_contentions: usize,
         /// Times the solving thread found the CNF cache lock held by another
         /// thread.
@@ -427,7 +421,7 @@ struct Engine<'a> {
     smt: SmtStats,
     /// The owning solver's hermetic cache (used when `global_cache` is
     /// off).
-    local_cache: &'a mut ValidityCache,
+    local_cache: &'a mut VerdictMap,
     /// The owning solver's identity for cache-hit attribution.
     solver_id: u64,
     /// The owning solver's current solve epoch.
@@ -679,7 +673,7 @@ impl<'a> Engine<'a> {
                 let cached: Vec<Option<CacheEntry>> = state
                     .inst_ids
                     .iter()
-                    .map(|g| self.cache_peek(&state.keys.for_goal_id(*g)))
+                    .map(|g| self.cache_lookup(&state.keys.for_goal_id(*g)))
                     .collect();
                 if cached
                     .iter()
@@ -809,11 +803,11 @@ impl<'a> Engine<'a> {
     }
 
     /// Looks `key` up in whichever cache this solver uses (no stats).
-    fn cache_peek(&mut self, key: &QueryKey) -> Option<CacheEntry> {
+    fn cache_lookup(&self, key: &QueryKey) -> Option<CacheEntry> {
         if self.config.global_cache {
             global_cache().lookup(key)
         } else {
-            self.local_cache.lookup(key)
+            self.local_cache.get(key).cloned()
         }
     }
 
@@ -823,16 +817,20 @@ impl<'a> Engine<'a> {
     /// `Unknown` is the one *budget-relative* verdict — a solver with
     /// larger limits might decide the same query — so it is never shared
     /// through the process-global cache, where solvers with different
-    /// configurations meet; the per-solver cache has a fixed configuration
-    /// and keeps the historical behaviour.
+    /// configurations meet; the per-solver cache has a fixed configuration,
+    /// so it stores `Unknown` too.
     fn cache_store(&mut self, key: QueryKey, verdict: Validity) {
         if self.config.global_cache {
             if !matches!(verdict, Validity::Unknown) {
                 global_cache().insert(key, verdict, self.epoch, self.solver_id);
             }
         } else {
-            self.local_cache
-                .insert(key, verdict, self.epoch, self.solver_id);
+            let entry = CacheEntry {
+                verdict,
+                epoch: self.epoch,
+                owner: self.solver_id,
+            };
+            self.local_cache.insert(key, entry);
         }
     }
 
@@ -848,7 +846,7 @@ impl<'a> Engine<'a> {
     ) -> Validity {
         self.stats.smt_queries += 1;
         let key = keys.for_goal_id(goals.key_id());
-        if let Some(entry) = self.cache_peek(&key) {
+        if let Some(entry) = self.cache_lookup(&key) {
             self.stats.cache_hits += 1;
             if entry.owner != self.solver_id {
                 self.stats.xbench_hits += 1;
@@ -942,7 +940,7 @@ pub struct FixpointSolver {
     smt: SmtStats,
     /// The hermetic per-solver cache, used when `config.global_cache` is
     /// off; otherwise verdicts live in [`global_cache`].
-    local_cache: ValidityCache,
+    local_cache: VerdictMap,
     /// The hermetic per-solver solve memo, used when `config.global_cache`
     /// is off; otherwise results live in the process-global memo.
     local_memo: SolveMemo,
@@ -963,7 +961,7 @@ impl FixpointSolver {
             config,
             stats: FixStats::default(),
             smt: SmtStats::default(),
-            local_cache: ValidityCache::new(),
+            local_cache: VerdictMap::new(),
             local_memo: SolveMemo::new(),
             solver_id: next_owner(),
             epoch: 0,
@@ -1085,7 +1083,6 @@ impl FixpointSolver {
         self.stats.hcons_contentions += tally.hcons_contentions;
         self.stats.cnf_contentions += tally.cnf_contentions;
         self.stats.validity_contentions += tally.validity_contentions;
-        self.stats.evictions += tally.evictions;
     }
 
     /// One qualifier stage of [`FixpointSolver::solve`], from the seed

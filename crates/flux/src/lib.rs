@@ -564,10 +564,9 @@ pub fn render_query_stats(rows: &[TableRow]) -> String {
         both.fix.lint_checks, both.smt.certs_checked, both.fix.revalidations,
     ));
     out.push_str(&format!(
-        "robustness (both verifiers): unknowns={} evictions={} budget_exhausted={} \
-         (all zero unless FLUX_DEADLINE_MS / FLUX_CACHE_CAP / --deadline-ms / --budget \
-         constrain the run)\n",
-        both.unknowns, both.fix.evictions, both.smt.budget_exhausted,
+        "robustness (both verifiers): unknowns={} budget_exhausted={} \
+         (all zero unless FLUX_DEADLINE_MS / --deadline-ms / --budget constrain the run)\n",
+        both.unknowns, both.smt.budget_exhausted,
     ));
     let fn_times = || {
         rows.iter()

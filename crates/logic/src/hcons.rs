@@ -21,7 +21,7 @@ use crate::eval::same_sort;
 use crate::util::lock_counted;
 use crate::{simplify, BinOp, Constant, Expr, Name, Sort, SortCtx, SortError, Subst, UnOp, Value};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{
     Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
     TryLockError,
@@ -60,12 +60,6 @@ struct Table {
     /// and [`ExprId::has_app`]); pure, so valid forever.
     quant_memo: HashMap<u32, bool>,
     app_memo: HashMap<u32, bool>,
-    /// Cap on the combined size of the three memo maps (0 = unlimited).
-    /// Seeded from `FLUX_CACHE_CAP` when the table is created; see
-    /// [`set_hcons_memo_capacity`].  The `nodes`/`index` maps are never
-    /// evicted: ids must stay stable for a whole generation, so only
-    /// [`reset_hcons`] frees them.
-    memo_cap: usize,
 }
 
 /// The generation lock.  Every process-global holder of [`ExprId`]s —
@@ -110,10 +104,6 @@ pub fn try_write_generation() -> Option<GenerationGuard> {
     }
 }
 
-/// Total memo entries evicted so far (monotone; callers read deltas).
-static MEMO_EVICTIONS: AtomicU64 = AtomicU64::new(0);
-/// Largest combined memo size observed (before any eviction).
-static MEMO_HIGH_WATERMARK: AtomicUsize = AtomicUsize::new(0);
 /// Times a thread found the interner's table lock held by another thread
 /// (monotone; callers read deltas).  The interner is a single global mutex
 /// by design — id stability requires one `nodes` vector — so this counter
@@ -122,52 +112,29 @@ static MEMO_HIGH_WATERMARK: AtomicUsize = AtomicUsize::new(0);
 /// bottleneck and the table is the next sharding candidate.
 static TABLE_CONTENTIONS: AtomicU64 = AtomicU64::new(0);
 
-/// Caps the combined entry count of the hash-cons table's memo maps
-/// (simplification and the structural predicates).  When the combined size
-/// exceeds the cap after an operation, all three memos are flushed in one
-/// region reclaim — entries are pure functions of their subterm, so the only
-/// cost is recomputation.  `None` disables the cap.  The default comes from
-/// `FLUX_CACHE_CAP` (unset or 0 = unlimited), read when the table is
-/// created, so this call creates the table first: the seed can never
-/// overwrite an explicit cap.
-pub fn set_hcons_memo_capacity(cap: Option<usize>) {
-    table().memo_cap = cap.unwrap_or(0);
-}
+/// Does nothing: the hash-cons memos have no capacity.  Kept only because
+/// the benchmark harness still calls it; it goes at the next change to the
+/// benchmark.
+pub fn set_hcons_memo_capacity(_cap: Option<usize>) {}
 
-/// Total number of hash-cons memo entries evicted so far.  Monotone;
-/// callers attribute evictions to a solve by differencing.
+/// Always 0: nothing evicts from the hash-cons memos.  Kept only because
+/// the benchmark harness still calls it; it goes at the next change to the
+/// benchmark.
 pub fn hcons_memo_evictions() -> u64 {
-    MEMO_EVICTIONS.load(Ordering::Relaxed)
-}
-
-/// Largest combined memo size ever observed (diagnostic: how much memory
-/// the memos would use without a cap).
-pub fn hcons_memo_high_watermark() -> usize {
-    MEMO_HIGH_WATERMARK.load(Ordering::Relaxed)
+    0
 }
 
 /// Drops the whole table — nodes, index and memos — and frees its memory:
 /// the next interned expression gets id 0 again.  Every [`ExprId`] handed
 /// out before is meaningless afterwards, which is why the caller must hold
 /// the generation lock and must also drop every other holder of ids in the
-/// same hold.  The memo cap survives.  Returns the number of memo entries
-/// flushed, which count as evictions.
+/// same hold.  This is the only way the table shrinks.  Returns the number
+/// of memo entries flushed.
 pub fn reset_hcons(_generation: &GenerationGuard) -> usize {
     let mut table = table();
     let total = table.simplify_memo.len() + table.quant_memo.len() + table.app_memo.len();
-    *table = Table {
-        memo_cap: table.memo_cap,
-        ..Table::default()
-    };
-    count_memo_evictions(total);
+    *table = Table::default();
     total
-}
-
-/// Counts `total` flushed memo entries, globally and against the calling
-/// thread.
-fn count_memo_evictions(total: usize) {
-    MEMO_EVICTIONS.fetch_add(total as u64, Ordering::Relaxed);
-    crate::util::tally_evictions(total);
 }
 
 /// Times any thread found the interner's table lock held by another thread,
@@ -179,12 +146,7 @@ pub fn hcons_contentions() -> u64 {
 
 fn table() -> MutexGuard<'static, Table> {
     static TABLE: OnceLock<Mutex<Table>> = OnceLock::new();
-    let mutex = TABLE.get_or_init(|| {
-        Mutex::new(Table {
-            memo_cap: crate::util::env_parse("FLUX_CACHE_CAP", 0usize),
-            ..Table::default()
-        })
-    });
+    let mutex = TABLE.get_or_init(|| Mutex::new(Table::default()));
     // Audit, not avoidance: count acquisitions that would block, then take
     // the lock as before (recovering from poisoning either way).
     lock_counted(mutex, &TABLE_CONTENTIONS, |t| &mut t.hcons_contentions)
@@ -651,25 +613,6 @@ impl Table {
     }
 }
 
-impl Table {
-    /// Updates the memo high watermark and, when a cap is configured and
-    /// exceeded, flushes all three memo maps at once.  Flushing them
-    /// together keeps the reclaim story simple (no cross-map invariants to
-    /// maintain) and is sound because every entry is a pure function of its
-    /// subterm.  Called from the public wrappers after each memo-growing
-    /// operation completes, never mid-recursion.
-    fn reclaim_memos(&mut self) {
-        let total = self.simplify_memo.len() + self.quant_memo.len() + self.app_memo.len();
-        MEMO_HIGH_WATERMARK.fetch_max(total, Ordering::Relaxed);
-        if self.memo_cap != 0 && total > self.memo_cap {
-            self.simplify_memo.clear();
-            self.quant_memo.clear();
-            self.app_memo.clear();
-            count_memo_evictions(total);
-        }
-    }
-}
-
 impl ExprId {
     /// Interns `expr`, returning the canonical id of its DAG representation.
     pub fn intern(expr: &Expr) -> ExprId {
@@ -715,10 +658,7 @@ impl ExprId {
     /// Simplifies this expression, memoizing the result globally.  Agrees
     /// with [`crate::simplify`] on the tree form.
     pub fn simplified(self) -> ExprId {
-        let mut table = table();
-        let out = table.simplify_rec(self);
-        table.reclaim_memos();
-        out
+        table().simplify_rec(self)
     }
 
     /// The id of `¬self`, with the same constant folding as [`Expr::not`]:
@@ -744,20 +684,14 @@ impl ExprId {
     /// True if the expression contains a quantifier anywhere; agrees with
     /// [`Expr::has_quantifier`], memoized per subterm globally.
     pub fn has_quantifier(self) -> bool {
-        let mut table = table();
-        let out = table.has_quantifier_rec(self);
-        table.reclaim_memos();
-        out
+        table().has_quantifier_rec(self)
     }
 
     /// True if the expression contains an uninterpreted application
     /// anywhere; agrees with [`Expr::has_app`], memoized per subterm
     /// globally.
     pub fn has_app(self) -> bool {
-        let mut table = table();
-        let out = table.has_app_rec(self);
-        table.reclaim_memos();
-        out
+        table().has_app_rec(self)
     }
 
     /// Evaluates this expression under the partial assignment `lookup`,

@@ -51,15 +51,14 @@ pub use audit::{audit_tier, lint, AuditTier, LintError};
 pub use eval::{evaluate, Value};
 pub use expr::{BinOp, Constant, Expr, UnOp};
 pub use hcons::{
-    hcons_contentions, hcons_memo_evictions, hcons_memo_high_watermark, interned_nodes,
-    read_generation, reset_hcons, set_hcons_memo_capacity, try_write_generation, write_generation,
-    ExprId, GenerationGuard,
+    hcons_contentions, hcons_memo_evictions, interned_nodes, read_generation, reset_hcons,
+    set_hcons_memo_capacity, try_write_generation, write_generation, ExprId, GenerationGuard,
 };
 pub use intern::{Name, NameSupply};
 pub use simplify::simplify;
 pub use sort::{Sort, SortCtx, SortError};
 pub use subst::Subst;
-pub use util::{env_parse, lock_counted, lock_recover, tally_evictions, thread_tally, ThreadTally};
+pub use util::{env_parse, lock_counted, lock_recover, thread_tally, ThreadTally};
 
 /// A convenience alias: predicates are just boolean-sorted expressions.
 pub type Pred = Expr;

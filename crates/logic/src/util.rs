@@ -95,9 +95,8 @@ macro_rules! counters {
 
 crate::counters! {
     /// Shared-cache events caused by one thread: contended acquisitions of
-    /// each process-global cache lock, and entries evicted from a bounded
-    /// cache.  Every event is also counted in its cache's process-global
-    /// counter; the per-thread copy lets a solve attribute to itself exactly
+    /// each process-global cache lock.  Every event is also counted in its
+    /// lock's process-global counter; the per-thread copy lets a solve attribute to itself exactly
     /// the events of the thread it ran on, which differencing the global
     /// counters cannot do while other solves overlap.
     pub struct ThreadTally {
@@ -110,8 +109,6 @@ crate::counters! {
         /// Acquisitions of a validity-cache shard lock that found it held
         /// by another thread.
         pub validity_contentions: usize,
-        /// Cache entries evicted.
-        pub evictions: usize,
     }
 }
 
@@ -131,11 +128,6 @@ fn bump_tally(update: impl FnOnce(&mut ThreadTally)) {
 /// attribute events to a span of work by differencing two snapshots.
 pub fn thread_tally() -> ThreadTally {
     TALLY.with(Cell::get)
-}
-
-/// Counts `n` cache evictions against the calling thread.
-pub fn tally_evictions(n: usize) {
-    bump_tally(|t| t.evictions += n);
 }
 
 /// Locks `mutex` like [`lock_recover`]; when another thread holds it, the
@@ -178,8 +170,8 @@ pub fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// An unset or empty variable silently returns `default`.
 ///
 /// This is the `FLUX_THREADS` warn-and-default pattern, factored out so
-/// every knob (`FLUX_THREADS`, `FLUX_DEADLINE_MS`, `FLUX_CACHE_CAP`)
-/// behaves identically.  Callers that want read-once semantics keep their
+/// every knob (`FLUX_THREADS`, `FLUX_DEADLINE_MS`, `FLUXD_*`) behaves
+/// identically.  Callers that want read-once semantics keep their
 /// own `OnceLock` around this.
 pub fn env_parse<T: FromStr>(name: &str, default: T) -> T {
     match std::env::var(name) {

@@ -119,15 +119,9 @@ enum HypOut {
 /// — so one table for the process is sound, exactly like the hash-consing
 /// of expressions in `flux-logic`.  It is also bounded by the hash-consing
 /// arena: every memo key is an `ExprId`, and every atom is determined by
-/// one, so re-encoding an evicted formula re-interns exactly its old atoms.
+/// one, so only a generation flush ([`reset_cnf_cache`]) empties it.
 #[derive(Default)]
 struct CnfCache {
-    /// Cap on the total entry count of the evictable memo maps (0 =
-    /// unlimited).  Seeded from `FLUX_CACHE_CAP` at first use; see
-    /// [`set_cnf_cache_capacity`].
-    cap: usize,
-    /// Total memo entries evicted so far (see [`cnf_cache_evictions`]).
-    evictions: u64,
     atoms: AtomTable,
     /// Free variables of a hash-consed expression (pure, cached forever).
     free_vars: HashMap<ExprId, Arc<[Name]>>,
@@ -155,27 +149,19 @@ struct CnfCache {
 /// (monotone; callers read deltas).
 static CNF_CONTENTIONS: AtomicU64 = AtomicU64::new(0);
 
-/// The process-global CNF cache, capped by `FLUX_CACHE_CAP` from first use
-/// (an explicit [`set_cnf_cache_capacity`] call still wins later).
+/// The process-global CNF cache.
 fn cnf_memo() -> &'static Mutex<CnfCache> {
     static CACHE: OnceLock<Mutex<CnfCache>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        Mutex::new(CnfCache {
-            cap: flux_logic::env_parse("FLUX_CACHE_CAP", 0usize),
-            ..CnfCache::default()
-        })
-    })
+    CACHE.get_or_init(|| Mutex::new(CnfCache::default()))
 }
 
-/// Locks the CNF cache for an operation, reclaiming it first when it has
-/// outgrown its cap.  `lock_counted` recovers from poisoning rather than
-/// cascading one panic (e.g. a failed assertion in an unrelated test
-/// thread) into every later session in the process: the cache only
-/// memoizes pure data behind `Arc`s, so no torn state is observable
-/// through its API.
+/// Locks the CNF cache for an operation.  `lock_counted` recovers from
+/// poisoning rather than cascading one panic (e.g. a failed assertion in an
+/// unrelated test thread) into every later session in the process: the
+/// cache only memoizes pure data behind `Arc`s, so no torn state is
+/// observable through its API.
 fn cnf_cache() -> MutexGuard<'static, CnfCache> {
-    let mut cache =
-        flux_logic::lock_counted(cnf_memo(), &CNF_CONTENTIONS, |t| &mut t.cnf_contentions);
+    let cache = flux_logic::lock_counted(cnf_memo(), &CNF_CONTENTIONS, |t| &mut t.cnf_contentions);
     if crate::testing::inject_fault("cnf-cache") == Some(crate::testing::Fault::Delay) {
         // Hold the lock a beat: exercises every caller's tolerance of
         // contention on the global cache (there is nothing to time out — the
@@ -183,59 +169,41 @@ fn cnf_cache() -> MutexGuard<'static, CnfCache> {
         // comes from the installed plan (`FaultPlan::delay_ms`).
         std::thread::sleep(crate::testing::fault_delay());
     }
-    cache.reclaim();
     cache
 }
 
-/// Caps the process-global CNF cache's memo maps (`None` = unlimited),
-/// reclaiming at once if they are over the new cap.  Defaults to
-/// `FLUX_CACHE_CAP` (unset or 0 = unlimited).  The atom table is exempt:
-/// cached and in-core clauses reference its ids until the next generation
-/// flush ([`reset_cnf_cache`]), and it only grows with the hash-consing
-/// arena.
-pub fn set_cnf_cache_capacity(cap: Option<usize>) {
-    let mut cache = flux_logic::lock_recover(cnf_memo());
-    cache.cap = cap.unwrap_or(0);
-    cache.reclaim();
-}
+/// Does nothing: the CNF cache has no capacity.  Kept only because the
+/// benchmark harness still calls it; it goes at the next change to the
+/// benchmark.
+pub fn set_cnf_cache_capacity(_cap: Option<usize>) {}
 
-/// Flushes the CNF cache's memo maps now, regardless of any cap.  The atom
-/// table stays (see [`set_cnf_cache_capacity`]).  Returns the number of
-/// entries flushed, which also count as evictions.
-pub fn flush_cnf_cache() -> usize {
-    flux_logic::lock_recover(cnf_memo()).flush()
-}
-
-/// Drops every memo map *and* the atom table, freeing their memory; the cap
-/// survives.  Memo keys are [`ExprId`]s and atoms name them, so this belongs
-/// to a generation flush: the caller holds the generation lock and resets
-/// the hash-consing table in the same hold.  Returns the number of memo
-/// entries flushed, which also count as evictions.
+/// Drops every memo map *and* the atom table, freeing their memory.  Memo
+/// keys are [`ExprId`]s and atoms name them, so this belongs to a
+/// generation flush: the caller holds the generation lock and resets the
+/// hash-consing table in the same hold.  Returns the number of memo entries
+/// flushed.
 pub fn reset_cnf_cache(_generation: &flux_logic::GenerationGuard) -> usize {
     let mut cache = flux_logic::lock_recover(cnf_memo());
-    let total = cache.flush();
-    *cache = CnfCache {
-        cap: cache.cap,
-        evictions: cache.evictions,
-        ..CnfCache::default()
-    };
+    let total = cache.memo_len();
+    *cache = CnfCache::default();
     total
 }
 
-/// Total entries evicted from the process-global CNF cache so far.  A pure
-/// read: it neither reclaims nor counts toward the lock-contention figure.
+/// Always 0: nothing evicts from the CNF cache.  Kept only because the
+/// benchmark harness still calls it; it goes at the next change to the
+/// benchmark.
 pub fn cnf_cache_evictions() -> u64 {
-    flux_logic::lock_recover(cnf_memo()).evictions
+    0
 }
 
-/// Current entry count of the CNF cache's evictable memo maps (diagnostics
-/// and capacity tests).  A pure read, like [`cnf_cache_evictions`].
+/// Current entry count of the CNF cache's memo maps (diagnostics).  A pure
+/// read: it does not count toward the lock-contention figure.
 pub fn cnf_cache_len() -> usize {
     flux_logic::lock_recover(cnf_memo()).memo_len()
 }
 
 /// Number of atoms in the CNF cache's atom table, which only
-/// [`reset_cnf_cache`] shrinks.  A pure read, like [`cnf_cache_evictions`].
+/// [`reset_cnf_cache`] shrinks.  A pure read, like [`cnf_cache_len`].
 pub fn cnf_atoms() -> usize {
     flux_logic::lock_recover(cnf_memo()).atoms.len()
 }
@@ -248,7 +216,7 @@ pub fn cnf_shard_contentions() -> u64 {
 }
 
 impl CnfCache {
-    /// Entry count of the evictable memo maps (the atom table is exempt).
+    /// Entry count of the memo maps (the atom table not included).
     fn memo_len(&self) -> usize {
         self.free_vars.len()
             + self.preproc.len()
@@ -257,34 +225,6 @@ impl CnfCache {
             + self.prepared.len()
             + self.hyp_out.len()
             + self.conjunct_atoms.len()
-    }
-
-    /// Flushes every memo map once their total entry count exceeds the cap.
-    fn reclaim(&mut self) {
-        if self.cap != 0 && self.memo_len() > self.cap {
-            self.flush();
-        }
-    }
-
-    /// Flushes every memo map — region reclaim: the maps memoize
-    /// independent pure functions, so dropping them together needs no
-    /// cross-map bookkeeping, and later probes simply recompute and
-    /// re-cache.  Atoms are never evicted (sessions hold clauses that name
-    /// them), and none are needed: re-encoding an evicted formula re-interns
-    /// the atoms it interned before, definitions included, and yields the
-    /// same clauses.  Returns the number of entries flushed.
-    fn flush(&mut self) -> usize {
-        let total = self.memo_len();
-        self.evictions += total as u64;
-        flux_logic::tally_evictions(total);
-        self.free_vars.clear();
-        self.preproc.clear();
-        self.cnf.clear();
-        self.cnf_lit.clear();
-        self.prepared.clear();
-        self.hyp_out.clear();
-        self.conjunct_atoms.clear();
-        total
     }
 
     fn free_vars_of(&mut self, id: ExprId) -> Arc<[Name]> {

@@ -115,9 +115,11 @@ fn hcons_interning_is_stable_under_contention() {
 }
 
 /// N threads hammering the global verdict cache with overlapping keys:
-/// inserts never deadlock, a key once inserted always reads back a verdict
-/// (idempotent overwrites — every writer stores the same deterministic
-/// verdict), and epoch/owner stamps classify hits correctly afterwards.
+/// inserts never deadlock, a key once inserted always reads back its own
+/// verdict (idempotent overwrites — every writer stores the same
+/// deterministic verdict per key, and the verdicts differ between keys, so
+/// a shard answering with another key's verdict shows), and epoch/owner
+/// stamps classify hits correctly afterwards.
 #[test]
 fn global_verdict_cache_survives_overlapping_writers() {
     with_deadline("verdict cache stress", || {
@@ -131,14 +133,19 @@ fn global_verdict_cache_survives_overlapping_writers() {
             QueryKey::new(
                 fns,
                 [(x, Sort::Int)].into_iter().collect(),
-                [ExprId::intern(&Expr::ge(
-                    Expr::var(x),
-                    Expr::int(j as i128),
-                ))]
-                .into_iter()
-                .collect(),
-                ExprId::intern(&Expr::ge(Expr::var(x), Expr::int(j as i128 - 1))),
+                [ExprId::intern(&Expr::ge(Expr::var(x), Expr::int(0)))]
+                    .into_iter()
+                    .collect(),
+                ExprId::intern(&Expr::ge(Expr::var(x), Expr::int(j as i128 - 20))),
             )
+        };
+        // `x ≥ 0 ⊢ x ≥ j − 20` holds exactly when `j ≤ 20`.
+        let verdict_of = |j: usize| {
+            if j <= 20 {
+                Validity::Valid
+            } else {
+                Validity::Invalid(None)
+            }
         };
         let handles: Vec<_> = (0..WORKERS)
             .map(|worker| {
@@ -147,15 +154,16 @@ fn global_verdict_cache_survives_overlapping_writers() {
                     for round in 0..50 {
                         let epoch = next_epoch();
                         for j in 0..40 {
-                            let key = key_of((worker + round + j) % 40);
-                            global_cache().insert(key.clone(), Validity::Valid, epoch, owner);
+                            let j = (worker + round + j) % 40;
+                            let key = key_of(j);
+                            global_cache().insert(key.clone(), verdict_of(j), epoch, owner);
                             let entry = global_cache()
                                 .lookup(&key)
                                 .expect("inserted key must be readable");
                             assert_eq!(
                                 entry.verdict,
-                                Validity::Valid,
-                                "a cached verdict was torn or replaced by a different value"
+                                verdict_of(j),
+                                "a cached verdict was torn or replaced by another key's (j = {j})"
                             );
                         }
                     }
@@ -169,7 +177,7 @@ fn global_verdict_cache_survives_overlapping_writers() {
         // one owner at one epoch reads back exactly those stamps.
         let key = key_of(41);
         let (owner, epoch) = (next_owner(), next_epoch());
-        global_cache().insert(key.clone(), Validity::Valid, epoch, owner);
+        global_cache().insert(key.clone(), verdict_of(41), epoch, owner);
         let entry = global_cache().lookup(&key).expect("entry just inserted");
         assert_eq!(entry.owner, owner);
         assert_eq!(entry.epoch, epoch);

@@ -1,21 +1,18 @@
-//! Per-solve attribution of shared-cache lock contention and evictions.
-//! Solves that run concurrently must each report only the events of their
-//! own thread, so for each lock the per-solve figures sum to at most the
-//! movement of that lock's process-global counter over the same window.  A delay-only fault plan
-//! makes every CNF cache holder sleep, so CNF contention is certain; small
-//! cache caps make evictions certain.
+//! Per-solve attribution of shared-cache lock contention.  Solves that run
+//! concurrently must each report only the events of their own thread, so
+//! for each lock the per-solve figures sum to at most the movement of that
+//! lock's process-global counter over the same window.  A delay-only fault
+//! plan makes every CNF cache holder sleep, so CNF contention is certain.
 //!
-//! The fault plan and the cache caps are process-global, so this file holds
-//! a single test.
+//! The fault plan is process-global, so this file holds a single test.
 
 use flux_fixpoint::{
-    global_cache, set_global_cache_capacity, validity_shard_contentions, Constraint, FixStats,
-    FixpointSolver, Guard, KVarApp, KVarStore,
+    validity_shard_contentions, Constraint, FixStats, FixpointSolver, Guard, KVarApp, KVarStore,
 };
-use flux_logic::{hcons_contentions, hcons_memo_evictions, set_hcons_memo_capacity};
+use flux_logic::hcons_contentions;
 use flux_logic::{Expr, Name, Sort, SortCtx};
+use flux_smt::cnf_shard_contentions;
 use flux_smt::testing::{clear_fault_plan, install_fault_plan, with_watchdog, FaultPlan};
-use flux_smt::{cnf_cache_evictions, cnf_shard_contentions, set_cnf_cache_capacity};
 use std::sync::{Arc, Barrier};
 
 const SOLVING_THREADS: usize = 4;
@@ -64,42 +61,35 @@ fn system(salt: usize) -> (Constraint, KVarStore) {
 }
 
 /// The process-global event counters, in the order of [`per_solve`]'s
-/// figures: contentions on the hcons, CNF and validity locks, then
-/// evictions from every bounded cache.
-fn globals() -> [u64; 4] {
+/// figures: contentions on the hcons, CNF and validity locks.
+fn globals() -> [u64; 3] {
     [
         hcons_contentions(),
         cnf_shard_contentions(),
         validity_shard_contentions(),
-        hcons_memo_evictions() + cnf_cache_evictions() + global_cache().evictions(),
     ]
 }
 
-/// The same four events as [`globals`], as solves attributed them to
+/// The same three events as [`globals`], as solves attributed them to
 /// themselves.
-fn per_solve(stats: &FixStats) -> [u64; 4] {
+fn per_solve(stats: &FixStats) -> [u64; 3] {
     [
         stats.hcons_contentions,
         stats.cnf_contentions,
         stats.validity_contentions,
-        stats.evictions,
     ]
     .map(|n| n as u64)
 }
 
-const EVENTS: [&str; 4] = [
+const EVENTS: [&str; 3] = [
     "hcons contentions",
     "CNF contentions",
     "validity contentions",
-    "evictions",
 ];
 
 #[test]
 fn concurrent_solves_report_only_their_own_contention_and_evictions() {
     with_watchdog("contention attribution", 600, || {
-        set_hcons_memo_capacity(Some(64));
-        set_cnf_cache_capacity(Some(64));
-        set_global_cache_capacity(Some(32));
         install_fault_plan(FaultPlan {
             seed: 7,
             delay_permille: 1000,
@@ -132,15 +122,11 @@ fn concurrent_solves_report_only_their_own_contention_and_evictions() {
         }
         let after = globals();
         clear_fault_plan();
-        set_hcons_memo_capacity(None);
-        set_cnf_cache_capacity(None);
-        set_global_cache_capacity(None);
 
         assert!(
             total.cnf_contentions > 0,
             "CNF cache holders sleep under the delay plan, so the solves must contend"
         );
-        assert!(total.evictions > 0, "the small caps must force evictions");
         let attributed = per_solve(&total);
         for (i, event) in EVENTS.iter().enumerate() {
             let global = after[i] - before[i];

@@ -26,9 +26,6 @@ fn cache_sizes() -> (usize, usize, usize, usize, usize, usize) {
 
 #[test]
 fn a_flushed_generation_verifies_like_a_fresh_process() {
-    flux_fixpoint::set_global_cache_capacity(None);
-    flux_smt::set_cnf_cache_capacity(None);
-    flux_logic::set_hcons_memo_capacity(None);
     let mut config = VerifyConfig::default();
     config.check.fn_threads = 1;
     let benchmarks = flux::benchmarks();

@@ -5,6 +5,7 @@
 //! workloads.
 
 use flux::{run_benchmark, verify_source, Mode, VerifyConfig};
+use std::time::Duration;
 
 #[test]
 fn flux_flavours_never_need_loop_invariants() {
@@ -61,7 +62,13 @@ fn quantified_baseline_pays_an_instantiation_burden_flux_never_does() {
     let handle = std::thread::Builder::new()
         .stack_size(256 * 1024 * 1024)
         .spawn(|| {
-            let config = VerifyConfig::default();
+            let mut config = VerifyConfig::default();
+            // The obligation memo is process-global: after another test of
+            // this binary verified kmp's baseline, this run would replay
+            // every obligation and instantiate nothing.  A timeout no other
+            // test sets keys the obligations apart (the memo key clears only
+            // the stamped deadline), and an hour never expires here.
+            config.wp.smt.budget.timeout = Some(Duration::from_secs(3600));
             let b = flux::benchmark("kmp").unwrap();
             let flux_outcome = verify_source(b.flux_src, Mode::Flux, &config).unwrap();
             let baseline_outcome = verify_source(b.baseline_src, Mode::Baseline, &config).unwrap();
@@ -78,6 +85,10 @@ fn quantified_baseline_pays_an_instantiation_burden_flux_never_does() {
             assert_eq!(
                 flux_outcome.stats.smt.quant_instances, 0,
                 "Flux VCs must stay quantifier-free"
+            );
+            assert!(
+                baseline_outcome.stats.fix.cache_misses > 0,
+                "the baseline replayed kmp's obligations instead of solving them"
             );
             assert!(
                 baseline_outcome.stats.smt.quant_instances > 0,

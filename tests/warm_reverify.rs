@@ -24,10 +24,6 @@ fn cache_sizes() -> (usize, usize, usize) {
 
 #[test]
 fn second_verification_of_the_corpus_hits_the_cache_and_grows_nothing() {
-    // Uncapped caches keep every entry of the first pass.
-    flux_fixpoint::set_global_cache_capacity(None);
-    flux_smt::set_cnf_cache_capacity(None);
-    flux_logic::set_hcons_memo_capacity(None);
     let mut config = VerifyConfig::default();
     config.check.fn_threads = 1;
     let verify = |src: &str| -> VerifyOutcome {

@@ -110,14 +110,12 @@ fn bench_smt(c: &mut Criterion) {
             let mut simplex = IncrementalSimplex::new(LiaConfig::default());
             let slots: Vec<_> = family.iter().map(|c| simplex.register(c)).collect();
             let bounds: Vec<_> = (0..32).map(|k| simplex.register(&round_bound(k))).collect();
-            for k in 0..32 {
+            for &bound in &bounds {
                 simplex.push();
                 for (tag, slot) in slots.iter().enumerate() {
                     simplex.assert_constraint(*slot, true, tag).unwrap();
                 }
-                simplex
-                    .assert_constraint(bounds[k], true, slots.len())
-                    .unwrap();
+                simplex.assert_constraint(bound, true, slots.len()).unwrap();
                 assert!(matches!(simplex.check_integer(), LiaResult::Feasible(_)));
                 simplex.pop();
             }

@@ -576,9 +576,8 @@ mod tests {
                 v.push(x);
             }
         "#;
-        match check_source(src, &CheckConfig::default()) {
-            Ok(report) => assert!(!report.is_safe()),
-            Err(_) => {}
+        if let Ok(report) = check_source(src, &CheckConfig::default()) {
+            assert!(!report.is_safe());
         }
     }
 

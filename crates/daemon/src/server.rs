@@ -538,7 +538,7 @@ fn render_outcome(id: u64, verdict: &str, outcome: &VerifyOutcome) -> String {
          \"loc\":{},\"spec_lines\":{},\"annot_lines\":{},\
          \"stats\":{{\"smt_queries\":{},\"cache_hits\":{},\"xbench_hits\":{},\
          \"cache_misses\":{},\"sessions\":{},\"escalations\":{},\"replays\":{},\
-         \"unknowns\":{},\"budget_exhausted\":{}}}}}",
+         \"component_replays\":{},\"unknowns\":{},\"budget_exhausted\":{}}}}}",
         errors.join(","),
         outcome.time.as_millis(),
         outcome.functions,
@@ -552,6 +552,7 @@ fn render_outcome(id: u64, verdict: &str, outcome: &VerifyOutcome) -> String {
         s.fix.sessions,
         s.fix.escalations,
         s.fix.replays,
+        s.fix.component_replays,
         s.unknowns,
         s.smt.budget_exhausted,
     )

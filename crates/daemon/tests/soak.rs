@@ -76,7 +76,7 @@ fn schedule(i: u64, cells: &[(&'static str, &'static str, bool)]) -> Kind {
             mode,
             expect_verified,
         }
-    } else if i % 2 == 0 {
+    } else if i.is_multiple_of(2) {
         Kind::SafeInline
     } else {
         Kind::UnsafeInline

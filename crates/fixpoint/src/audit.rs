@@ -113,17 +113,20 @@ pub fn lint_clauses(
     Ok(checks)
 }
 
-/// Lints a candidate assignment: each κ's conjunction must be a boolean
-/// predicate over that κ's formal parameters (plus whatever `ctx` declares
-/// globally — uninterpreted functions in particular).  Weakening only ever
-/// deletes conjuncts, so linting the initial assignment covers every later
-/// state of the loop.  Returns the number of κ bodies checked.
+/// Lints a candidate assignment: the conjunction of each κ it assigns must
+/// be a boolean predicate over that κ's formal parameters (plus whatever
+/// `ctx` declares globally — uninterpreted functions in particular).
+/// Weakening only ever deletes conjuncts, so linting the initial assignment
+/// covers every later state of the loop.  Returns the number of κ bodies
+/// checked.
 pub fn lint_solution(
     solution: &Solution,
     kvars: &KVarStore,
     ctx: &SortCtx,
 ) -> Result<usize, LintError> {
-    for decl in kvars.iter() {
+    let mut checks = 0;
+    for kvid in solution.kvids() {
+        let decl = kvars.get(kvid);
         let mut scope = ctx.clone();
         for (i, &sort) in decl.sorts.iter().enumerate() {
             scope.push(decl.formal(i), sort);
@@ -134,8 +137,9 @@ pub fn lint_solution(
             Sort::Bool,
             &scope,
         )?;
+        checks += 1;
     }
-    Ok(kvars.len())
+    Ok(checks)
 }
 
 /// Convenience for test assertions: the κ id a lint error mentions, if any.

@@ -275,17 +275,12 @@ mod tests {
         // Rebuilt from scratch: still the same key.
         let hyp2 = Expr::ge(Expr::var(x), Expr::int(0));
         let goal2 = Expr::ge(Expr::var(x) + Expr::int(1), Expr::int(1));
-        assert_eq!(key(&ctx, &[hyp.clone()], &goal), key(&ctx, &[hyp2], &goal2));
+        let hyps = std::slice::from_ref(&hyp);
+        assert_eq!(key(&ctx, hyps, &goal), key(&ctx, &[hyp2], &goal2));
         // A different goal changes the key.
-        assert_ne!(
-            key(&ctx, &[hyp.clone()], &goal),
-            key(&ctx, &[hyp.clone()], &Expr::tt())
-        );
+        assert_ne!(key(&ctx, hyps, &goal), key(&ctx, hyps, &Expr::tt()));
         // A different binder sort changes the key.
-        assert_ne!(
-            key(&ctx, &[hyp.clone()], &goal),
-            key(&[(x, Sort::Bool)], &[hyp], &goal)
-        );
+        assert_ne!(key(&ctx, hyps, &goal), key(&[(x, Sort::Bool)], hyps, &goal));
     }
 
     #[test]

@@ -10,14 +10,18 @@
 //! 1. every κ starts as the conjunction of all well-sorted instantiations of
 //!    the [`Qualifier`] templates with at most two parameters,
 //! 2. candidates not implied by a clause's hypotheses are removed until a
-//!    fixpoint is reached (iterative weakening),
+//!    fixpoint is reached (iterative weakening), one strongly connected
+//!    component of the κ dependency graph at a time, upstream first,
 //! 3. the remaining concrete obligations are checked; failures are reported
 //!    with their [`Tag`]s for precise blame,
 //! 4. unless that verdict is Safe, steps 1–3 run again from the instances of
 //!    every template, and their verdict is the one reported, and
-//! 5. a result that no `Unknown` verdict touched is stored in the solve
-//!    memo: a later solve of the same system under the same configuration
-//!    returns it without steps 1–4 ([`FixStats::replays`]).
+//! 5. every component that weakened without an `Unknown` verdict, and the
+//!    concrete verdicts when none was `Unknown`, are stored in the solve
+//!    memo: a later solve installs each stored part instead of seeding,
+//!    weakening or checking it ([`FixStats::component_replays`]), and a
+//!    solve whose every part is stored replays whole
+//!    ([`FixStats::replays`]).
 //!
 //! # Example
 //!

@@ -10,14 +10,20 @@
 //! with concrete heads are then checked once, and any failure is reported
 //! with its tag.
 //!
+//! The κs are weakened one strongly connected component of the κ dependency
+//! graph at a time, upstream first (see the `memo` module): a component's
+//! clauses read only its own κs and upstream ones, so each component
+//! converges to what the whole-system loop would give it.
+//!
 //! The templates are tried in two stages.  The first seeds only the
 //! templates of at most two parameters; a Safe result is final, because a
 //! larger seed set can only keep more candidates.  Any other result re-solves
 //! from a fresh seed of every template, and that result is reported.
 //!
-//! A clean result (no `Unknown` verdict anywhere in the solve) is stored in
-//! the solve memo (see the `memo` module), and a later solve with the same
-//! key replays it without seeding, weakening or checking a clause.
+//! Every component that weakened without an `Unknown` verdict, and the
+//! concrete verdicts when none was `Unknown`, are stored in the solve memo,
+//! and a later solve installs each stored part without seeding, weakening
+//! or checking its clauses.
 //!
 //! A solve runs entirely on its caller's thread.  Parallelism lives one level
 //! up, in `flux-check`'s function fan-out, which runs whole solves
@@ -27,17 +33,59 @@ use crate::cache::{
     global_cache, intern_fn_ctx, next_epoch, next_owner, CacheEntry, FnCtxId, QueryKey, VerdictMap,
 };
 use crate::constraint::{Clause, Constraint, Guard, Head, Tag};
-use crate::kvar::{KVarApp, KVarStore, KVid};
-use crate::memo::{global_memo, SolveKey, SolveMemo};
+use crate::kvar::{KVarApp, KVarDecl, KVarStore, KVid};
+use crate::memo::{
+    global_memo, intern_qualifiers, MemoKey, QualifiersId, Settled, SolveMemo, System,
+};
 use crate::qualifier::{default_qualifiers, Qualifier};
 use flux_logic::{lock_recover, Expr, ExprId, Name, Sort, SortCtx};
 use flux_smt::{Model, Session, SmtConfig, SmtStats, Solver, Validity};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// The first qualifier stage seeds only the templates with at most this
 /// many parameters (ν included).
 const STAGE_ONE_PARAMS: usize = 2;
+
+/// A qualifier stage: which of the configured templates seed the κs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum Stage {
+    /// The templates of at most [`STAGE_ONE_PARAMS`] parameters.
+    Small,
+    /// Every template.
+    Full,
+}
+
+impl Stage {
+    /// The templates of `qualifiers` this stage seeds, in order.
+    fn templates(self, qualifiers: &[Qualifier]) -> impl Iterator<Item = &Qualifier> + Clone {
+        qualifiers
+            .iter()
+            .filter(move |q| self == Stage::Full || q.params.len() <= STAGE_ONE_PARAMS)
+    }
+}
+
+/// True when some κ has an instance of a template of more than
+/// [`STAGE_ONE_PARAMS`] parameters that no smaller template gives it.
+/// Otherwise the full seed equals stage 1's, and a second stage would
+/// repeat the first.
+fn stage_two_adds(kvars: &KVarStore, qualifiers: &[Qualifier]) -> bool {
+    kvars.iter().any(|decl| {
+        let mut added = qualifiers
+            .iter()
+            .filter(|q| q.params.len() > STAGE_ONE_PARAMS)
+            .flat_map(|q| q.instantiate(decl))
+            .peekable();
+        added.peek().is_some() && {
+            let seeded: HashSet<Expr> = Stage::Small
+                .templates(qualifiers)
+                .flat_map(|q| q.instantiate(decl))
+                .collect();
+            added.any(|candidate| !seeded.contains(&candidate))
+        }
+    })
+}
 
 /// Configuration of the fixpoint solver.
 #[derive(Clone, Debug)]
@@ -92,12 +140,18 @@ flux_logic::counters! {
         /// Solves whose first qualifier stage (the templates of at most two
         /// parameters) was not Safe and that re-solved with every template.
         pub escalations: usize,
-        /// Solves answered from the solve memo: an earlier solve with the
-        /// same key (flattened clauses, κ sorts, context, qualifiers and SMT
-        /// configuration) reached a clean result, which is returned without
-        /// seeding, weakening or checking a clause.  Every work counter of
-        /// a replayed solve is 0.
+        /// Solves answered wholly from the solve memo: every κ component
+        /// and the concrete verdicts of every stage that ran were settled
+        /// by earlier solves, so the result is assembled without seeding,
+        /// weakening or checking a clause.  Every work counter of a
+        /// replayed solve is 0.
         pub replays: usize,
+        /// κ components installed from the solve memo by a solve that still
+        /// solved something: their assignments were settled by an earlier
+        /// solve with the same clauses, κ sorts, upstream assignments,
+        /// context, qualifiers and SMT configuration, so they were neither
+        /// seeded nor weakened.
+        pub component_replays: usize,
         /// Number of SMT validity queries requested (including cache hits).
         pub smt_queries: usize,
         /// Queries answered from the validity cache.
@@ -157,17 +211,17 @@ pub struct Solution {
 }
 
 impl Solution {
-    /// The initial assignment: every well-sorted instance of `qualifiers`
-    /// for every κ.  Distinct templates can instantiate to the same
+    /// The initial assignment of the κs `decls`: every well-sorted instance
+    /// of `qualifiers`.  Distinct templates can instantiate to the same
     /// predicate (e.g. `ν ≥ 0` from both a bound and a nonneg template), and
     /// the instantiation order gives no adjacency guarantee — dedup by
     /// hash-consed id so duplicates can't double the SMT work.
-    fn seed<'q>(
-        kvars: &KVarStore,
+    fn seed<'d, 'q>(
+        decls: impl Iterator<Item = &'d KVarDecl>,
         qualifiers: impl Iterator<Item = &'q Qualifier> + Clone,
     ) -> Solution {
         let mut ids = BTreeMap::new();
-        for decl in kvars.iter() {
+        for decl in decls {
             let mut seen: HashSet<ExprId> = HashSet::new();
             let candidates: Vec<ExprId> = qualifiers
                 .clone()
@@ -217,8 +271,13 @@ impl Solution {
     }
 
     /// The hash-consed candidate conjuncts of `kvid`.
-    fn candidate_ids(&self, kvid: KVid) -> Option<&[ExprId]> {
+    pub(crate) fn candidate_ids(&self, kvid: KVid) -> Option<&[ExprId]> {
         self.ids.get(&kvid).map(Vec::as_slice)
+    }
+
+    /// The κs this solution assigns, ascending.
+    pub(crate) fn kvids(&self) -> impl Iterator<Item = KVid> + '_ {
+        self.ids.keys().copied()
     }
 
     /// Drops the candidates whose `mask` entry is `false`.
@@ -411,9 +470,9 @@ impl Goals<'_> {
     }
 }
 
-/// The clause-solving engine of one solve: the weakening loop and the
-/// concrete-head checks, with the statistics, memos and degradations they
-/// accumulate.
+/// The clause-solving engine of one qualifier stage: the weakening loop and
+/// the concrete-head checks, with the statistics, memos and degradations
+/// they accumulate.
 struct Engine<'a> {
     config: &'a FixConfig,
     stats: FixStats,
@@ -422,6 +481,11 @@ struct Engine<'a> {
     /// The owning solver's hermetic cache (used when `global_cache` is
     /// off).
     local_cache: &'a mut VerdictMap,
+    /// The owning solver's hermetic solve memo (used when `global_cache` is
+    /// off).
+    local_memo: &'a mut SolveMemo,
+    /// Whether the stage solved any group rather than installing it.
+    solved: bool,
     /// The owning solver's identity for cache-hit attribution.
     solver_id: u64,
     /// The owning solver's current solve epoch.
@@ -452,12 +516,39 @@ impl<'a> Engine<'a> {
             stats: FixStats::default(),
             smt: SmtStats::default(),
             local_cache: &mut solver.local_cache,
+            local_memo: &mut solver.local_memo,
+            solved: false,
             solver_id: solver.solver_id,
             epoch: solver.epoch,
             fns: solver.fns,
             inst_memo: HashMap::new(),
             unknowns: Vec::new(),
         }
+    }
+
+    /// What the solve memo this solver uses holds for `key`.
+    fn settled(&mut self, key: &MemoKey) -> Option<Arc<Settled>> {
+        with_memo(self.config.global_cache, self.local_memo, |memo| {
+            memo.get(key).cloned()
+        })
+    }
+
+    /// The flattened clauses of `input`, for a group the memo did not
+    /// settle.  The first call of the stage lints them (audit tier ≥
+    /// `lint`) before anything is weakened or checked: an audit failure is
+    /// an engine or front-end bug, not a property of the verified program,
+    /// hence the panic.
+    fn clauses<'i>(&mut self, input: &'i Input<'_>) -> &'i [Clause] {
+        let clauses = input.clauses();
+        if !self.solved {
+            self.solved = true;
+            if self.config.smt.audit.lints() {
+                self.stats.lint_checks +=
+                    crate::audit::lint_clauses(clauses, input.kvars, input.ctx)
+                        .unwrap_or_else(|e| panic!("FLUX_AUDIT: {e}"));
+            }
+        }
+        clauses
     }
 
     /// Instantiates `cands` at `app`'s actuals through [`Engine::inst_memo`];
@@ -511,12 +602,13 @@ impl<'a> Engine<'a> {
             .collect()
     }
 
-    /// Runs the weakening loop over `clauses` until a fixpoint, or until the
-    /// deadline or the iteration budget cuts it short (recorded in
-    /// `unknowns`).
+    /// Runs the weakening loop over the κ-head clauses at positions
+    /// `component` of `clauses` until a fixpoint, or until the deadline or
+    /// the stage's iteration budget cuts it short (recorded in `unknowns`).
     fn weaken(
         &mut self,
         clauses: &[Clause],
+        component: &[usize],
         kvars: &KVarStore,
         ctx: &SortCtx,
         solution: &mut Solution,
@@ -533,21 +625,21 @@ impl<'a> Engine<'a> {
         // and re-assumed every clause every iteration — which, not the
         // theory work, dominated wall-clock on the slow benchmarks.
         let mut versions: BTreeMap<KVid, u64> = BTreeMap::new();
-        let mut states: Vec<Option<ClauseState>> = (0..clauses.len()).map(|_| None).collect();
-        let mut memos: Vec<Option<ClauseMemo>> = (0..clauses.len()).map(|_| None).collect();
+        let mut states: Vec<Option<ClauseState>> = (0..component.len()).map(|_| None).collect();
+        let mut memos: Vec<Option<ClauseMemo>> = (0..component.len()).map(|_| None).collect();
         // The loop needs no safety bound: every iteration that changes
         // anything drops at least one candidate from a finite set.  A cut
-        // by the iteration budget or the deadline leaves the assignment too
-        // strong to trust a `Safe` verdict, so it is recorded as a
+        // by the iteration budget (which counts every component's
+        // iterations in the stage) or the deadline leaves the assignment
+        // too strong to trust a `Safe` verdict, so it is recorded as a
         // degradation.  Deadline checks run once per iteration — each
         // iteration amortizes the clock read over a full pass of clause
         // visits.
         let budget = self.config.smt.budget;
-        let mut iterations = 0u64;
         loop {
             if budget
                 .weaken_iterations
-                .is_some_and(|cap| iterations >= cap)
+                .is_some_and(|cap| self.stats.iterations as u64 >= cap)
             {
                 self.unknowns
                     .push(UnknownReason::Budget("weaken-iterations"));
@@ -557,12 +649,11 @@ impl<'a> Engine<'a> {
                 self.unknowns.push(UnknownReason::Deadline);
                 break;
             }
-            iterations += 1;
             self.stats.iterations += 1;
             let mut changed = false;
-            for (ci, clause) in clauses.iter().enumerate() {
+            for (ci, clause) in component.iter().map(|&ci| &clauses[ci]).enumerate() {
                 let Head::KVar(app) = &clause.head else {
-                    continue;
+                    unreachable!("a component lists only κ-head clauses");
                 };
                 let head_version = versions.get(&app.kvid).copied().unwrap_or(0);
                 let guard_versions = guard_versions_of(clause, &versions);
@@ -784,7 +875,7 @@ impl<'a> Engine<'a> {
         solution: &Solution,
     ) -> (Tag, Validity) {
         let Head::Pred(goal, tag) = &clause.head else {
-            unreachable!("`partition` lists only Pred heads");
+            unreachable!("the concrete group lists only Pred heads");
         };
         let hyp_ids = self.hypotheses_of(clause, solution, kvars);
         let clause_ctx = clause_ctx(clause, ctx);
@@ -930,6 +1021,47 @@ impl<'a> Engine<'a> {
     }
 }
 
+/// The input of one solve: the constraint, its [`System`], and its
+/// flattened clauses once some group has to be solved rather than
+/// installed.
+struct Input<'a> {
+    constraint: &'a Constraint,
+    kvars: &'a KVarStore,
+    ctx: &'a SortCtx,
+    system: &'a System,
+    clauses: OnceCell<Vec<Clause>>,
+}
+
+impl Input<'_> {
+    /// The flattened clauses, at the positions the system's groups list.
+    fn clauses(&self) -> &[Clause] {
+        self.clauses.get_or_init(|| self.constraint.flatten())
+    }
+}
+
+/// What one qualifier stage reached, and what the solve memo settled of it.
+struct StageRun {
+    result: FixResult,
+    /// κ components installed from the memo.
+    components: usize,
+    /// Whether any component or the concrete verdicts were installed.
+    installed: bool,
+    /// Whether any group was solved rather than installed.
+    solved: bool,
+    /// The clean parts the stage solved, to store once the solve is final.
+    settled: Vec<(MemoKey, Arc<Settled>)>,
+}
+
+/// Runs `f` on the process-global solve memo when `global`, and on `local`
+/// otherwise.
+fn with_memo<R>(global: bool, local: &mut SolveMemo, f: impl FnOnce(&mut SolveMemo) -> R) -> R {
+    if global {
+        f(&mut lock_recover(global_memo()))
+    } else {
+        f(local)
+    }
+}
+
 /// The fixpoint solver.
 pub struct FixpointSolver {
     /// Configuration.
@@ -952,6 +1084,8 @@ pub struct FixpointSolver {
     epoch: u64,
     /// Interned function-declaration context of the current solve.
     fns: FnCtxId,
+    /// The qualifier list interned last, and its id.
+    qualifiers: Option<(Vec<Qualifier>, QualifiersId)>,
 }
 
 impl FixpointSolver {
@@ -962,10 +1096,11 @@ impl FixpointSolver {
             stats: FixStats::default(),
             smt: SmtStats::default(),
             local_cache: VerdictMap::new(),
-            local_memo: SolveMemo::new(),
+            local_memo: SolveMemo::default(),
             solver_id: next_owner(),
             epoch: 0,
             fns: intern_fn_ctx(&SortCtx::new()),
+            qualifiers: None,
         }
     }
 
@@ -979,13 +1114,14 @@ impl FixpointSolver {
     /// `ctx` provides sorts for any free names not bound inside the
     /// constraint itself (and declarations of uninterpreted functions).
     ///
-    /// A solve whose key is in the solve memo (see the module docs) returns
-    /// the stored result.  Otherwise the qualifier templates are tried in
-    /// two stages: first those of at most two parameters, then, unless that
-    /// stage was Safe, every template.  Each stage runs every check of a
-    /// solve (audit lints, weakening, concrete heads, re-validation); one
-    /// deadline covers both.  A result that no `Unknown` verdict touched is
-    /// then stored in the memo.
+    /// The qualifier templates are tried in two stages: first those of at
+    /// most two parameters, then, unless that stage was Safe, every
+    /// template.  Each stage weakens the κ components upstream first and
+    /// then checks the concrete heads; a component or set of concrete
+    /// verdicts with a key in the solve memo (see the `memo` module) is
+    /// installed instead.  Each stage runs every check of a solve (audit
+    /// lints, weakening, concrete heads, re-validation) on what it solves;
+    /// one deadline covers both stages.
     pub fn solve(
         &mut self,
         constraint: &Constraint,
@@ -998,23 +1134,20 @@ impl FixpointSolver {
         // the memo's and the validity cache's, so results never leak
         // between incompatible interpretation contexts.
         self.fns = intern_fn_ctx(ctx);
-        let key = SolveKey::new(constraint, kvars, ctx, self.fns, &self.config);
+        let qualifiers = self.qualifiers_id();
+        let system = System::new(
+            constraint,
+            kvars,
+            ctx,
+            self.fns,
+            qualifiers,
+            self.config.smt,
+        );
         self.stats = FixStats {
-            clauses: key.clauses(),
+            clauses: system.clauses,
             kvars: kvars.len(),
             ..FixStats::default()
         };
-        if let Some(stored) = self.with_memo(|memo| memo.get(&key).cloned()) {
-            self.stats.replays = 1;
-            self.add_tally(tally);
-            if self.config.smt.audit.certifies() {
-                self.audit_replay(constraint, kvars, ctx, &stored);
-            }
-            return stored;
-        }
-
-        let clauses = constraint.flatten();
-
         // Verdicts survive across solve calls — and, through the global
         // cache, across solvers and benchmarks.  The epoch stamp attributes
         // each later hit to the solve that created the entry.
@@ -1026,54 +1159,69 @@ impl FixpointSolver {
         // `stamp` calls are then no-ops).
         self.config.smt.budget.deadline = None;
         self.config.smt.budget.stamp();
-        let concrete = partition(&clauses, kvars);
+        let input = Input {
+            constraint,
+            kvars,
+            ctx,
+            system: &system,
+            clauses: OnceCell::new(),
+        };
 
         // Stage 1: the templates of at most two parameters.  Weakening keeps
         // the greatest inductive subset of its seed, and that subset grows
         // with the seed, so a Safe here is a Safe of the full set.
-        let small = Solution::seed(
-            kvars,
-            self.config
-                .qualifiers
-                .iter()
-                .filter(|q| q.params.len() <= STAGE_ONE_PARAMS),
-        );
-        let small_candidates = small.candidates();
-        let (mut result, mut clean) = self.solve_stage(&clauses, &concrete, kvars, ctx, small);
-        let escalate = !result.is_safe();
-        // A full seed with no instance stage 1 lacked (every κ has fewer
-        // than three int arguments) would repeat stage 1: skip it.
-        let mut full = (escalate || self.config.smt.audit.certifies())
-            .then(|| Solution::seed(kvars, self.config.qualifiers.iter()))
-            .filter(|full| full.candidates() > small_candidates);
-        if escalate {
-            if let Some(full) = full.take() {
-                self.stats.escalations += 1;
-                let (stage_two, stage_two_clean) =
-                    self.solve_stage(&clauses, &concrete, kvars, ctx, full);
-                result = stage_two;
-                clean &= stage_two_clean;
-            }
+        let mut run = self.solve_stage(&input, Stage::Small);
+        let stage_one_safe = run.result.is_safe();
+        let widens = (!stage_one_safe || self.config.smt.audit.certifies())
+            && stage_two_adds(kvars, &self.config.qualifiers);
+        if !stage_one_safe && widens {
+            self.stats.escalations += 1;
+            let stage_two = self.solve_stage(&input, Stage::Full);
+            run.result = stage_two.result;
+            run.components += stage_two.components;
+            run.installed |= stage_two.installed;
+            run.solved |= stage_two.solved;
+            run.settled.extend(stage_two.settled);
+        }
+        if run.solved {
+            self.stats.component_replays = run.components;
+        } else {
+            self.stats = FixStats {
+                clauses: system.clauses,
+                kvars: kvars.len(),
+                replays: 1,
+                ..FixStats::default()
+            };
         }
         self.add_tally(tally);
-        // Only a stage-1 Safe under audit tier `full` leaves a seed here.
-        if let Some(full) = full {
-            self.cross_check(&clauses, &concrete, kvars, ctx, full);
+        if self.config.smt.audit.certifies() {
+            if run.installed {
+                self.audit_replay(&input, &run.result);
+            } else if stage_one_safe && widens {
+                self.cross_check(&input);
+            }
         }
         // Stored only now that the result is final: a solve that panicked
         // above leaves no entry.
-        if clean {
-            self.with_memo(|memo| memo.insert(key, result.clone()));
+        if !run.settled.is_empty() {
+            with_memo(self.config.global_cache, &mut self.local_memo, |memo| {
+                memo.extend(run.settled)
+            });
         }
-        result
+        run.result
     }
 
-    /// Runs `f` on whichever solve memo this solver uses.
-    fn with_memo<R>(&mut self, f: impl FnOnce(&mut SolveMemo) -> R) -> R {
-        if self.config.global_cache {
-            f(&mut lock_recover(global_memo()))
-        } else {
-            f(&mut self.local_memo)
+    /// The interned id of `config.qualifiers`.  A solver seldom changes its
+    /// templates, and comparing them with the list interned last is much
+    /// cheaper than hashing them into the intern table.
+    fn qualifiers_id(&mut self) -> QualifiersId {
+        match &self.qualifiers {
+            Some((list, id)) if *list == self.config.qualifiers => *id,
+            _ => {
+                let id = intern_qualifiers(&self.config.qualifiers);
+                self.qualifiers = Some((self.config.qualifiers.clone(), id));
+                id
+            }
         }
     }
 
@@ -1085,64 +1233,108 @@ impl FixpointSolver {
         self.stats.validity_contentions += tally.validity_contentions;
     }
 
-    /// One qualifier stage of [`FixpointSolver::solve`], from the seed
-    /// `solution`: audit lints, weakening, the concrete heads and, on a
-    /// Safe result, re-validation.  Its statistics add to `self.stats`, but
-    /// only its own `Unknown` drops decide whether a failure is blamed.
-    /// The flag is true when the stage was clean: it recorded no
-    /// [`UnknownReason`] and dropped no candidate on an `Unknown`.
-    fn solve_stage(
-        &mut self,
-        clauses: &[Clause],
-        concrete: &[usize],
-        kvars: &KVarStore,
-        ctx: &SortCtx,
-        mut solution: Solution,
-    ) -> (FixResult, bool) {
-        self.stats.initial_candidates += solution.candidates();
-
-        // Audit lint: reject ill-sorted or ill-scoped constraint systems
-        // before the weakening loop can silently mis-solve them (the PR 2
-        // bug class).  An audit failure is an engine/front-end bug, not a
-        // property of the verified program, hence the panic.
-        if self.config.smt.audit.lints() {
-            let checks = crate::audit::lint_clauses(clauses, kvars, ctx)
-                .and_then(|n| Ok(n + crate::audit::lint_solution(&solution, kvars, ctx)?))
-                .unwrap_or_else(|e| panic!("FLUX_AUDIT: {e}"));
-            self.stats.lint_checks += checks;
+    /// One qualifier stage of [`FixpointSolver::solve`]: each κ component,
+    /// upstream first, installed from the solve memo or seeded with the
+    /// stage's templates and weakened, then the concrete heads, installed
+    /// or checked, and on a Safe result that solved anything, re-validation.
+    /// Its statistics add to `self.stats`, but only its own `Unknown` drops
+    /// decide whether a failure is blamed.  A component is settled when
+    /// its own weakening recorded no [`UnknownReason`] and dropped no
+    /// candidate on an `Unknown`; the concrete verdicts when none was
+    /// `Unknown`.
+    fn solve_stage(&mut self, input: &Input<'_>, stage: Stage) -> StageRun {
+        let (system, kvars, ctx) = (input.system, input.kvars, input.ctx);
+        let mut solution = Solution::default();
+        let (mut components, mut installed) = (0, false);
+        let mut settled = Vec::new();
+        let mut engine = Engine::new(self);
+        for component in &system.components {
+            let key = system.key(component, &solution, Some(stage));
+            if let Some(stored) = engine.settled(&key) {
+                if let Settled::Assignment(assignment) = &*stored {
+                    let kvids = component.kvids.iter().copied();
+                    solution.ids.extend(kvids.zip(assignment.iter().cloned()));
+                    components += 1;
+                    installed = true;
+                    continue;
+                }
+            }
+            let clauses = engine.clauses(input);
+            let seed = Solution::seed(
+                component.kvids.iter().map(|&kvid| kvars.get(kvid)),
+                stage.templates(&engine.config.qualifiers),
+            );
+            engine.stats.initial_candidates += seed.candidates();
+            if engine.config.smt.audit.lints() {
+                engine.stats.lint_checks += crate::audit::lint_solution(&seed, kvars, ctx)
+                    .unwrap_or_else(|e| panic!("FLUX_AUDIT: {e}"));
+            }
+            solution.ids.extend(seed.ids);
+            // Once the deadline or the iteration budget has cut weakening
+            // short, the remaining components keep their seeds: too strong
+            // to trust a Safe, and never stored.
+            let drops = engine.stats.unknown_drops;
+            if engine.unknowns.is_empty() {
+                engine.weaken(clauses, &component.clauses, kvars, ctx, &mut solution);
+            }
+            if engine.unknowns.is_empty() && engine.stats.unknown_drops == drops {
+                let assignment = component
+                    .kvids
+                    .iter()
+                    .map(|&kvid| solution.ids[&kvid].clone())
+                    .collect();
+                settled.push((key, Arc::new(Settled::Assignment(assignment))));
+            }
         }
 
-        let mut engine = Engine::new(self);
-        engine.weaken(clauses, kvars, ctx, &mut solution);
-        // The concrete heads' hypotheses are unchanged since the last
-        // weakening iteration, so on κ-free-or-converged systems these
-        // queries hit the cache.
-        let checks: Vec<(Tag, Validity)> = concrete
-            .iter()
-            .map(|&ci| engine.check_concrete_clause(&clauses[ci], kvars, ctx, &solution))
-            .collect();
+        let key = system.key(&system.concrete, &solution, None);
+        let stored = engine.settled(&key);
+        let (failed, undecided_heads) = match stored.as_deref() {
+            Some(Settled::Failed(failed)) => {
+                installed = true;
+                (failed.to_vec(), false)
+            }
+            _ => {
+                let clauses = engine.clauses(input);
+                // The concrete heads' hypotheses are unchanged since the last
+                // weakening iteration, so on κ-free-or-converged systems
+                // these queries hit the cache.
+                let checks: Vec<(Tag, Validity)> = system
+                    .concrete
+                    .clauses
+                    .iter()
+                    .map(|&ci| engine.check_concrete_clause(&clauses[ci], kvars, ctx, &solution))
+                    .collect();
+                // The blamed tags in clause order, deduplicated — the same
+                // order the historical sequential pass produced.  Concrete
+                // heads the solver could not decide (`Unknown`) are
+                // degradations, not failures: blaming the program for them
+                // would flip polarity.
+                let mut failed = Vec::new();
+                let mut failed_tags: HashSet<Tag> = HashSet::new();
+                let mut undecided_heads = false;
+                for (tag, verdict) in checks {
+                    match verdict {
+                        Validity::Valid => {}
+                        Validity::Invalid(_) => {
+                            if failed_tags.insert(tag) {
+                                failed.push(tag);
+                            }
+                        }
+                        Validity::Unknown => undecided_heads = true,
+                    }
+                }
+                if !undecided_heads {
+                    settled.push((key, Arc::new(Settled::Failed(failed.as_slice().into()))));
+                }
+                (failed, undecided_heads)
+            }
+        };
+        let solved = engine.solved;
         let (stats, smt_stats, mut reasons) = (engine.stats, engine.smt, engine.unknowns);
         self.stats.absorb(stats);
         self.smt.absorb(smt_stats);
 
-        // Assemble the blamed tags in clause order, deduplicated — the same
-        // order the historical sequential pass produced.  Concrete heads the
-        // solver could not decide (`Unknown`) are degradations, not
-        // failures: blaming the program for them would flip polarity.
-        let mut failed = Vec::new();
-        let mut failed_tags: HashSet<Tag> = HashSet::new();
-        let mut undecided_heads = false;
-        for (tag, verdict) in checks {
-            match verdict {
-                Validity::Valid => {}
-                Validity::Invalid(_) => {
-                    if failed_tags.insert(tag) {
-                        failed.push(tag);
-                    }
-                }
-                Validity::Unknown => undecided_heads = true,
-            }
-        }
         if undecided_heads {
             reasons.push(if self.config.smt.budget.deadline_exceeded() {
                 UnknownReason::Deadline
@@ -1150,54 +1342,52 @@ impl FixpointSolver {
                 UnknownReason::Budget("concrete-head")
             });
         }
-        let clean = reasons.is_empty() && stats.unknown_drops == 0;
-        if !failed.is_empty() {
+        let result = if !failed.is_empty() {
             if stats.unknown_drops > 0 {
                 // A candidate dropped on an `Unknown` verdict may have
                 // over-weakened the assignment, and these failures could be
                 // artifacts of that — the program cannot be blamed.
                 reasons.push(UnknownReason::Budget("weakened-on-unknown"));
-                return (FixResult::Unknown { solution, reasons }, false);
+                FixResult::Unknown { solution, reasons }
+            } else {
+                // Genuine even when weakening was cut short: a non-converged
+                // assignment only *strengthens* the hypotheses, so any
+                // counterexample found under it also refutes the implication
+                // under the converged (weaker) assignment.
+                FixResult::Unsafe { solution, failed }
             }
-            // Genuine even when weakening was cut short: a non-converged
-            // assignment only *strengthens* the hypotheses, so any
-            // counterexample found under it also refutes the implication
-            // under the converged (weaker) assignment.
-            return (FixResult::Unsafe { solution, failed }, clean);
+        } else if !reasons.is_empty() {
+            FixResult::Unknown { solution, reasons }
+        } else {
+            if solved && self.config.smt.audit.certifies() {
+                self.revalidate(input.clauses(), kvars, ctx, &solution);
+            }
+            FixResult::Safe(solution)
+        };
+        StageRun {
+            result,
+            components,
+            installed,
+            solved,
+            settled,
         }
-        if !reasons.is_empty() {
-            return (FixResult::Unknown { solution, reasons }, false);
-        }
-        if self.config.smt.audit.certifies() {
-            self.revalidate(clauses, kvars, ctx, &solution);
-        }
-        (FixResult::Safe(solution), clean)
     }
 
     /// Audit cross-check of the staging argument (tier `full`): re-solves a
-    /// system that stage 1 proved Safe from the `full` seed, on a throwaway
-    /// solver with a hermetic cache, so neither the reported result nor any
-    /// counter of this solver sees the work.  The full set refuting what
-    /// stage 1 proved means the engine broke monotonicity, hence the panic.
-    /// `Unknown` (the re-solve cut short by the solve's budgets, or an
-    /// undecided query) proves nothing either way and is tolerated, as in
+    /// system that stage 1 proved Safe with every template, on a throwaway
+    /// solver with a hermetic cache and memo, so neither the reported result
+    /// nor any counter of this solver sees the work.  The full set refuting
+    /// what stage 1 proved means the engine broke monotonicity, hence the
+    /// panic.  `Unknown` (the re-solve cut short by the solve's budgets, or
+    /// an undecided query) proves nothing either way and is tolerated, as in
     /// [`FixpointSolver::revalidate`].
-    fn cross_check(
-        &self,
-        clauses: &[Clause],
-        concrete: &[usize],
-        kvars: &KVarStore,
-        ctx: &SortCtx,
-        full: Solution,
-    ) {
+    fn cross_check(&self, input: &Input<'_>) {
         let mut audit = FixpointSolver::new(FixConfig {
             global_cache: false,
             ..self.config.clone()
         });
         audit.fns = self.fns;
-        if let (FixResult::Unsafe { failed, .. }, _) =
-            audit.solve_stage(clauses, concrete, kvars, ctx, full)
-        {
+        if let FixResult::Unsafe { failed, .. } = audit.solve_stage(input, Stage::Full).result {
             panic!(
                 "FLUX_AUDIT: the qualifier templates of at most {STAGE_ONE_PARAMS} \
                  parameters proved a system that the full template set refutes \
@@ -1206,29 +1396,25 @@ impl FixpointSolver {
         }
     }
 
-    /// Audit cross-check of a replay (tier `full`): re-solves the system on
-    /// a throwaway solver with its own validity cache and memo, and panics
-    /// unless it reaches the stored result — verdict, solution and blamed
-    /// tags.  Weakening is confluent, so a clean result is a function of
-    /// the memo key; a difference means the key misses an input the result
-    /// depends on.  An `Unknown` re-solve proves nothing either way and is
-    /// tolerated, as in [`FixpointSolver::revalidate`].
-    fn audit_replay(
-        &self,
-        constraint: &Constraint,
-        kvars: &KVarStore,
-        ctx: &SortCtx,
-        stored: &FixResult,
-    ) {
+    /// Audit cross-check of a solve that installed anything from the solve
+    /// memo (tier `full`): re-solves the system on a throwaway solver with
+    /// its own validity cache and memo, and panics unless it reaches the
+    /// same result — verdict, solution and blamed tags.  Weakening is
+    /// confluent, so a clean part is a function of its memo key; a
+    /// difference means a key misses an input the part depends on.  An
+    /// `Unknown` re-solve proves nothing either way and is tolerated, as in
+    /// [`FixpointSolver::revalidate`].
+    fn audit_replay(&self, input: &Input<'_>, result: &FixResult) {
         let mut audit = FixpointSolver::new(FixConfig {
             global_cache: false,
             ..self.config.clone()
         });
-        let fresh = audit.solve(constraint, kvars, ctx);
-        if !matches!(fresh, FixResult::Unknown { .. }) && fresh != *stored {
+        let fresh = audit.solve(input.constraint, input.kvars, input.ctx);
+        if !matches!(fresh, FixResult::Unknown { .. }) && fresh != *result {
             panic!(
-                "FLUX_AUDIT: a replayed solve result differs from a fresh solve \
-                 of the same system (replayed {stored:?}, fresh {fresh:?})"
+                "FLUX_AUDIT: a solve that installed parts from the solve memo \
+                 differs from a fresh solve of the same system (installed \
+                 {result:?}, fresh {fresh:?})"
             );
         }
     }
@@ -1278,9 +1464,10 @@ impl FixpointSolver {
 }
 
 /// The concrete-head clause indices of `clauses`, ascending: the
-/// obligations checked once against the converged assignment.  `kvars` is
-/// unused; the benchmark harness still passes it, and the parameter goes at
-/// the next change to the benchmark.
+/// obligations checked once against the converged assignment.  The solver
+/// groups its clauses itself (see the `memo` module); this function and its
+/// unused `kvars` parameter are kept only because the benchmark harness
+/// still calls them, and go at the next change to the benchmark.
 pub fn partition(clauses: &[Clause], _kvars: &KVarStore) -> Vec<usize> {
     (0..clauses.len())
         .filter(|&ci| clauses[ci].is_concrete())
@@ -1673,10 +1860,11 @@ mod tests {
     /// *instances* — the cross-benchmark sharing — and attribute those hits
     /// to `xbench_hits`.  A fresh solver re-solving the very same system
     /// replays the whole result from the solve memo instead; one more
-    /// concrete clause changes the memo key, so that system runs the
-    /// weakening loop again and the validity cache answers the queries it
-    /// shares with the first.  The systems use names no other test touches
-    /// so the first solver's misses are genuinely cold.
+    /// concrete clause changes the concrete group's memo key, so that
+    /// system checks its concrete clauses again and the validity cache
+    /// answers the query it shares with the first.  The systems use names
+    /// no other test touches so the first solver's misses are genuinely
+    /// cold.
     #[test]
     fn global_cache_shares_verdicts_across_solver_instances() {
         let mut kvars = KVarStore::new();

@@ -11,6 +11,11 @@
 //! solver refutes the clause of every blamed tag under the returned
 //! solution.
 //!
+//! Each chain spans up to three κ components, so the same systems also
+//! check the component-wise solve: conjoining the parts in reverse order
+//! gives the same verdict, solution and blamed tags, and solving a system
+//! again on the same solver replays it whole.
+//!
 //! The environment has no crates.io access, so instead of proptest this
 //! uses the workspace's deterministic xorshift generator
 //! ([`flux_smt::testing::Rng`]): every failure reproduces by seed.
@@ -22,6 +27,10 @@ use flux_fixpoint::{
 use flux_logic::{AuditTier, Expr, Name, Sort, SortCtx};
 use flux_smt::testing::Rng;
 use flux_smt::{SmtConfig, Solver, Validity};
+use std::collections::BTreeSet;
+
+/// The seeds every test runs.
+const SEEDS: u64 = 110;
 
 /// One planted component: a chain of κs over fresh names, κ_{j+1} guarded
 /// by κ_j, with a loop-shaped first κ and a concrete exit obligation.
@@ -84,6 +93,17 @@ fn gen_component(rng: &mut Rng, kvars: &mut KVarStore, uid: String) -> Constrain
     )
 }
 
+/// The independent parts planted for `seed`, over one κ store.
+fn planted(seed: u64) -> (Vec<Constraint>, KVarStore) {
+    let mut rng = Rng::new(0x9A87_110E_5EED ^ (seed.wrapping_mul(0x9E37_79B9)));
+    let planted = 1 + rng.below(3) as usize;
+    let mut kvars = KVarStore::new();
+    let parts = (0..planted)
+        .map(|comp| gen_component(&mut rng, &mut kvars, format!("{seed}_{comp}")))
+        .collect();
+    (parts, kvars)
+}
+
 /// The full audit tier with a hermetic cache: every verdict of the solve
 /// comes from its own engine, and a Safe solution is re-validated by a
 /// fresh one-shot solver before it is returned.
@@ -124,13 +144,8 @@ fn check_substituted(clause: &Clause, kvars: &KVarStore, solution: &Solution) ->
 fn planted_systems_agree_with_independent_oracles() {
     let mut safe_seen = 0usize;
     let mut unsafe_seen = 0usize;
-    for seed in 0..110u64 {
-        let mut rng = Rng::new(0x9A87_110E_5EED ^ (seed.wrapping_mul(0x9E37_79B9)));
-        let planted = 1 + rng.below(3) as usize;
-        let mut kvars = KVarStore::new();
-        let parts: Vec<Constraint> = (0..planted)
-            .map(|comp| gen_component(&mut rng, &mut kvars, format!("{seed}_{comp}")))
-            .collect();
+    for seed in 0..SEEDS {
+        let (parts, kvars) = planted(seed);
         let constraint = Constraint::conj(parts);
         let clauses = constraint.flatten();
         let mut solver = FixpointSolver::new(audited());
@@ -175,4 +190,41 @@ fn planted_systems_agree_with_independent_oracles() {
         unsafe_seen > 10,
         "too few unsafe systems generated: {unsafe_seen}"
     );
+}
+
+/// A result's verdict, solution and set of blamed tags.
+fn outcome(seed: u64, result: &FixResult) -> (bool, &Solution, BTreeSet<usize>) {
+    match result {
+        FixResult::Safe(solution) => (true, solution, BTreeSet::new()),
+        FixResult::Unsafe { solution, failed } => {
+            (false, solution, failed.iter().copied().collect())
+        }
+        FixResult::Unknown { reasons, .. } => {
+            panic!("seed {seed}: degraded under unlimited budgets: {reasons:?}")
+        }
+    }
+}
+
+#[test]
+fn planted_systems_solve_alike_in_reverse_order_and_replay() {
+    for seed in 0..SEEDS {
+        let (parts, kvars) = planted(seed);
+        let forward = Constraint::conj(parts.clone());
+        let backward = Constraint::conj(parts.into_iter().rev().collect());
+        let mut solver = FixpointSolver::new(audited());
+        let first = solver.solve(&forward, &kvars, &SortCtx::new());
+        let reversed = FixpointSolver::new(audited()).solve(&backward, &kvars, &SortCtx::new());
+        assert_eq!(
+            outcome(seed, &reversed),
+            outcome(seed, &first),
+            "seed {seed}: the parts conjoined in reverse order solve differently"
+        );
+        let again = solver.solve(&forward, &kvars, &SortCtx::new());
+        assert_eq!(
+            solver.stats.replays, 1,
+            "seed {seed}: a second solve did not replay: {:?}",
+            solver.stats
+        );
+        assert_eq!(again, first, "seed {seed}: the replay differs");
+    }
 }

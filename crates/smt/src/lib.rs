@@ -176,7 +176,10 @@ mod randtests {
             let ctx = ctx();
             let domain: Vec<i128> = (-3..=3).collect();
             let mut solver = Solver::with_defaults();
-            if solver.check_valid_imp(&ctx, &[h.clone()], &g).is_valid() {
+            if solver
+                .check_valid_imp(&ctx, std::slice::from_ref(&h), &g)
+                .is_valid()
+            {
                 let negated = Expr::and(h, Expr::binop(BinOp::And, Expr::not(g), Expr::tt()));
                 assert_ne!(
                     testing::brute_force_sat(&ctx, &negated, &domain),
@@ -198,9 +201,10 @@ mod randtests {
             let g2 = gen_expr(&mut rng, 3);
             let ctx = ctx();
             let mut one_shot = Solver::with_defaults();
-            let mut session = Session::assume(SmtConfig::default(), &ctx, &[h.clone()]);
+            let hyps = std::slice::from_ref(&h);
+            let mut session = Session::assume(SmtConfig::default(), &ctx, hyps);
             for goal in [&g1, &g2] {
-                let reference = one_shot.check_valid_imp(&ctx, &[h.clone()], goal);
+                let reference = one_shot.check_valid_imp(&ctx, hyps, goal);
                 let incremental = session.check(goal);
                 assert_eq!(
                     incremental.is_valid(),
@@ -235,8 +239,8 @@ mod randtests {
             let ctx = ctx();
             let mut plain = Solver::new(plain_config);
             let mut audited = Solver::new(audited_config);
-            let reference = plain.check_valid_imp(&ctx, &[h.clone()], &g);
-            let checked = audited.check_valid_imp(&ctx, &[h.clone()], &g);
+            let reference = plain.check_valid_imp(&ctx, std::slice::from_ref(&h), &g);
+            let checked = audited.check_valid_imp(&ctx, std::slice::from_ref(&h), &g);
             assert_eq!(
                 checked.is_valid(),
                 reference.is_valid(),

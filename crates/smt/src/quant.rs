@@ -551,7 +551,6 @@ mod tests {
             rounds: 1,
             max_candidates: 10,
             max_instances_per_quantifier: 5,
-            ..QuantConfig::default()
         };
         let (_, _, stats) = eliminate_quantifiers(&e, &ctx, &config);
         assert!(stats.instances <= 5);

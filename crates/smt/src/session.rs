@@ -1308,7 +1308,11 @@ mod tests {
         let shared = Expr::eq(v("cc_sorted"), v("cc_other"));
         // Int-sorted: x = y is satisfiable, goal x >= y follows from it.
         let ctx_int = int_ctx(&["cc_sorted", "cc_other"]);
-        let mut s1 = Session::assume(SmtConfig::default(), &ctx_int, &[shared.clone()]);
+        let mut s1 = Session::assume(
+            SmtConfig::default(),
+            &ctx_int,
+            std::slice::from_ref(&shared),
+        );
         assert!(s1
             .check(&Expr::ge(v("cc_sorted"), v("cc_other")))
             .is_valid());
@@ -1470,7 +1474,7 @@ mod tests {
     fn update_hypotheses_matches_fresh_session() {
         let ctx = int_ctx(&["i", "n"]);
         let strong = vec![Expr::ge(v("i"), Expr::int(1)), Expr::lt(v("i"), v("n"))];
-        let weak = vec![Expr::ge(v("i"), Expr::int(0)), Expr::lt(v("i"), v("n"))];
+        let weak = [Expr::ge(v("i"), Expr::int(0)), Expr::lt(v("i"), v("n"))];
         let goal_pos = Expr::gt(v("i"), Expr::int(0));
         let goal_n = Expr::gt(v("n"), Expr::int(0));
         let mut session = Session::assume(SmtConfig::default(), &ctx, &strong);

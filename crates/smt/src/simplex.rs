@@ -1093,7 +1093,7 @@ mod tests {
     /// tableau must reach the same verdicts as fresh one-shot checks.
     #[test]
     fn push_pop_reaches_one_shot_verdicts() {
-        let family = vec![
+        let family = [
             le0(&[("a", 1), ("b", -1)], 0), // a <= b
             le0(&[("b", 1), ("c", -1)], 0), // b <= c
             le0(&[("a", -1)], 0),           // a >= 0

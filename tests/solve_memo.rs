@@ -1,17 +1,23 @@
-//! The solve memo: a solve whose key (flattened clauses, κ sorts, context,
-//! qualifiers and SMT configuration) was already solved cleanly replays the
-//! stored result, and any change to the key solves again.  Results touched
-//! by an `Unknown` are never stored, a replayed `Unsafe` blames the same
-//! obligations, and a hermetic solver keeps a memo of its own.
+//! The solve memo: a solve whose every κ component and concrete group (each
+//! keyed on its clauses, κ sorts, the assignments it reads, context,
+//! qualifiers and SMT configuration) was already settled cleanly replays
+//! the stored parts, and any change to a key solves that part again.  Parts
+//! touched by an `Unknown` are never stored, a replayed `Unsafe` blames the
+//! same obligations, and a hermetic solver keeps a memo of its own.  A
+//! solve that shares only some components installs those and solves the
+//! rest, and a downstream component is never reused under another upstream
+//! assignment.
 //!
 //! The tests read the process-global memo's size and install a
 //! process-global fault plan, so they serialize themselves on one lock.
 
+use flux_check::checker::Generator;
 use flux_check::{check_source, CheckConfig, FnReport};
 use flux_fixpoint::{
     default_qualifiers, solve_memo_len, Constraint, FixConfig, FixResult, FixpointSolver, Guard,
     KVarApp, KVarStore,
 };
+use flux_ir::ResolvedProgram;
 use flux_logic::{AuditTier, Expr, Name, Sort, SortCtx};
 use flux_smt::testing::{clear_fault_plan, install_fault_plan, FaultPlan};
 use std::sync::{Mutex, MutexGuard};
@@ -362,4 +368,143 @@ fn hermetic_solvers_keep_their_own_memo() {
         global_len,
         "a hermetic solver stored in the global memo"
     );
+}
+
+/// A push loop building a vector of length `n` whose every element is
+/// `value`: the constant reaches only the element κ's entry clause.
+fn fill(value: u32) -> String {
+    format!(
+        "#[flux::sig(fn(usize[@n]) -> RVec<i32>[n])]\n\
+         fn fill(n: usize) -> RVec<i32> {{\n\
+         \x20   let mut vec: RVec<i32> = RVec::new();\n\
+         \x20   let mut i = 0;\n\
+         \x20   while i < n {{\n\
+         \x20       vec.push({value});\n\
+         \x20       i += 1;\n\
+         \x20   }}\n\
+         \x20   vec\n\
+         }}\n"
+    )
+}
+
+/// The constraint and κs the checker generates for `fill(value)`.
+fn fill_system(value: u32) -> (Constraint, KVarStore) {
+    let ast = flux_syntax::parse_program(&fill(value)).expect("the program parses");
+    let program = ResolvedProgram::resolve(&ast).expect("the program resolves");
+    let generated = Generator::new(&program)
+        .gen_function("fill")
+        .expect("the function generates");
+    (generated.constraint, generated.kvars)
+}
+
+/// `system` solved from scratch, on a solver with its own empty memo and
+/// validity cache.
+fn solve_fresh(system: &(Constraint, KVarStore)) -> FixResult {
+    let mut solver = FixpointSolver::new(FixConfig {
+        global_cache: false,
+        ..FixConfig::default()
+    });
+    solver.solve(&system.0, &system.1, &SortCtx::new())
+}
+
+#[test]
+fn a_new_pushed_constant_solves_only_the_element_component() {
+    let _guard = lock();
+    let mut solver = FixpointSolver::new(FixConfig::default());
+    let first = fill_system(7_919);
+    assert!(solver.solve(&first.0, &first.1, &SortCtx::new()).is_safe());
+    let cold = solver.stats;
+    assert_eq!((cold.replays, cold.component_replays), (0, 0), "{cold:?}");
+
+    let second = fill_system(7_927);
+    let result = solver.solve(&second.0, &second.1, &SortCtx::new());
+    let warm = solver.stats;
+    assert_eq!(
+        warm.replays, 0,
+        "the element κ reads the new constant: {warm:?}"
+    );
+    assert!(
+        warm.component_replays >= 1,
+        "the loop κs are unchanged, yet nothing was installed: {warm:?}"
+    );
+    assert!(
+        warm.initial_candidates < cold.initial_candidates,
+        "installed components are not seeded: {warm:?} against {cold:?}"
+    );
+    assert_eq!(result, solve_fresh(&second));
+}
+
+/// A loop over an upstream κa entered at `start`, and a downstream κb that
+/// every point of κa flows into:
+///
+/// ```text
+/// ∀n. n ≥ 1 ⟹
+///   κa(start, n)
+///   ∧ ∀i. κa(i, n) ∧ i < n ⟹ κa(i+1, n)
+///   ∧ ∀i. κa(i, n) ⟹ κb(i, n)
+///   ∧ ∀i. κb(i, n) ⟹ i > 0                 -- tagged 1
+/// ```
+///
+/// The κb clause is the same whatever `start` is; κb's assignment is not.
+fn upstream_pair(start: i128) -> (Constraint, KVarStore) {
+    let mut kvars = KVarStore::new();
+    let ka = kvars.fresh(vec![Sort::Int, Sort::Int]);
+    let kb = kvars.fresh(vec![Sort::Int, Sort::Int]);
+    let (n, i) = (Name::intern("sm_pair_n"), Name::intern("sm_pair_i"));
+    let (nv, iv) = (Expr::var(n), Expr::var(i));
+    let app = |k, first: Expr| KVarApp::new(k, vec![first, nv.clone()]);
+    let c = Constraint::forall(
+        n,
+        Sort::Int,
+        Expr::ge(nv.clone(), Expr::int(1)),
+        Constraint::conj(vec![
+            Constraint::kvar(app(ka, Expr::int(start))),
+            Constraint::forall(
+                i,
+                Sort::Int,
+                Expr::tt(),
+                Constraint::conj(vec![
+                    Constraint::implies(
+                        Guard::KVar(app(ka, iv.clone())),
+                        Constraint::implies(
+                            Guard::Pred(Expr::lt(iv.clone(), nv.clone())),
+                            Constraint::kvar(app(ka, iv.clone() + Expr::int(1))),
+                        ),
+                    ),
+                    Constraint::implies(
+                        Guard::KVar(app(ka, iv.clone())),
+                        Constraint::kvar(app(kb, iv.clone())),
+                    ),
+                    Constraint::implies(
+                        Guard::KVar(app(kb, iv.clone())),
+                        Constraint::pred(Expr::gt(iv.clone(), Expr::int(0)), 1),
+                    ),
+                ]),
+            ),
+        ]),
+    );
+    (c, kvars)
+}
+
+#[test]
+fn a_downstream_component_is_never_reused_under_another_upstream_assignment() {
+    let _guard = lock();
+    let mut solver = FixpointSolver::new(FixConfig::default());
+    let from_one = upstream_pair(1);
+    let result = solver.solve(&from_one.0, &from_one.1, &SortCtx::new());
+    assert!(result.is_safe(), "i starts at 1, so i > 0: {result:?}");
+
+    let from_zero = upstream_pair(0);
+    let result = solver.solve(&from_zero.0, &from_zero.1, &SortCtx::new());
+    let stats = solver.stats;
+    assert_eq!(
+        (stats.replays, stats.component_replays),
+        (0, 0),
+        "κb was installed although κa solved to another assignment: {stats:?}"
+    );
+    match &result {
+        FixResult::Unsafe { failed, .. } => assert_eq!(failed, &[1]),
+        other => panic!("i starts at 0, so i > 0 fails: {other:?}"),
+    }
+    assert_eq!(result, solve_fresh(&from_zero));
 }

@@ -9,7 +9,7 @@ use flux_logic::{Expr, ExprId, Name, Sort, SortCtx};
 use flux_smt::linear::{LinConstraint, LinExpr};
 use flux_smt::rational::Rational;
 use flux_smt::simplex::{check_lia, IncrementalSimplex, LiaResult};
-use flux_smt::{LiaConfig, Session, SmtConfig, SmtStats, Solver};
+use flux_smt::{ResourceBudget, Session, SmtConfig, SmtStats, Solver};
 
 fn qf_vc() -> (SortCtx, Vec<Expr>, Expr) {
     let mut ctx = SortCtx::new();
@@ -99,7 +99,7 @@ fn bench_smt(c: &mut Criterion) {
                 let mut cs = family.clone();
                 cs.push(round_bound(k));
                 assert!(matches!(
-                    check_lia(&cs, &LiaConfig::default()),
+                    check_lia(&cs, &ResourceBudget::UNLIMITED),
                     LiaResult::Feasible(_)
                 ));
             }
@@ -107,7 +107,7 @@ fn bench_smt(c: &mut Criterion) {
     });
     group.bench_function("lia-32-rounds-incremental", |b| {
         b.iter(|| {
-            let mut simplex = IncrementalSimplex::new(LiaConfig::default());
+            let mut simplex = IncrementalSimplex::new(ResourceBudget::UNLIMITED);
             let slots: Vec<_> = family.iter().map(|c| simplex.register(c)).collect();
             let bounds: Vec<_> = (0..32).map(|k| simplex.register(&round_bound(k))).collect();
             for &bound in &bounds {
@@ -235,7 +235,7 @@ fn bench_smt(c: &mut Criterion) {
                 LinConstraint::le_zero(lhs)
             })
             .collect();
-        let mut simplex = IncrementalSimplex::new(LiaConfig::default());
+        let mut simplex = IncrementalSimplex::new(ResourceBudget::UNLIMITED);
         let slots: Vec<_> = family.iter().map(|c| simplex.register(c)).collect();
         let extra_slots: Vec<_> = extras.iter().map(|c| simplex.register(c)).collect();
         for (tag, slot) in slots.iter().enumerate() {

@@ -36,7 +36,7 @@ pub mod checker;
 use checker::Generator;
 use flux_fixpoint::{FixConfig, FixResult, FixpointSolver};
 use flux_ir::ResolvedProgram;
-use flux_logic::{lock_recover, SortCtx};
+use flux_logic::{lock_recover, panic_message, SortCtx};
 use flux_smt::testing::Fault;
 use flux_syntax::span::Diagnostic;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -270,18 +270,6 @@ pub fn check_program(program: &ResolvedProgram, config: &CheckConfig) -> Report 
             .collect(),
         fn_threads,
         wall_time: start.elapsed(),
-    }
-}
-
-/// Stringifies a `catch_unwind` payload for
-/// [`flux_fixpoint::UnknownReason::WorkerPanic`].
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

@@ -64,7 +64,7 @@ use crate::proto::{
 };
 use flux::{flush_generation, verify_source, Mode, VerifyConfig, VerifyOutcome};
 use flux_bench::json::quote;
-use flux_logic::{env_parse, lock_recover};
+use flux_logic::{env_parse, lock_recover, panic_message};
 use flux_smt::testing::{fault_delay, inject_fault, Fault};
 use flux_smt::ResourceBudget;
 use std::io::{BufRead, Write};
@@ -419,7 +419,7 @@ fn contained_verify(cfg: &ServerConfig, job: VerifyRequest, stats: &Stats) -> (S
         Ok(response) => (response, false),
         Err(payload) => {
             stats.bump(&stats.errored);
-            let message = panic_message(&payload);
+            let message = panic_message(payload.as_ref());
             let response = format!(
                 "{{\"id\":{id},\"result\":\"error\",\"reason\":\"worker-panic\",\
                  \"error\":{}}}",
@@ -427,16 +427,6 @@ fn contained_verify(cfg: &ServerConfig, job: VerifyRequest, stats: &Stats) -> (S
             );
             (response, true)
         }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
     }
 }
 

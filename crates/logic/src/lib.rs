@@ -58,7 +58,7 @@ pub use intern::{Name, NameSupply};
 pub use simplify::simplify;
 pub use sort::{Sort, SortCtx, SortError};
 pub use subst::Subst;
-pub use util::{env_parse, lock_counted, lock_recover, thread_tally, ThreadTally};
+pub use util::{env_parse, lock_counted, lock_recover, panic_message, thread_tally, ThreadTally};
 
 /// A convenience alias: predicates are just boolean-sorted expressions.
 pub type Pred = Expr;

@@ -1,7 +1,7 @@
 //! Small process-wide utilities shared across the workspace: the
 //! [`counters!`](crate::counters) registry macro, poison-tolerant mutex
-//! locking, per-thread tallies of shared-cache events, and warn-and-default
-//! environment-variable parsing.
+//! locking, per-thread tallies of shared-cache events, warn-and-default
+//! environment-variable parsing, and the message of a caught panic.
 //!
 //! They exist because the workspace keeps *process-global* state (the
 //! hash-cons table here, the CNF/atom caches in `flux-smt`, the verdict
@@ -165,6 +165,20 @@ pub fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// The message of a `catch_unwind` payload: the text of a `panic!` with a
+/// string or a formatted message, or a fixed note for any other payload.
+/// Pass the payload as `payload.as_ref()`: `&payload` would coerce the
+/// `Box` itself to `dyn Any`, and no downcast would match.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// Reads the environment variable `name` and parses it as `T`, warning on
 /// stderr and returning `default` when the value is present but malformed.
 /// An unset or empty variable silently returns `default`.
@@ -207,6 +221,20 @@ mod tests {
         assert!(result.is_err());
         assert!(mutex.is_poisoned());
         assert_eq!(*lock_recover(&mutex), 7);
+    }
+
+    #[test]
+    fn panic_message_reads_string_payloads() {
+        let payload = |f: fn()| std::panic::catch_unwind(f).expect_err("the closure panics");
+        assert_eq!(panic_message(payload(|| panic!("plain")).as_ref()), "plain");
+        assert_eq!(
+            panic_message(payload(|| panic!("formatted {}", 7)).as_ref()),
+            "formatted 7"
+        );
+        assert_eq!(
+            panic_message(payload(|| std::panic::panic_any(7)).as_ref()),
+            "non-string panic payload"
+        );
     }
 
     #[test]

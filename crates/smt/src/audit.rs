@@ -30,8 +30,9 @@
 
 use crate::linear::{LinConstraint, LinExpr};
 use crate::rational::Rational;
-use crate::simplex::{check_lia, LiaConfig, LiaResult};
+use crate::simplex::{check_lia, LiaResult};
 use crate::solver::Model;
+use crate::ResourceBudget;
 use flux_logic::{ExprId, Name};
 use std::collections::BTreeMap;
 
@@ -205,10 +206,10 @@ pub fn certify_infeasible_core(core: &[LinConstraint]) -> Result<Certificate, St
         check_farkas(core, &coeffs)?;
         return Ok(Certificate::Farkas(coeffs));
     }
-    let replay = LiaConfig {
-        max_branch_nodes: 10_000,
-        max_pivots: 200_000,
-        budget: crate::ResourceBudget::UNLIMITED,
+    let replay = ResourceBudget {
+        branch_nodes: Some(10_000),
+        pivots: Some(200_000),
+        ..ResourceBudget::UNLIMITED
     };
     match check_lia(core, &replay) {
         LiaResult::Infeasible(_) => Ok(Certificate::IntegerReplay),

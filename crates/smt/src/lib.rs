@@ -55,14 +55,11 @@ mod solver;
 pub mod testing;
 
 pub use budget::ResourceBudget;
-pub use quant::QuantConfig;
-pub use sat::SatConfig;
 pub use session::{
     cnf_atoms, cnf_cache_evictions, cnf_cache_len, cnf_shard_contentions, reset_cnf_cache,
     set_cnf_cache_capacity, Session,
 };
-pub use simplex::LiaConfig;
-pub use solver::{MaxTheoryRounds, Model, SatOutcome, SmtConfig, SmtStats, Solver, Validity};
+pub use solver::{Model, SatOutcome, SmtConfig, SmtStats, Solver, Validity};
 
 #[cfg(test)]
 mod randtests {

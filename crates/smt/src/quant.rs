@@ -11,8 +11,8 @@
 //!   constants,
 //! * universals in satisfiability position are replaced by finite
 //!   conjunctions of *ground instances*, drawn from candidate terms that
-//!   appear in the formula; instantiation runs for a configurable number of
-//!   rounds so that instances can feed new candidate terms,
+//!   appear in the formula; instantiation runs for two rounds so that
+//!   instances can feed new candidate terms,
 //! * any quantifier that survives (e.g. nested alternation the heuristics do
 //!   not cover) is abstracted by a fresh boolean variable.
 //!
@@ -22,29 +22,15 @@
 //! work is also the reason the baseline is slow — mirroring the behaviour
 //! the paper reports for Prusti (§5.2).
 
+use crate::ResourceBudget;
 use flux_logic::{BinOp, Constant, Expr, Name, Sort, SortCtx, UnOp};
 use std::collections::BTreeSet;
 
-/// Configuration for quantifier elimination.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct QuantConfig {
-    /// Number of instantiation rounds.
-    pub rounds: usize,
-    /// Maximum number of candidate terms considered per sort.
-    pub max_candidates: usize,
-    /// Maximum number of instances generated per quantifier per round.
-    pub max_instances_per_quantifier: usize,
-}
+/// Number of instantiation rounds.
+const ROUNDS: usize = 2;
 
-impl Default for QuantConfig {
-    fn default() -> Self {
-        QuantConfig {
-            rounds: 2,
-            max_candidates: 24,
-            max_instances_per_quantifier: 600,
-        }
-    }
-}
+/// Maximum number of candidate terms considered per sort.
+const MAX_CANDIDATES: usize = 24;
 
 /// Statistics about the elimination, used by benchmarks and tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -58,12 +44,13 @@ pub struct QuantStats {
 }
 
 /// Eliminates quantifiers from `expr` (interpreted in satisfiability
-/// position).  Returns the quantifier-free formula, the sort context
-/// extended with skolem constants, and statistics.
+/// position), generating at most `budget`'s instance cap of instances per
+/// quantifier per round.  Returns the quantifier-free formula, the sort
+/// context extended with skolem constants, and statistics.
 pub fn eliminate_quantifiers(
     expr: &Expr,
     ctx: &SortCtx,
-    config: &QuantConfig,
+    budget: &ResourceBudget,
 ) -> (Expr, SortCtx, QuantStats) {
     let mut stats = QuantStats::default();
     if !expr.has_quantifier() {
@@ -72,10 +59,11 @@ pub fn eliminate_quantifiers(
     let mut extended = ctx.clone();
     let skolemized = skolemize(expr, true, &mut extended, &mut stats);
 
+    let limit = usize::try_from(budget.quant_instance_cap()).unwrap_or(usize::MAX);
     let mut current = skolemized.clone();
-    for _ in 0..config.rounds.max(1) {
-        let candidates = collect_candidates(&current, &extended, config);
-        current = instantiate(&skolemized, true, &candidates, config, &mut stats);
+    for _ in 0..ROUNDS {
+        let candidates = collect_candidates(&current, &extended);
+        current = instantiate(&skolemized, true, &candidates, limit, &mut stats);
         if !current.has_quantifier() {
             break;
         }
@@ -177,7 +165,7 @@ impl Candidates {
     }
 }
 
-fn collect_candidates(expr: &Expr, ctx: &SortCtx, config: &QuantConfig) -> Candidates {
+fn collect_candidates(expr: &Expr, ctx: &SortCtx) -> Candidates {
     let mut ints: BTreeSet<Expr> = BTreeSet::new();
     let mut app_ints: BTreeSet<Expr> = BTreeSet::new();
     let mut others: BTreeSet<(Sort, Expr)> = BTreeSet::new();
@@ -283,9 +271,9 @@ fn collect_candidates(expr: &Expr, ctx: &SortCtx, config: &QuantConfig) -> Candi
     );
 
     Candidates {
-        ints: ints.into_iter().take(config.max_candidates).collect(),
-        app_ints: app_ints.into_iter().take(config.max_candidates).collect(),
-        others: others.into_iter().take(config.max_candidates).collect(),
+        ints: ints.into_iter().take(MAX_CANDIDATES).collect(),
+        app_ints: app_ints.into_iter().take(MAX_CANDIDATES).collect(),
+        others: others.into_iter().take(MAX_CANDIDATES).collect(),
     }
 }
 
@@ -318,40 +306,41 @@ fn occurs_in_app_arg(e: &Expr, name: Name, in_app: bool) -> bool {
     }
 }
 
-/// Replaces positive universals by conjunctions of ground instances.
+/// Replaces positive universals by conjunctions of at most `limit` ground
+/// instances each.
 fn instantiate(
     expr: &Expr,
     positive: bool,
     candidates: &Candidates,
-    config: &QuantConfig,
+    limit: usize,
     stats: &mut QuantStats,
 ) -> Expr {
     match expr {
         Expr::Var(_) | Expr::Const(_) | Expr::App(..) => expr.clone(),
         Expr::UnOp(UnOp::Not, inner) => {
-            Expr::not(instantiate(inner, !positive, candidates, config, stats))
+            Expr::not(instantiate(inner, !positive, candidates, limit, stats))
         }
         Expr::UnOp(op, inner) => {
-            Expr::unop(*op, instantiate(inner, positive, candidates, config, stats))
+            Expr::unop(*op, instantiate(inner, positive, candidates, limit, stats))
         }
         Expr::BinOp(BinOp::Imp, lhs, rhs) => Expr::binop(
             BinOp::Imp,
-            instantiate(lhs, !positive, candidates, config, stats),
-            instantiate(rhs, positive, candidates, config, stats),
+            instantiate(lhs, !positive, candidates, limit, stats),
+            instantiate(rhs, positive, candidates, limit, stats),
         ),
         Expr::BinOp(BinOp::Iff, ..) => expr.clone(),
         Expr::BinOp(op, lhs, rhs) => Expr::binop(
             *op,
-            instantiate(lhs, positive, candidates, config, stats),
-            instantiate(rhs, positive, candidates, config, stats),
+            instantiate(lhs, positive, candidates, limit, stats),
+            instantiate(rhs, positive, candidates, limit, stats),
         ),
         Expr::Ite(c, t, e) => Expr::ite(
             (**c).clone(),
-            instantiate(t, positive, candidates, config, stats),
-            instantiate(e, positive, candidates, config, stats),
+            instantiate(t, positive, candidates, limit, stats),
+            instantiate(e, positive, candidates, limit, stats),
         ),
         Expr::Forall(binders, body) if positive => {
-            let body = instantiate(body, positive, candidates, config, stats);
+            let body = instantiate(body, positive, candidates, limit, stats);
             // Per-binder candidate sets: a binder with a trigger (it occurs
             // as an application argument) draws from the trigger terms only.
             let per_binder: Vec<Vec<Expr>> = binders
@@ -373,7 +362,7 @@ fn instantiate(
                 &per_binder,
                 &body,
                 &mut instances,
-                config.max_instances_per_quantifier,
+                limit,
             );
             stats.instances += instances.len();
             if instances.is_empty() {
@@ -465,7 +454,7 @@ mod tests {
     fn quantifier_free_formulas_pass_through() {
         let ctx = ctx_with_ints(&["x"]);
         let e = Expr::ge(v("x"), Expr::int(0));
-        let (out, _, stats) = eliminate_quantifiers(&e, &ctx, &QuantConfig::default());
+        let (out, _, stats) = eliminate_quantifiers(&e, &ctx, &ResourceBudget::UNLIMITED);
         assert_eq!(out, e);
         assert_eq!(stats, QuantStats::default());
     }
@@ -479,7 +468,7 @@ mod tests {
             Expr::forall(vec![(j, Sort::Int)], Expr::le(Expr::var(j), v("n"))),
             Expr::ge(v("k"), Expr::int(5)),
         );
-        let (out, _, stats) = eliminate_quantifiers(&e, &ctx, &QuantConfig::default());
+        let (out, _, stats) = eliminate_quantifiers(&e, &ctx, &ResourceBudget::UNLIMITED);
         assert!(!out.has_quantifier());
         assert!(
             stats.instances >= 2,
@@ -499,7 +488,7 @@ mod tests {
             vec![(i, Sort::Int)],
             Expr::ge(Expr::var(i), Expr::int(0)),
         ));
-        let (out, ext, stats) = eliminate_quantifiers(&e, &ctx, &QuantConfig::default());
+        let (out, ext, stats) = eliminate_quantifiers(&e, &ctx, &ResourceBudget::UNLIMITED);
         assert!(!out.has_quantifier());
         assert_eq!(stats.skolems, 1);
         // The skolem constant is registered in the extended context.
@@ -511,7 +500,7 @@ mod tests {
         let ctx = SortCtx::new();
         let y = Name::intern("y");
         let e = Expr::exists(vec![(y, Sort::Int)], Expr::ge(Expr::var(y), Expr::int(3)));
-        let (out, _, stats) = eliminate_quantifiers(&e, &ctx, &QuantConfig::default());
+        let (out, _, stats) = eliminate_quantifiers(&e, &ctx, &ResourceBudget::UNLIMITED);
         assert!(!out.has_quantifier());
         assert_eq!(stats.skolems, 1);
         assert!(format!("{out}").contains(">= 3"));
@@ -532,7 +521,7 @@ mod tests {
         );
         let fact = Expr::lt(Expr::app("select", vec![v("a"), v("i")]), Expr::int(0));
         let e = Expr::and(axiom, fact);
-        let (out, _, _) = eliminate_quantifiers(&e, &ctx, &QuantConfig::default());
+        let (out, _, _) = eliminate_quantifiers(&e, &ctx, &ResourceBudget::UNLIMITED);
         let printed = format!("{out}");
         assert!(
             printed.contains("select(a, i) >= 0"),
@@ -547,12 +536,11 @@ mod tests {
         let jj = Name::intern("jj");
         let body = Expr::le(Expr::var(i), Expr::var(jj));
         let e = Expr::forall(vec![(i, Sort::Int), (jj, Sort::Int)], body);
-        let config = QuantConfig {
-            rounds: 1,
-            max_candidates: 10,
-            max_instances_per_quantifier: 5,
+        let budget = ResourceBudget {
+            quant_instances: Some(5),
+            ..ResourceBudget::UNLIMITED
         };
-        let (_, _, stats) = eliminate_quantifiers(&e, &ctx, &config);
+        let (_, _, stats) = eliminate_quantifiers(&e, &ctx, &budget);
         assert!(stats.instances <= 5);
     }
 
@@ -568,7 +556,7 @@ mod tests {
             vec![(x, Sort::Int)],
             Expr::exists(vec![(y, Sort::Int)], Expr::gt(Expr::var(y), Expr::var(x))),
         );
-        let (out, _, _) = eliminate_quantifiers(&e, &ctx, &QuantConfig::default());
+        let (out, _, _) = eliminate_quantifiers(&e, &ctx, &ResourceBudget::UNLIMITED);
         assert!(!out.has_quantifier());
     }
 }

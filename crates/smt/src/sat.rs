@@ -30,6 +30,7 @@
 //! clause could be false at levels the propagation queue has already
 //! drained, so the clause would never be revisited.
 
+use crate::ResourceBudget;
 use std::fmt;
 
 /// A propositional literal: variable index plus phase.
@@ -94,27 +95,6 @@ pub enum SatResult {
     Unknown,
 }
 
-/// Configuration for the SAT solver.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct SatConfig {
-    /// Maximum number of conflicts before giving up.
-    pub max_conflicts: usize,
-    /// Resource limits: per-search decision/conflict caps and the (amortized)
-    /// wall-clock deadline.  Populated from the owning
-    /// [`SmtConfig`](crate::SmtConfig) at solver construction; tripping a
-    /// limit returns [`SatResult::Unknown`], never a wrong verdict.
-    pub budget: crate::ResourceBudget,
-}
-
-impl Default for SatConfig {
-    fn default() -> Self {
-        SatConfig {
-            max_conflicts: 200_000,
-            budget: crate::ResourceBudget::UNLIMITED,
-        }
-    }
-}
-
 /// A CDCL SAT solver over a growable set of variables.
 pub struct SatSolver {
     num_vars: usize,
@@ -174,12 +154,16 @@ pub struct SatSolver {
     /// Cumulative count of searches abandoned because a resource budget
     /// (decision/conflict cap or deadline) tripped.
     budget_stops: usize,
-    config: SatConfig,
+    /// Per-search decision/conflict caps and the (amortized) wall-clock
+    /// deadline; tripping one returns [`SatResult::Unknown`], never a wrong
+    /// verdict.
+    budget: ResourceBudget,
 }
 
 impl SatSolver {
-    /// Creates a solver over `num_vars` variables with no clauses.
-    pub fn new(num_vars: usize, config: SatConfig) -> SatSolver {
+    /// Creates a solver over `num_vars` variables with no clauses, searching
+    /// under `budget`.
+    pub fn new(num_vars: usize, budget: ResourceBudget) -> SatSolver {
         SatSolver {
             num_vars,
             clauses: Vec::new(),
@@ -206,7 +190,7 @@ impl SatSolver {
             blocked_visits: 0,
             db_reductions: 0,
             budget_stops: 0,
-            config,
+            budget,
         }
     }
 
@@ -233,8 +217,8 @@ impl SatSolver {
     }
 
     /// Cumulative number of searches abandoned by a resource budget.
-    /// Monotone; callers attribute stops by differencing.  Always zero
-    /// under the default unlimited budget.
+    /// Monotone; callers attribute stops by differencing.  Zero under the
+    /// default budget unless a search reaches the built-in conflict cap.
     pub fn budget_stops(&self) -> usize {
         self.budget_stops
     }
@@ -826,21 +810,16 @@ impl SatSolver {
             self.backtrack_to(0);
             return SatResult::Unknown;
         }
-        let budget = self.config.budget;
-        let mut conflicts = 0usize;
+        let budget = self.budget;
+        let conflict_cap = budget.sat_conflict_cap();
+        let mut conflicts = 0u64;
         let mut decisions = 0u64;
         loop {
             if let Some(conflict) = self.propagate() {
                 conflicts += 1;
-                if conflicts > self.config.max_conflicts {
-                    self.backtrack_to(0);
-                    return SatResult::Unknown;
-                }
                 // Budget governance: the conflict cap exactly, the deadline
                 // amortized (one clock read per 64 conflicts).
-                if budget
-                    .sat_conflicts
-                    .is_some_and(|cap| conflicts as u64 > cap)
+                if conflicts > conflict_cap
                     || (conflicts.is_multiple_of(64) && budget.deadline_exceeded())
                 {
                     self.budget_stops += 1;
@@ -1117,7 +1096,7 @@ mod tests {
     }
 
     fn solve_clauses(num_vars: usize, clauses: &[Vec<SatLit>]) -> SatResult {
-        let mut solver = SatSolver::new(num_vars, SatConfig::default());
+        let mut solver = SatSolver::new(num_vars, ResourceBudget::UNLIMITED);
         for c in clauses {
             solver.add_clause(c.clone());
         }
@@ -1222,7 +1201,7 @@ mod tests {
                 }
             }
         }
-        let mut solver = SatSolver::new(pigeons * holes, SatConfig::default());
+        let mut solver = SatSolver::new(pigeons * holes, ResourceBudget::UNLIMITED);
         for c in &clauses {
             solver.add_clause(c.clone());
         }
@@ -1248,7 +1227,7 @@ mod tests {
 
     #[test]
     fn empty_clause_is_unsat() {
-        let mut solver = SatSolver::new(1, SatConfig::default());
+        let mut solver = SatSolver::new(1, ResourceBudget::UNLIMITED);
         solver.add_clause(vec![]);
         assert_eq!(solver.solve(), SatResult::Unsat);
     }
@@ -1270,7 +1249,7 @@ mod tests {
     /// state must not corrupt later queries.
     #[test]
     fn assumptions_flip_satisfiability_without_corrupting_state() {
-        let mut solver = SatSolver::new(0, SatConfig::default());
+        let mut solver = SatSolver::new(0, ResourceBudget::UNLIMITED);
         let g1 = solver.new_var();
         let g2 = solver.new_var();
         let x = solver.new_var();
@@ -1298,7 +1277,7 @@ mod tests {
     /// the level-0 facts they established.
     #[test]
     fn compact_drops_satisfied_clauses_but_keeps_facts() {
-        let mut solver = SatSolver::new(0, SatConfig::default());
+        let mut solver = SatSolver::new(0, ResourceBudget::UNLIMITED);
         let g = solver.new_var();
         let a = solver.new_var();
         let b = solver.new_var();
@@ -1334,7 +1313,7 @@ mod tests {
     /// integrates it on the level-0 trail at the start of the next search.
     #[test]
     fn clauses_added_between_searches_propagate() {
-        let mut solver = SatSolver::new(0, SatConfig::default());
+        let mut solver = SatSolver::new(0, ResourceBudget::UNLIMITED);
         let x = solver.new_var();
         let y = solver.new_var();
         solver.add_clause(vec![lit(x, true)]); // level-0 fact x
@@ -1355,7 +1334,7 @@ mod tests {
     /// then compact).
     #[test]
     fn compact_integrates_pending_clauses_before_retention() {
-        let mut solver = SatSolver::new(0, SatConfig::default());
+        let mut solver = SatSolver::new(0, ResourceBudget::UNLIMITED);
         let g = solver.new_var();
         let a = solver.new_var();
         solver.add_clause(vec![lit(g, false), lit(a, true)]);
@@ -1380,7 +1359,7 @@ mod tests {
     /// reduction.
     #[test]
     fn invariants_hold_across_incremental_searches() {
-        let mut solver = SatSolver::new(0, SatConfig::default());
+        let mut solver = SatSolver::new(0, ResourceBudget::UNLIMITED);
         solver.check_invariants().unwrap();
         let vars: Vec<usize> = (0..8).map(|_| solver.new_var()).collect();
         let mut rng = Rng::new(0xA0D17);
@@ -1452,7 +1431,7 @@ mod tests {
     fn incremental_searches_agree_with_brute_force() {
         let mut rng = Rng::new(0x3A7C_4EED);
         for case in 0..48 {
-            let mut solver = SatSolver::new(6, SatConfig::default());
+            let mut solver = SatSolver::new(6, ResourceBudget::UNLIMITED);
             let mut added: Vec<Vec<SatLit>> = Vec::new();
             let check = |solver: &mut SatSolver, added: &[Vec<SatLit>], assumptions: &[SatLit]| {
                 let mut query = added.to_vec();

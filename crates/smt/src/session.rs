@@ -47,7 +47,9 @@ use crate::sat::{SatLit, SatResult, SatSolver};
 use crate::simplex::{IncrementalSimplex, LiaResult, Prepared, SlotId};
 use crate::solver::{
     check_sat_impl, engine_stats, Model, SatOutcome, SmtConfig, SmtStats, Validity,
+    MAX_THEORY_ROUNDS,
 };
+use crate::ResourceBudget;
 use flux_logic::{simplify, Expr, ExprId, Name, Sort, SortCtx};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -411,22 +413,11 @@ struct TheoryAtoms {
 }
 
 impl Core {
-    fn new(config: &SmtConfig) -> Core {
-        // The authoritative budget lives on the `SmtConfig`; the sub-solvers
-        // receive their copy here, exactly as the one-shot pipeline does.
+    fn new(budget: ResourceBudget) -> Core {
         Core {
-            sat: SatSolver::new(
-                0,
-                crate::sat::SatConfig {
-                    budget: config.budget,
-                    ..config.sat
-                },
-            ),
+            sat: SatSolver::new(0, budget),
             atom_vars: AtomMap::default(),
-            theory: IncrementalSimplex::new(crate::simplex::LiaConfig {
-                budget: config.budget,
-                ..config.lia
-            }),
+            theory: IncrementalSimplex::new(budget),
             atom_slots: AtomMap::default(),
             hyp_atoms: None,
         }
@@ -649,8 +640,9 @@ impl Session {
     /// Verdicts after a successful update are identical to those of a fresh
     /// session over `new_hyps`: the clause database is exactly the new
     /// conjunct set's CNF plus theory lemmas (tautologies over global atoms,
-    /// valid under any hypotheses), and the theory-atom snapshot is rebuilt
-    /// from the new conjunct set.
+    /// valid under any hypotheses), the theory-atom snapshot is rebuilt
+    /// from the new conjunct set, and a rebuilt SAT core searches under the
+    /// session's own budget (its step caps and its stamped deadline).
     pub fn update_hypotheses(&mut self, new_hyps: &[ExprId]) -> bool {
         if !matches!(self.mode, Mode::Incremental) {
             return false;
@@ -687,7 +679,7 @@ impl Session {
                 // learned clauses need none either (they are resolvents the
                 // search re-derives on demand).
                 self.stats.conjunct_retractions += stale;
-                core.sat = SatSolver::new(core.sat.num_vars(), self.config.sat);
+                core.sat = SatSolver::new(core.sat.num_vars(), self.config.budget);
                 for (_, cnf) in &new_cnf {
                     for clause in cnf.iter() {
                         core.add_clause(clause, None);
@@ -738,34 +730,14 @@ impl Session {
     /// Produces the same verdict as
     /// [`crate::Solver::check_valid_imp`] on the same inputs.
     pub fn check(&mut self, goal: &Expr) -> Validity {
-        self.stats.queries += 1;
-        match self.mode {
-            Mode::Contradictory => Validity::Valid,
-            Mode::OneShot => self.check_one_shot(goal),
-            Mode::Incremental => {
-                if goal.has_quantifier() || goal.has_app() {
-                    return self.check_one_shot(goal);
-                }
-                self.check_qf_goal(ExprId::intern(goal))
-            }
-        }
+        self.check_all(&[ExprId::intern(goal)])
     }
 
     /// [`Session::check`] for a pre-interned goal: spares callers that
     /// already track hash-consed ids (the fixpoint weakening loop) the deep
     /// re-interning walk of the goal tree on every query.
     pub fn check_id(&mut self, goal: ExprId) -> Validity {
-        self.stats.queries += 1;
-        match self.mode {
-            Mode::Contradictory => Validity::Valid,
-            Mode::OneShot => self.check_one_shot(&goal.expr()),
-            Mode::Incremental => {
-                if goal.has_quantifier() || goal.has_app() {
-                    return self.check_one_shot(&goal.expr());
-                }
-                self.check_qf_goal(goal)
-            }
-        }
+        self.check_all(&[goal])
     }
 
     /// Checks the validity of `hypotheses ⟹ goal₁ ∧ … ∧ goalₙ` as **one**
@@ -782,11 +754,6 @@ impl Session {
     /// the same formula); counter-models may differ, which callers already
     /// tolerate (models are verified against the hypotheses before use).
     pub fn check_all(&mut self, goals: &[ExprId]) -> Validity {
-        if let [single] = goals {
-            // Delegate so the two entry points stay verdict-identical (and
-            // the single-goal path keeps its slightly tighter encoding).
-            return self.check_id(*single);
-        }
         self.stats.queries += 1;
         let rebuild_conjunction = |goals: &[ExprId]| Expr::and_all(goals.iter().map(|g| g.expr()));
         match self.mode {
@@ -859,37 +826,6 @@ impl Session {
         }
     }
 
-    /// The incremental path for a quantifier- and application-free goal.
-    fn check_qf_goal(&mut self, goal: ExprId) -> Validity {
-        let tt = ExprId::intern(&Expr::tt());
-        let ff = ExprId::intern(&Expr::ff());
-        let nid = goal.negated().simplified();
-        // ¬goal is false: the implication holds outright.
-        if nid == ff {
-            return Validity::Valid;
-        }
-        let goal_cnf: Option<Arc<Vec<Vec<Lit>>>> = if nid == tt {
-            // ¬goal is true: satisfiability reduces to the
-            // hypotheses alone, i.e. no extra clauses.
-            None
-        } else {
-            let mut cache = cnf_cache();
-            match cache.preprocess(nid, &self.ctx) {
-                PreOut::False => return Validity::Valid,
-                PreOut::True => None,
-                PreOut::Formula(pid) => match cache.cnf_of(pid) {
-                    Ok(cnf) => Some(cnf),
-                    Err(()) => return self.check_one_shot(&goal.expr()),
-                },
-            }
-        };
-        let empty = Vec::new();
-        let goal_clauses: &Vec<Vec<Lit>> = goal_cnf.as_deref().unwrap_or(&empty);
-        let verdict = self.check_on_core(goal_clauses);
-        self.spot_check(&verdict, &[goal]);
-        verdict
-    }
-
     /// Tseitin/CNF equisatisfiability spot-check on a counter-model, under
     /// the full audit tier: evaluating the *pre-CNF* hypotheses and goals
     /// under the model via the hash-consed evaluator must agree with the
@@ -917,7 +853,7 @@ impl Session {
         match &mut self.core {
             Some(_) => self.stats.sat_reuse += 1,
             none => {
-                let mut core = Core::new(&self.config);
+                let mut core = Core::new(self.config.budget);
                 // Hypothesis clauses are asserted outright — no activation
                 // literals.  Their units become permanent level-0 facts, so
                 // the first goal retirement's compaction dissolves most of
@@ -975,7 +911,7 @@ impl Session {
             if crate::testing::inject_fault("session") == Some(crate::testing::Fault::Unknown) {
                 break 'search SatOutcome::Unknown;
             }
-            for _ in 0..self.config.max_theory_rounds.0 {
+            for _ in 0..MAX_THEORY_ROUNDS {
                 // One clock read per theory round — each round amortizes it
                 // over a full SAT search plus a simplex check.
                 if self.config.budget.deadline_exceeded() {

@@ -26,6 +26,7 @@
 
 use crate::linear::LinConstraint;
 use crate::rational::Rational;
+use crate::ResourceBudget;
 use flux_logic::Name;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -43,38 +44,13 @@ pub enum LiaResult {
     Unknown,
 }
 
-/// Configuration limits for the LIA solver.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct LiaConfig {
-    /// Maximum number of branch-and-bound nodes explored per check.
-    pub max_branch_nodes: usize,
-    /// Maximum number of pivots per simplex run.
-    pub max_pivots: usize,
-    /// Resource limits: the pivot/branch-node caps here *tighten* the
-    /// `max_pivots`/`max_branch_nodes` bounds above, and the deadline is
-    /// checked amortized inside the pivot loop and per branch node.
-    /// Populated from the owning [`SmtConfig`](crate::SmtConfig) at solver
-    /// construction; tripping a limit yields [`LiaResult::Unknown`].
-    pub budget: crate::ResourceBudget,
-}
-
-impl Default for LiaConfig {
-    fn default() -> Self {
-        LiaConfig {
-            max_branch_nodes: 200,
-            max_pivots: 10_000,
-            budget: crate::ResourceBudget::UNLIMITED,
-        }
-    }
-}
-
 /// Checks feasibility of the conjunction of `constraints` over the integers.
 ///
 /// One-shot wrapper over [`IncrementalSimplex`]: all variables are assumed
 /// to range over the integers, and infeasible cores are reported as indices
 /// into the input slice.
-pub fn check_lia(constraints: &[LinConstraint], config: &LiaConfig) -> LiaResult {
-    let mut simplex = IncrementalSimplex::new(*config);
+pub fn check_lia(constraints: &[LinConstraint], budget: &ResourceBudget) -> LiaResult {
+    let mut simplex = IncrementalSimplex::new(*budget);
     for (i, c) in constraints.iter().enumerate() {
         let slot = simplex.register(c);
         if let Err(core) = simplex.assert_constraint(slot, true, i) {
@@ -86,8 +62,8 @@ pub fn check_lia(constraints: &[LinConstraint], config: &LiaConfig) -> LiaResult
 
 /// Checks rational feasibility only (no integrality); used by tests and by
 /// callers that want the relaxation.
-pub fn check_rational(constraints: &[LinConstraint], config: &LiaConfig) -> LiaResult {
-    let mut simplex = IncrementalSimplex::new(*config);
+pub fn check_rational(constraints: &[LinConstraint], budget: &ResourceBudget) -> LiaResult {
+    let mut simplex = IncrementalSimplex::new(*budget);
     for (i, c) in constraints.iter().enumerate() {
         let slot = simplex.register(c);
         if let Err(core) = simplex.assert_constraint(slot, true, i) {
@@ -223,7 +199,10 @@ enum RationalResult {
 
 /// A persistent, backtrackable simplex tableau (see the module docs).
 pub struct IncrementalSimplex {
-    config: LiaConfig,
+    /// Pivot and branch-node caps and the deadline, checked amortized
+    /// inside the pivot loop and per branch node; tripping one yields
+    /// [`LiaResult::Unknown`].
+    budget: ResourceBudget,
     /// Tableau variable of each original variable name.
     var_ids: HashMap<Name, VarId>,
     /// Name of each variable; `None` for slack variables.
@@ -264,10 +243,10 @@ pub struct IncrementalSimplex {
 }
 
 impl IncrementalSimplex {
-    /// Creates an empty tableau.
-    pub fn new(config: LiaConfig) -> IncrementalSimplex {
+    /// Creates an empty tableau that checks under `budget`.
+    pub fn new(budget: ResourceBudget) -> IncrementalSimplex {
         IncrementalSimplex {
-            config,
+            budget,
             var_ids: HashMap::new(),
             names: Vec::new(),
             upper: Vec::new(),
@@ -629,15 +608,9 @@ impl IncrementalSimplex {
     /// hold or a row proves them inconsistent (Bland's rule on both the
     /// violated basic and the entering nonbasic guarantees termination).
     fn solve_rational(&mut self) -> RationalResult {
-        // The budget's pivot cap tightens the configured one; the deadline
-        // is read amortized, once per 128 loop iterations.
-        let budget = self.config.budget;
-        let max_pivots = match budget.pivots {
-            Some(cap) => self.config.max_pivots.min(cap as usize),
-            None => self.config.max_pivots,
-        };
-        for round in 0..max_pivots {
-            if round % 128 == 127 && budget.deadline_exceeded() {
+        // The deadline is read amortized, once per 128 loop iterations.
+        for round in 0..self.budget.pivot_cap() {
+            if round % 128 == 127 && self.budget.deadline_exceeded() {
                 return RationalResult::PivotLimit;
             }
             let Some(basic) = self.next_violated() else {
@@ -786,17 +759,8 @@ impl IncrementalSimplex {
         if crate::testing::inject_fault("simplex") == Some(crate::testing::Fault::Unknown) {
             return LiaResult::Unknown;
         }
-        let mut budget = self.node_budget();
-        self.branch_and_bound(None, &mut budget)
-    }
-
-    /// Effective branch-and-bound node budget: the configured cap tightened
-    /// by the resource budget's.
-    fn node_budget(&self) -> usize {
-        match self.config.budget.branch_nodes {
-            Some(cap) => self.config.max_branch_nodes.min(cap as usize),
-            None => self.config.max_branch_nodes,
-        }
+        let mut nodes = self.budget.branch_node_cap();
+        self.branch_and_bound(None, &mut nodes)
     }
 
     /// [`IncrementalSimplex::check_integer`] restricted to `relevant`
@@ -812,24 +776,24 @@ impl IncrementalSimplex {
         if crate::testing::inject_fault("simplex") == Some(crate::testing::Fault::Unknown) {
             return LiaResult::Unknown;
         }
-        let mut budget = self.node_budget();
-        self.branch_and_bound(Some(relevant), &mut budget)
+        let mut nodes = self.budget.branch_node_cap();
+        self.branch_and_bound(Some(relevant), &mut nodes)
     }
 
     fn branch_and_bound(
         &mut self,
         relevant: Option<&BTreeSet<Name>>,
-        budget: &mut usize,
+        nodes: &mut u64,
     ) -> LiaResult {
-        if *budget == 0 {
+        if *nodes == 0 {
             return LiaResult::Unknown;
         }
         // One deadline read per node: each node pays for a full rational
         // repair below, so the clock read is already amortized.
-        if self.config.budget.deadline_exceeded() {
+        if self.budget.deadline_exceeded() {
             return LiaResult::Unknown;
         }
-        *budget -= 1;
+        *nodes -= 1;
         let is_relevant = |n: &Name| relevant.is_none_or(|r| r.contains(n));
         match self.solve_rational() {
             RationalResult::PivotLimit => LiaResult::Unknown,
@@ -860,7 +824,7 @@ impl IncrementalSimplex {
                             Rational::int(value.floor()),
                             BoundTag::Internal,
                         ) {
-                            Ok(()) => self.branch_and_bound(relevant, budget),
+                            Ok(()) => self.branch_and_bound(relevant, nodes),
                             Err(core) => LiaResult::Infeasible(core),
                         };
                         self.pop();
@@ -875,7 +839,7 @@ impl IncrementalSimplex {
                             Rational::int(value.ceil()),
                             BoundTag::Internal,
                         ) {
-                            Ok(()) => self.branch_and_bound(relevant, budget),
+                            Ok(()) => self.branch_and_bound(relevant, nodes),
                             Err(core) => LiaResult::Infeasible(core),
                         };
                         self.pop();
@@ -937,8 +901,8 @@ mod tests {
         LinConstraint::le_zero(e)
     }
 
-    fn cfg() -> LiaConfig {
-        LiaConfig::default()
+    fn cfg() -> ResourceBudget {
+        ResourceBudget::UNLIMITED
     }
 
     #[test]

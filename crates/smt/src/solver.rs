@@ -19,45 +19,33 @@ use crate::audit;
 use crate::budget::{default_timeout, ResourceBudget};
 use crate::cnf::tseitin;
 use crate::preprocess::{ackermannize, eliminate_div_mod, eliminate_ite, normalize_comparisons};
-use crate::quant::{eliminate_quantifiers, QuantConfig};
-use crate::sat::{SatConfig, SatLit, SatResult, SatSolver};
+use crate::quant::eliminate_quantifiers;
+use crate::sat::{SatLit, SatResult, SatSolver};
 use crate::session::Session;
-use crate::simplex::{IncrementalSimplex, LiaConfig, LiaResult};
+use crate::simplex::{IncrementalSimplex, LiaResult};
 use flux_logic::{evaluate, simplify, AuditTier, Expr, ExprId, Name, SortCtx, Value};
 use std::collections::BTreeMap;
 
 /// Configuration of the SMT solver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SmtConfig {
-    /// SAT-core limits.
-    pub sat: SatConfig,
-    /// Linear-arithmetic limits.
-    pub lia: LiaConfig,
-    /// Quantifier-instantiation limits (only exercised by the baseline).
-    pub quant: QuantConfig,
-    /// Maximum number of SAT/theory iterations per query.
-    pub max_theory_rounds: MaxTheoryRounds,
     /// Audit tier.  Under [`AuditTier::Full`] every theory conflict is
     /// certified (Farkas combination or independent LIA replay), every
     /// model is re-evaluated against the live clauses and asserted atoms,
     /// and the SAT core's invariants are swept after each search; a failure
     /// panics, because it is a solver bug, not a property of the input.
     pub audit: AuditTier,
-    /// Resource limits (wall-clock deadline and step caps).  This is the
-    /// authoritative copy: the SAT and simplex configs receive it at solver
-    /// construction, so setting it here governs the whole stack.  The
-    /// default is unlimited except for a `FLUX_DEADLINE_MS` timeout when
-    /// that variable is set.
+    /// Every solver limit: the wall-clock deadline and the step caps.  Every
+    /// SAT core, simplex tableau and quantifier elimination of a query or
+    /// session is built from this budget, so setting it here governs the
+    /// whole stack.  The default has only the built-in step caps, plus a
+    /// `FLUX_DEADLINE_MS` timeout when that variable is set.
     pub budget: ResourceBudget,
 }
 
 impl Default for SmtConfig {
     fn default() -> Self {
         SmtConfig {
-            sat: SatConfig::default(),
-            lia: LiaConfig::default(),
-            quant: QuantConfig::default(),
-            max_theory_rounds: MaxTheoryRounds::default(),
             audit: flux_logic::audit_tier(),
             budget: ResourceBudget {
                 timeout: default_timeout(),
@@ -67,15 +55,8 @@ impl Default for SmtConfig {
     }
 }
 
-/// Newtype for the theory-round limit so `SmtConfig` can derive `Default`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct MaxTheoryRounds(pub usize);
-
-impl Default for MaxTheoryRounds {
-    fn default() -> Self {
-        MaxTheoryRounds(2_000)
-    }
-}
+/// Maximum number of SAT/theory rounds per query or session check.
+pub(crate) const MAX_THEORY_ROUNDS: usize = 2_000;
 
 flux_logic::counters! {
     /// Cumulative statistics of a [`Solver`] (or a [`crate::Session`]).
@@ -117,8 +98,8 @@ flux_logic::counters! {
         pub certs_checked: usize,
         /// Checks that gave up because a [`ResourceBudget`] limit tripped: SAT
         /// searches stopped at a decision/conflict cap, plus deadline-driven
-        /// exits from the DPLL(T) theory-round loops.  Always zero under the
-        /// default unlimited budget.
+        /// exits from the DPLL(T) theory-round loops.  Zero under the default
+        /// budget unless a search reaches the built-in conflict cap.
         pub budget_exhausted: usize,
     }
 }
@@ -289,13 +270,8 @@ pub(crate) fn check_sat_impl(
     };
     // 1. Simplify.
     let f = simplify(formula);
-    // 2. Quantifiers.  The budget's per-quantifier instance cap tightens
-    // the configured one.
-    let mut quant = config.quant;
-    if let Some(cap) = config.budget.quant_instances {
-        quant.max_instances_per_quantifier = quant.max_instances_per_quantifier.min(cap as usize);
-    }
-    let (f, ctx, qstats) = eliminate_quantifiers(&f, ctx, &quant);
+    // 2. Quantifiers.
+    let (f, ctx, qstats) = eliminate_quantifiers(&f, ctx, &config.budget);
     stats.quant_instances += qstats.instances;
     // 3. Integer division / remainder.
     let mut defs = Vec::new();
@@ -360,15 +336,7 @@ pub(crate) fn dpll_t(
             relevant[lit.atom.0 as usize] = true;
         }
     }
-    // The budget is authoritative on `SmtConfig`; copy it into the
-    // sub-solver configs so their hot loops see the same limits.
-    let mut sat = SatSolver::new(
-        atoms.len(),
-        SatConfig {
-            budget: config.budget,
-            ..config.sat
-        },
-    );
+    let mut sat = SatSolver::new(atoms.len(), config.budget);
     for clause in clauses.iter().chain(extra.iter()).chain(lemmas.iter()) {
         sat.add_clause(
             clause
@@ -378,10 +346,7 @@ pub(crate) fn dpll_t(
         );
     }
     // Register the relevant linear atoms' constraint rows once.
-    let mut theory = IncrementalSimplex::new(LiaConfig {
-        budget: config.budget,
-        ..config.lia
-    });
+    let mut theory = IncrementalSimplex::new(config.budget);
     let mut lin_atoms = Vec::new();
     for (id, atom) in atoms.iter() {
         if !relevant[id.0 as usize] {
@@ -392,7 +357,7 @@ pub(crate) fn dpll_t(
         }
     }
     let outcome = 'search: {
-        for _ in 0..config.max_theory_rounds.0 {
+        for _ in 0..MAX_THEORY_ROUNDS {
             // The theory-round loop is the coarse deadline check of the
             // one-shot path; the SAT core checks (amortized) inside a round.
             if config.budget.deadline_exceeded() {

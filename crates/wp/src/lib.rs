@@ -38,7 +38,8 @@ use std::time::{Duration, Instant};
 /// Configuration of the baseline verifier.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct WpConfig {
-    /// SMT configuration (quantifier instantiation limits matter here).
+    /// SMT configuration.  Its budget's `quant_instances` cap bounds the
+    /// quantifier instantiation that only this verifier's obligations need.
     pub smt: SmtConfig,
 }
 

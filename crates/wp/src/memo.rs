@@ -9,7 +9,8 @@
 //! caps, step budgets, the deadline), and an `Unknown` is never stored.  A
 //! decided verdict is therefore a function of its [`ObligationKey`].
 //! Instantiation is incomplete, so an `Invalid` holds only relative to the
-//! quantifier configuration, which is part of the key.
+//! quantifier limits: the budget's instance cap, which is part of the key,
+//! and the fixed round and candidate counts of `flux_smt::quant`.
 //!
 //! Keys hold [`ExprId`]s, which mean the same expression only until a
 //! generation flush, so the process-global memo is cleared together with
@@ -44,8 +45,8 @@ pub(crate) struct ObligationKey {
     /// the verifier's context, in name order.  The solver reads the
     /// context only by looking up the query's own names.
     sorts: Box<[(Name, Option<Sort>)]>,
-    /// The SMT configuration with the deadline cleared: budgets, the
-    /// quantifier-instantiation limits and the audit tier.
+    /// The SMT configuration with the deadline cleared: the budget, whose
+    /// step caps include the quantifier-instance cap, and the audit tier.
     smt: SmtConfig,
 }
 

@@ -463,6 +463,16 @@ fn faulted_daemon_contains_panics_and_never_falsely_verifies() {
                     "id {id}: faults made an unsafe program verify"
                 );
             }
+            // The only panic that reaches the daemon's containment is the
+            // injected dispatch fault, and its message must survive.
+            if response.get("reason").and_then(Value::as_str) == Some("worker-panic") {
+                let error = response.get("error").and_then(Value::as_str);
+                assert_eq!(
+                    error,
+                    Some("worker panicked: injected worker fault (daemon dispatch)"),
+                    "id {id}: a contained panic lost its message"
+                );
+            }
         }
         assert_eq!(result_of(&responses[&41]), "final");
 

@@ -5,8 +5,8 @@
 
 use flux::{Mode, VerifyConfig};
 use flux_fixpoint::{Constraint, FixConfig, FixResult, FixpointSolver, Guard, KVarApp, KVarStore};
-use flux_logic::{Expr, Name, Sort, SortCtx};
-use flux_smt::ResourceBudget;
+use flux_logic::{Expr, ExprId, Name, Sort, SortCtx};
+use flux_smt::{ResourceBudget, Session, SmtConfig, Validity};
 use std::time::Duration;
 
 /// A counting-loop system that is safe under the default qualifiers and
@@ -196,5 +196,48 @@ fn baseline_unknowns_count_inconclusive_functions() {
     assert_eq!(
         outcome.stats.unknowns, outcome.functions,
         "bsearch's one function is inconclusive, so exactly one unknown"
+    );
+}
+
+/// A session that retracts a hypothesis conjunct rebuilds its SAT core, and
+/// the rebuilt core must search under the session's own budget.  With no
+/// SAT decision allowed, every check that reaches the core answers
+/// `Unknown`: before the update, after it, and from a fresh session over
+/// the surviving hypothesis.
+#[test]
+fn a_retracting_update_keeps_the_session_budget() {
+    let x = Name::intern("rb_retract_x");
+    let y = Name::intern("rb_retract_y");
+    let mut ctx = SortCtx::new();
+    ctx.push(x, Sort::Int);
+    ctx.push(y, Sort::Int);
+    let x_nonzero = ExprId::intern(&Expr::or(
+        Expr::ge(Expr::var(x), Expr::int(1)),
+        Expr::le(Expr::var(x), Expr::int(-1)),
+    ));
+    let y_nonneg = ExprId::intern(&Expr::ge(Expr::var(y), Expr::int(0)));
+    let goal = ExprId::intern(&Expr::ne(Expr::var(x), Expr::int(0)));
+    let config = SmtConfig {
+        budget: ResourceBudget {
+            sat_decisions: Some(0),
+            ..ResourceBudget::UNLIMITED
+        },
+        ..SmtConfig::default()
+    };
+
+    let mut session = Session::assume_ids(config, &ctx, &[x_nonzero, y_nonneg]);
+    assert_eq!(session.check_id(goal), Validity::Unknown);
+    assert!(
+        session.update_hypotheses(&[x_nonzero]),
+        "retracting `y >= 0` keeps the session incremental"
+    );
+    assert_eq!(session.stats().conjunct_retractions, 1);
+
+    let mut fresh = Session::assume_ids(config, &ctx, &[x_nonzero]);
+    assert_eq!(fresh.check_id(goal), Validity::Unknown);
+    assert_eq!(
+        session.check_id(goal),
+        Validity::Unknown,
+        "the retraction rebuild dropped the session's budget"
     );
 }

@@ -11,7 +11,7 @@ use flux_smt::audit::{certify_infeasible_core, Certificate};
 use flux_smt::rational::Rational;
 use flux_smt::simplex::{check_lia, model_satisfies, IncrementalSimplex, LiaResult};
 use flux_smt::testing::Rng;
-use flux_smt::{LiaConfig, Session, SmtConfig, Validity};
+use flux_smt::{ResourceBudget, Session, SmtConfig, Validity};
 
 type LinConstraint = flux_smt::linear::LinConstraint;
 
@@ -56,7 +56,7 @@ fn assert_certified(core: &[LinConstraint], context: &str) {
 /// certified: the subset it names must itself be infeasible.
 #[test]
 fn incremental_simplex_scripts_agree_with_one_shot() {
-    let cfg = LiaConfig::default();
+    let cfg = ResourceBudget::UNLIMITED;
     let mut rng = Rng::new(0x1A51_3D0C);
     for case in 0..48 {
         let family: Vec<LinConstraint> = (0..10).map(|_| random_constraint(&mut rng)).collect();
